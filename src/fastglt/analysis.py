@@ -16,6 +16,7 @@ import numpy as np
 from .data import Dataset
 from .graph import hamming_distance
 from .masks import BinaryMasks
+from .nn import GcnParams
 
 
 @dataclass
@@ -60,6 +61,50 @@ class TicketReport:
                   "total_seconds": self.total_seconds,
                   "relative_time": self.relative_time}
         return {"results": deterministic, "timing": timing}
+
+
+@dataclass
+class ArmResult:
+    """What one method arm returns: its report, its trained weights, and
+    the artifacts it produced. Artifacts an arm does not produce keep
+    their empty defaults, and ``binary`` stays None for the dense arm."""
+
+    report: TicketReport
+    params: GcnParams
+    binary: BinaryMasks | None = None
+    soft_edges: np.ndarray | None = None        # final trained soft edges
+    swaps: list = field(default_factory=list)    # denoise.SwapRecord
+    history: list = field(default_factory=list)  # train.EpochStats
+    initial_binary: BinaryMasks | None = None   # masks after one-shot cut
+    round_masks: list[BinaryMasks] = field(default_factory=list)
+    level_masks: dict[float, np.ndarray] = field(default_factory=dict)
+
+
+def build_report(method: str, dataset: Dataset, params: GcnParams,
+                 binary: BinaryMasks | None, t_start: float,
+                 phase_ends: dict[str, float], *, acc_inplace: float,
+                 acc_retrained: float, search_epochs: int,
+                 verify_epochs: int, seed: int, config_digest: str,
+                 extra: dict | None = None) -> TicketReport:
+    """The ticket report of one arm, from its final masks (None: dense)
+    and the ``perf_counter`` time at which each phase ended, in order.
+    Every phase before a closing "verify" phase counts as search."""
+    ends = [t_start, *phase_ends.values()]
+    phase_seconds = dict(zip(phase_ends, np.diff(ends).tolist()))
+    search_end = ends[-2] if "verify" in phase_ends else ends[-1]
+    return TicketReport(
+        method=method,
+        s_g=binary.graph_sparsity() if binary is not None else 0.0,
+        s_theta=binary.weight_sparsity() if binary is not None else 0.0,
+        acc_inplace=acc_inplace, acc_retrained=acc_retrained,
+        macs=mac_count(dataset, binary, params.hidden),
+        dense_macs=mac_count(dataset, None, params.hidden),
+        seed=seed, config_digest=config_digest,
+        phase_seconds=phase_seconds,
+        search_seconds=search_end - t_start,
+        total_seconds=ends[-1] - t_start,
+        search_epochs=search_epochs, verify_epochs=verify_epochs,
+        extra=extra or {})
 
 
 def mac_count(dataset: Dataset, binary: BinaryMasks | None,

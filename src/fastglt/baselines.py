@@ -6,15 +6,15 @@ and the dense reference arm.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import TicketReport, mac_count
+from .analysis import ArmResult, build_report
 from .data import Dataset
-from .masks import (BinaryMasks, init_soft_masks, kept_count,
-                    one_shot_threshold)
-from .nn import GcnParams, evaluate_accuracy, glorot_params
+from .masks import (BinaryMasks, _round_half_up, init_soft_masks, kept_count,
+                    random_bits, threshold_masks)
+from .nn import GcnParams, arm_params, evaluate_accuracy
 from .train import train_oneshot_phase, train_theta_only, verify_ticket
 
 
@@ -25,7 +25,6 @@ class ImpConfig:
     p_g: float = 0.05
     p_theta: float = 0.2
     epochs_per_round: int = 200
-    rewind: bool = True
 
     def validate(self) -> "ImpConfig":
         for name, p in (("p_g", self.p_g), ("p_theta", self.p_theta)):
@@ -47,10 +46,6 @@ def imp_rounds_needed(p: float, target: float) -> int:
     return int(np.ceil(np.log(1.0 - target) / np.log(1.0 - p) - 1e-12))
 
 
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
-
-
 def _prune_lowest(mask: np.ndarray, scores: np.ndarray, n: int) -> np.ndarray:
     """Drop the n kept entries of smallest |score| (ties by index)."""
     kept = np.flatnonzero(mask)
@@ -60,21 +55,12 @@ def _prune_lowest(mask: np.ndarray, scores: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class ImpResult:
-    report: TicketReport
-    binary: BinaryMasks
-    round_masks: list[BinaryMasks]          # mask state after each round
-    level_masks: dict[float, np.ndarray] = field(default_factory=dict)
-    params: GcnParams = None
-
-
 def run_imp(dataset: Dataset, imp: ImpConfig, *, s_g: float, s_theta: float,
             seed: int = 0, lr: float = 0.001, hidden: int = 512,
             dtype=np.float64, retrain_epochs: int | None = None,
             params0: GcnParams | None = None,
             record_levels: list[float] | None = None,
-            config_digest: str = "") -> ImpResult:
+            config_digest: str = "") -> ArmResult:
     """Train, prune a fraction of what remains, rewind, repeat.
 
     Each round trains weights and soft masks for the round budget, prunes
@@ -88,12 +74,7 @@ def run_imp(dataset: Dataset, imp: ImpConfig, *, s_g: float, s_theta: float,
     """
     imp.validate()
     t_start = time.perf_counter()
-    if params0 is not None:
-        params = params0.fresh_copy()
-    else:
-        params = glorot_params(dataset.num_features, hidden,
-                               dataset.num_classes, seed=seed, dtype=dtype)
-    hidden = params.hidden
+    params = arm_params(dataset, params0, hidden, seed, dtype)
     shape0, shape1 = params.theta0.shape, params.theta1.shape
     soft0 = init_soft_masks(dataset, shape0, shape1, seed=seed, dtype=dtype)
 
@@ -122,8 +103,7 @@ def run_imp(dataset: Dataset, imp: ImpConfig, *, s_g: float, s_theta: float,
         if done:
             break
 
-        if imp.rewind:
-            params.rewind()
+        params.rewind()
         soft = soft0.copy()
         last_train = train_oneshot_phase(dataset, params, soft,
                                          epochs=imp.epochs_per_round, lr=lr,
@@ -163,48 +143,27 @@ def run_imp(dataset: Dataset, imp: ImpConfig, *, s_g: float, s_theta: float,
     verify_epochs = retrain_epochs if retrain_epochs is not None \
         else imp.epochs_per_round
     verify = verify_ticket(dataset, params, binary, verify_epochs, lr=lr)
-    t_end = time.perf_counter()
 
-    report = TicketReport(
-        method="imp",
-        s_g=binary.graph_sparsity(), s_theta=binary.weight_sparsity(),
+    report = build_report(
+        "imp", dataset, params, binary, t_start,
+        {"rounds": t_search, "verify": time.perf_counter()},
         acc_inplace=acc_inplace, acc_retrained=verify.test_at_best,
-        macs=mac_count(dataset, binary, hidden),
-        dense_macs=mac_count(dataset, None, hidden),
-        seed=seed, config_digest=config_digest,
-        phase_seconds={"rounds": t_search - t_start,
-                       "verify": t_end - t_search},
-        search_seconds=t_search - t_start, total_seconds=t_end - t_start,
         search_epochs=len(round_masks) * imp.epochs_per_round,
-        verify_epochs=verify_epochs,
+        verify_epochs=verify_epochs, seed=seed, config_digest=config_digest,
         extra={"rounds": len(round_masks), "p_g": imp.p_g,
                "p_theta": imp.p_theta})
-    return ImpResult(report=report, binary=binary, round_masks=round_masks,
-                     level_masks=level_masks, params=params)
-
-
-@dataclass
-class BaselineResult:
-    report: TicketReport
-    binary: BinaryMasks
-    params: GcnParams
-    soft_edges: np.ndarray | None = None
+    return ArmResult(report=report, params=params, binary=binary,
+                     round_masks=round_masks, level_masks=level_masks)
 
 
 def random_masks(dataset: Dataset, shape0, shape1, *, s_g: float,
                  s_theta: float, seed: int) -> BinaryMasks:
     """Uniformly random masks at exactly the target kept counts."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7A17]))
-    edges = np.zeros(dataset.num_edges, dtype=bool)
-    edges[rng.permutation(dataset.num_edges)[:kept_count(dataset.num_edges,
-                                                         s_g)]] = True
-    w_universe = shape0[0] * shape0[1] + shape1[0] * shape1[1]
-    wflat = np.zeros(w_universe, dtype=bool)
-    wflat[rng.permutation(w_universe)[:kept_count(w_universe,
-                                                  s_theta)]] = True
-    return BinaryMasks(edges=edges, theta0=np.ones(shape0, dtype=bool),
-                       theta1=np.ones(shape1, dtype=bool)
-                       ).with_weights_flat(wflat)
+    masks = BinaryMasks.all_ones(dataset.num_edges, shape0, shape1)
+    edges = random_bits(rng, dataset.num_edges, s_g)
+    return masks.with_edges(edges).with_weights_flat(
+        random_bits(rng, masks.weight_universe, s_theta))
 
 
 def run_random(dataset: Dataset, *, s_g: float, s_theta: float,
@@ -212,35 +171,24 @@ def run_random(dataset: Dataset, *, s_g: float, s_theta: float,
                hidden: int = 512, dtype=np.float64,
                retrain_epochs: int | None = None,
                params0: GcnParams | None = None,
-               config_digest: str = "") -> BaselineResult:
+               config_digest: str = "") -> ArmResult:
     """Random masks at exact target sparsity, trained and then verified."""
     t_start = time.perf_counter()
-    if params0 is not None:
-        params = params0.fresh_copy()
-    else:
-        params = glorot_params(dataset.num_features, hidden,
-                               dataset.num_classes, seed=seed, dtype=dtype)
-    hidden = params.hidden
+    params = arm_params(dataset, params0, hidden, seed, dtype)
     binary = random_masks(dataset, params.theta0.shape, params.theta1.shape,
                           s_g=s_g, s_theta=s_theta, seed=seed)
     inplace = train_theta_only(dataset, params, binary, epochs, lr=lr)
     t_search = time.perf_counter()
     verify_epochs = retrain_epochs if retrain_epochs is not None else epochs
     verify = verify_ticket(dataset, params, binary, verify_epochs, lr=lr)
-    t_end = time.perf_counter()
 
-    report = TicketReport(
-        method="random",
-        s_g=binary.graph_sparsity(), s_theta=binary.weight_sparsity(),
+    report = build_report(
+        "random", dataset, params, binary, t_start,
+        {"train": t_search, "verify": time.perf_counter()},
         acc_inplace=inplace.test_at_best, acc_retrained=verify.test_at_best,
-        macs=mac_count(dataset, binary, hidden),
-        dense_macs=mac_count(dataset, None, hidden),
-        seed=seed, config_digest=config_digest,
-        phase_seconds={"train": t_search - t_start,
-                       "verify": t_end - t_search},
-        search_seconds=t_search - t_start, total_seconds=t_end - t_start,
-        search_epochs=epochs, verify_epochs=verify_epochs)
-    return BaselineResult(report=report, binary=binary, params=params)
+        search_epochs=epochs, verify_epochs=verify_epochs, seed=seed,
+        config_digest=config_digest)
+    return ArmResult(report=report, params=params, binary=binary)
 
 
 def run_oneshot_only(dataset: Dataset, *, s_g: float, s_theta: float,
@@ -248,74 +196,48 @@ def run_oneshot_only(dataset: Dataset, *, s_g: float, s_theta: float,
                      hidden: int = 512, dtype=np.float64,
                      retrain_epochs: int | None = None,
                      params0: GcnParams | None = None,
-                     config_digest: str = "") -> BaselineResult:
+                     config_digest: str = "") -> ArmResult:
     """One co-training phase, then threshold straight to the targets."""
     t_start = time.perf_counter()
-    if params0 is not None:
-        params = params0.fresh_copy()
-    else:
-        params = glorot_params(dataset.num_features, hidden,
-                               dataset.num_classes, seed=seed, dtype=dtype)
-    hidden = params.hidden
-    shape0, shape1 = params.theta0.shape, params.theta1.shape
-    soft = init_soft_masks(dataset, shape0, shape1, seed=seed, dtype=dtype)
+    params = arm_params(dataset, params0, hidden, seed, dtype)
+    soft = init_soft_masks(dataset, params.theta0.shape, params.theta1.shape,
+                           seed=seed, dtype=dtype)
     oneshot = train_oneshot_phase(dataset, params, soft, epochs=epochs,
                                   lr=lr)
     best = oneshot.best_soft
-    binary = BinaryMasks(
-        edges=one_shot_threshold(best.edges, s_g),
-        theta0=np.ones(shape0, dtype=bool),
-        theta1=np.ones(shape1, dtype=bool),
-    ).with_weights_flat(one_shot_threshold(best.weights_flat(), s_theta))
+    binary = threshold_masks(best, s_g, s_theta)
     t_search = time.perf_counter()
 
     acc_inplace = evaluate_accuracy(params, best, binary, dataset,
                                     dataset.test_idx)
     verify_epochs = retrain_epochs if retrain_epochs is not None else epochs
     verify = verify_ticket(dataset, params, binary, verify_epochs, lr=lr)
-    t_end = time.perf_counter()
 
-    report = TicketReport(
-        method="oneshot",
-        s_g=binary.graph_sparsity(), s_theta=binary.weight_sparsity(),
+    report = build_report(
+        "oneshot", dataset, params, binary, t_start,
+        {"oneshot": t_search, "verify": time.perf_counter()},
         acc_inplace=acc_inplace, acc_retrained=verify.test_at_best,
-        macs=mac_count(dataset, binary, hidden),
-        dense_macs=mac_count(dataset, None, hidden),
-        seed=seed, config_digest=config_digest,
-        phase_seconds={"oneshot": t_search - t_start,
-                       "verify": t_end - t_search},
-        search_seconds=t_search - t_start, total_seconds=t_end - t_start,
-        search_epochs=epochs, verify_epochs=verify_epochs,
+        search_epochs=epochs, verify_epochs=verify_epochs, seed=seed,
+        config_digest=config_digest,
         extra={"oneshot_best_epoch": oneshot.best_epoch})
-    return BaselineResult(report=report, binary=binary, params=params,
-                          soft_edges=best.edges)
+    return ArmResult(report=report, params=params, binary=binary,
+                     soft_edges=best.edges)
 
 
 def run_dense(dataset: Dataset, *, epochs: int, seed: int = 0,
               lr: float = 0.001, hidden: int = 512, dtype=np.float64,
               params0: GcnParams | None = None,
-              config_digest: str = "") -> BaselineResult:
+              config_digest: str = "") -> ArmResult:
     """The unpruned reference arm every ticket is judged against."""
     t_start = time.perf_counter()
-    if params0 is not None:
-        params = params0.fresh_copy()
-    else:
-        params = glorot_params(dataset.num_features, hidden,
-                               dataset.num_classes, seed=seed, dtype=dtype)
-    hidden = params.hidden
+    params = arm_params(dataset, params0, hidden, seed, dtype)
     trained = train_theta_only(dataset, params, None, epochs, lr=lr)
-    t_end = time.perf_counter()
 
-    report = TicketReport(
-        method="dense", s_g=0.0, s_theta=0.0,
-        acc_inplace=trained.test_at_best,
-        acc_retrained=trained.test_at_best,
-        macs=mac_count(dataset, None, hidden),
-        dense_macs=mac_count(dataset, None, hidden),
-        seed=seed, config_digest=config_digest,
-        phase_seconds={"train": t_end - t_start},
-        search_seconds=t_end - t_start, total_seconds=t_end - t_start,
-        search_epochs=epochs, verify_epochs=0,
+    report = build_report(
+        "dense", dataset, params, None, t_start,
+        {"train": time.perf_counter()},
+        acc_inplace=trained.test_at_best, acc_retrained=trained.test_at_best,
+        search_epochs=epochs, verify_epochs=0, seed=seed,
+        config_digest=config_digest,
         extra={"best_epoch": trained.best_epoch})
-    return BaselineResult(report=report,
-                          binary=None, params=params)
+    return ArmResult(report=report, params=params)

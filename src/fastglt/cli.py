@@ -65,10 +65,9 @@ def _cmd_run(args) -> int:
     except Exception as exc:  # noqa: BLE001 - phase-tagged diagnostics
         print(f"run failed [{config.method}]: {exc}", file=sys.stderr)
         return 1
-    res = run.report_dict["results"]
-    print(f"{config.method}: s_g={res['s_g']:.4f} "
-          f"s_theta={res['s_theta']:.4f} "
-          f"acc_retrained={res['acc_retrained']:.4f} "
+    rep = run.report
+    print(f"{config.method}: s_g={rep.s_g:.4f} s_theta={rep.s_theta:.4f} "
+          f"acc_retrained={rep.acc_retrained:.4f} "
           f"-> {args.out}/report.json")
     return 0
 

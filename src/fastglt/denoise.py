@@ -19,14 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import TicketReport, mac_count
+from .analysis import ArmResult, build_report
 from .data import Dataset
 from .graph import edge_degree_scores
-from .masks import (BinaryMasks, SparsityPlan, init_soft_masks, kept_count,
-                    one_shot_threshold, sparsity)
-from .nn import GcnParams, SoftMasks, evaluate_accuracy, glorot_params
-from .train import ThetaTrainResult, TrainLoop, train_oneshot_phase, \
-    verify_ticket
+from .masks import (BinaryMasks, SparsityPlan, _round_half_up,
+                    init_soft_masks, kept_count, threshold_masks)
+from .nn import GcnParams, SoftMasks, arm_params, evaluate_accuracy
+from .train import TrainLoop, train_oneshot_phase, verify_ticket
 
 
 @dataclass(frozen=True)
@@ -100,10 +99,6 @@ class Quota:
     n_noisy: int       # kept elements to drop
     n_potential: int   # pruned elements to regrow
     n_net: int         # required net shrink this interval
-
-
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
 
 
 def _quota(mu: int, ratio: float, plan: TypePlan, kept: int) -> Quota:
@@ -252,24 +247,6 @@ def update_masks(binary: BinaryMasks, noisy: tuple[np.ndarray, np.ndarray],
 # full driver
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FastGltResult:
-    report: TicketReport
-    binary: BinaryMasks
-    swaps: list[SwapRecord]
-    oneshot_history: list
-    denoise_history: list
-    verify: ThetaTrainResult
-    params: GcnParams
-    final_soft_edges: np.ndarray = None
-    initial_binary: BinaryMasks = None      # state after one-shot threshold
-
-
-def _flat_theta_view(params: GcnParams) -> tuple[np.ndarray, int]:
-    return (np.concatenate([params.theta0.ravel(), params.theta1.ravel()]),
-            params.theta0.size)
-
-
 def _zero_flat_weights(params: GcnParams, idx: np.ndarray) -> None:
     n0 = params.theta0.size
     lo = idx[idx < n0]
@@ -285,7 +262,7 @@ def run_fastglt(dataset: Dataset, *, s_g: float, s_theta: float,
                 seed: int = 0, dtype=np.float64,
                 retrain_epochs: int | None = None,
                 params0: GcnParams | None = None,
-                config_digest: str = "") -> FastGltResult:
+                config_digest: str = "") -> ArmResult:
     """One-shot co-training, thresholding to the decayed intermediate
     sparsities, interval-wise denoising to the targets, then the
     retrain-from-initialization verification.
@@ -296,12 +273,7 @@ def run_fastglt(dataset: Dataset, *, s_g: float, s_theta: float,
     method arms.
     """
     t_start = time.perf_counter()
-    if params0 is not None:
-        params = params0.fresh_copy()
-    else:
-        params = glorot_params(dataset.num_features, hidden,
-                               dataset.num_classes, seed=seed, dtype=dtype)
-    hidden = params.hidden
+    params = arm_params(dataset, params0, hidden, seed, dtype)
     shape0, shape1 = params.theta0.shape, params.theta1.shape
     soft = init_soft_masks(dataset, shape0, shape1, seed=seed, dtype=dtype)
     plan = SparsityPlan(s_g_tgt=s_g, s_theta_tgt=s_theta,
@@ -312,15 +284,8 @@ def run_fastglt(dataset: Dataset, *, s_g: float, s_theta: float,
     t_oneshot = time.perf_counter()
 
     best = oneshot.best_soft
-    edge_bits = one_shot_threshold(best.edges, plan.s_g_inm)
-    w_bits = one_shot_threshold(
-        np.concatenate([best.theta0.ravel(), best.theta1.ravel()]),
-        plan.s_theta_inm)
-    binary = BinaryMasks(edges=edge_bits,
-                         theta0=np.ones(shape0, dtype=bool),
-                         theta1=np.ones(shape1, dtype=bool)
-                         ).with_weights_flat(w_bits)
-    initial_binary = binary
+    binary = initial_binary = threshold_masks(best, plan.s_g_inm,
+                                              plan.s_theta_inm)
 
     # Denoising trains the weights and the graph soft mask; the weight soft
     # mask is absorbed into the binary mask and frozen at identity.
@@ -336,13 +301,13 @@ def run_fastglt(dataset: Dataset, *, s_g: float, s_theta: float,
                      update_theta=True, update_soft_edges=True)
     grad_acc = np.zeros(binary.weight_universe, dtype=np.float64)
     swaps: list[SwapRecord] = []
-    denoise_history = []
+    history = list(oneshot.history)
     mu_done = 0
     for d in range(1, epochs_denoise + 1):
         stats = loop.run_epoch()
         grad_acc += np.abs(stats.grads.dense_flat())
         stats.grads = None
-        denoise_history.append(stats)
+        history.append(stats)
         at_boundary = (d % interval == 0) or (d == epochs_denoise)
         if not at_boundary:
             continue
@@ -395,25 +360,16 @@ def run_fastglt(dataset: Dataset, *, s_g: float, s_theta: float,
     budget = epochs_oneshot + epochs_denoise
     verify_epochs = retrain_epochs if retrain_epochs is not None else budget
     verify = verify_ticket(dataset, params, binary, verify_epochs, lr=lr)
-    t_end = time.perf_counter()
 
-    report = TicketReport(
-        method="fastglt",
-        s_g=binary.graph_sparsity(), s_theta=binary.weight_sparsity(),
+    report = build_report(
+        "fastglt", dataset, params, binary, t_start,
+        {"oneshot": t_oneshot, "denoise": t_denoise,
+         "verify": time.perf_counter()},
         acc_inplace=acc_inplace, acc_retrained=verify.test_at_best,
-        macs=mac_count(dataset, binary, hidden),
-        dense_macs=mac_count(dataset, None, hidden),
-        seed=seed, config_digest=config_digest,
-        phase_seconds={"oneshot": t_oneshot - t_start,
-                       "denoise": t_denoise - t_oneshot,
-                       "verify": t_end - t_denoise},
-        search_seconds=t_denoise - t_start,
-        total_seconds=t_end - t_start,
-        search_epochs=budget, verify_epochs=verify_epochs,
+        search_epochs=budget, verify_epochs=verify_epochs, seed=seed,
+        config_digest=config_digest,
         extra={"intervals": len(swaps),
                "oneshot_best_epoch": oneshot.best_epoch})
-    return FastGltResult(report=report, binary=binary, swaps=swaps,
-                         oneshot_history=oneshot.history,
-                         denoise_history=denoise_history, verify=verify,
-                         params=params, final_soft_edges=soft_dn.edges,
-                         initial_binary=initial_binary)
+    return ArmResult(report=report, params=params, binary=binary,
+                     soft_edges=soft_dn.edges, swaps=swaps, history=history,
+                     initial_binary=initial_binary)

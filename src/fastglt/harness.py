@@ -8,21 +8,22 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from statistics import median
 
 import numpy as np
 
-from .analysis import (TicketReport, distance_curve, distance_curve_csv,
-                       efficiency_csv, pruned_set_stats, pruned_set_stats_csv,
-                       timing_report)
+from .analysis import (ArmResult, TicketReport, distance_curve,
+                       distance_curve_csv, efficiency_csv, pruned_set_stats,
+                       pruned_set_stats_csv, timing_report)
 from .baselines import (ImpConfig, run_dense, run_imp, run_oneshot_only,
                         run_random)
 from .config import ExperimentConfig, config_from_dict
 from .data import Dataset, parse_dataset_spec
 from .denoise import export_swaps, run_fastglt
 from .graph import edge_degree_scores
-from .masks import (init_soft_masks, kept_count, load_mask,
-                    one_shot_threshold, save_mask, save_soft_values)
-from .nn import GcnParams, glorot_params
+from .masks import (init_soft_masks, load_mask, one_shot_threshold,
+                    random_bits, save_mask, save_soft_values)
+from .nn import GcnParams, arm_params
 from .train import TrainLoop, train_oneshot_phase
 
 SCHEMA_VERSION = 1
@@ -34,35 +35,15 @@ def threads_setting() -> int | None:
 
 
 def make_params0(dataset: Dataset, config: ExperimentConfig) -> GcnParams:
-    return glorot_params(dataset.num_features, config.hidden,
-                         dataset.num_classes, seed=config.seed,
-                         dtype=config.dtype)
-
-
-@dataclass
-class RunArtifacts:
-    report: TicketReport
-    report_dict: dict
-    binary: object = None
-    extras: dict = field(default_factory=dict)
-
-
-def _history_curves(result) -> dict:
-    hist = getattr(result, "history", None)
-    if hist is None:
-        hist = (getattr(result, "oneshot_history", None) or []) + \
-            (getattr(result, "denoise_history", None) or [])
-    if not hist:
-        return {}
-    return {"search_loss": [h.loss for h in hist],
-            "search_val_acc": [h.val_acc for h in hist]}
+    return arm_params(dataset, None, config.hidden, config.seed, config.dtype)
 
 
 def dispatch(config: ExperimentConfig, dataset: Dataset,
-             params0: GcnParams, record_levels=None):
-    """Run one method arm and return its result object."""
-    common = dict(seed=config.seed, lr=config.lr, dtype=config.dtype,
-                  params0=params0, config_digest=config.digest())
+             params0: GcnParams | None, record_levels=None) -> ArmResult:
+    """Run one method arm and return its result."""
+    common = dict(seed=config.seed, lr=config.lr, hidden=config.hidden,
+                  dtype=config.dtype, params0=params0,
+                  config_digest=config.digest())
     if config.method == "dense":
         return run_dense(dataset, epochs=config.budget, **common)
     if config.method == "fastglt":
@@ -94,53 +75,44 @@ def dispatch(config: ExperimentConfig, dataset: Dataset,
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path,
                    dataset: Dataset | None = None,
-                   params0: GcnParams | None = None) -> RunArtifacts:
+                   params0: GcnParams | None = None) -> ArmResult:
     """Execute one arm and write report.json plus mask/swap artifacts."""
     config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if dataset is None:
         dataset = parse_dataset_spec(config.dataset)
-    if params0 is None:
-        params0 = make_params0(dataset, config)
 
     result = dispatch(config, dataset, params0)
-    report: TicketReport = result.report
-
-    binary = getattr(result, "binary", None)
+    binary = result.binary
     if binary is not None:
         save_mask(binary.edges, out / "masks_edges.gltm")
         save_mask(binary.theta0.ravel(), out / "masks_theta0.gltm")
         save_mask(binary.theta1.ravel(), out / "masks_theta1.gltm")
-    soft_edges = getattr(result, "final_soft_edges", None)
-    if soft_edges is None:
-        soft_edges = getattr(result, "soft_edges", None)
-    if soft_edges is not None:
-        save_soft_values(soft_edges, out / "soft_edges.f32")
-    swaps = getattr(result, "swaps", None)
-    if swaps is not None:
-        export_swaps(swaps, out / "swaps.jsonl")
-    round_masks = getattr(result, "round_masks", None)
-    if round_masks is not None:
-        for k, masks in enumerate(round_masks, start=1):
-            save_mask(masks.edges, out / f"round_{k:03d}_edges.gltm")
-            save_mask(masks.weights_flat(),
-                      out / f"round_{k:03d}_weights.gltm")
+    if result.soft_edges is not None:
+        save_soft_values(result.soft_edges, out / "soft_edges.f32")
+    if result.swaps:
+        export_swaps(result.swaps, out / "swaps.jsonl")
+    for k, masks in enumerate(result.round_masks, start=1):
+        save_mask(masks.edges, out / f"round_{k:03d}_edges.gltm")
+        save_mask(masks.weights_flat(), out / f"round_{k:03d}_weights.gltm")
 
-    payload = report.as_dict()
+    payload = result.report.as_dict()
+    history = {"search_loss": [h.loss for h in result.history],
+               "search_val_acc": [h.val_acc for h in result.history]} \
+        if result.history else {}
     report_dict = {
         "schema_version": SCHEMA_VERSION,
         "config": config.as_dict(),
         "config_digest": config.digest(),
         "threads": threads_setting(),
         "results": payload["results"],
-        "history": _history_curves(result),
+        "history": history,
         "timing": payload["timing"],
     }
     (out / "report.json").write_text(
         json.dumps(report_dict, sort_keys=True, indent=2) + "\n")
-    return RunArtifacts(report=report, report_dict=report_dict,
-                        binary=binary, extras={"result": result})
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +175,7 @@ def _fig2_artifacts(out: Path, dataset: Dataset, config: ExperimentConfig,
     for lvl in levels:
         histories["oneshot"].append(
             one_shot_threshold(oneshot.best_soft.edges, lvl))
-        rand = np.zeros(dataset.num_edges, dtype=bool)
-        rand[rng.permutation(dataset.num_edges)
-             [:kept_count(dataset.num_edges, lvl)]] = True
-        histories["random"].append(rand)
+        histories["random"].append(random_bits(rng, dataset.num_edges, lvl))
 
     mask_dir = out / "fig2_masks"
     mask_dir.mkdir(exist_ok=True)
@@ -237,14 +206,6 @@ def _fig2_artifacts(out: Path, dataset: Dataset, config: ExperimentConfig,
     (out / "fig2_right.csv").write_text(pruned_set_stats_csv(stats))
 
 
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
 def _extreme_sweep(out: Path, dataset: Dataset, config: ExperimentConfig,
                    params0: GcnParams, sweep: dict,
                    dense_acc: float) -> dict:
@@ -270,7 +231,7 @@ def _extreme_sweep(out: Path, dataset: Dataset, config: ExperimentConfig,
         if s not in inits:
             inits[s] = make_params0(dataset, config.replace(seed=s))
     if seeds != [config.seed]:
-        dense_acc = _median([
+        dense_acc = median([
             dispatch(config.replace(method="dense", seed=s), dataset,
                      inits[s]).report.acc_retrained
             for s in seeds])
@@ -282,7 +243,7 @@ def _extreme_sweep(out: Path, dataset: Dataset, config: ExperimentConfig,
         level = start
         while level <= stop + 1e-9:
             arm = config.replace(method=method, **{vary: round(level, 6)})
-            acc = _median([
+            acc = median([
                 dispatch(arm.replace(seed=s), dataset,
                          inits[s]).report.acc_retrained
                 for s in seeds])

@@ -72,6 +72,19 @@ def kept_count(universe: int, s: float) -> int:
     return int(np.ceil((1.0 - s) * universe - 1e-12))
 
 
+def _round_half_up(x: float) -> int:
+    return int(np.floor(x + 0.5))
+
+
+def random_bits(rng: np.random.Generator, universe: int,
+                s: float) -> np.ndarray:
+    """Bitset keeping exactly kept_count(universe, s) uniformly drawn
+    entries; one permutation draw from ``rng``."""
+    bits = np.zeros(universe, dtype=bool)
+    bits[rng.permutation(universe)[:kept_count(universe, s)]] = True
+    return bits
+
+
 def intermediate_sparsity(s_tgt: float, alpha: float = 0.01,
                           beta: float = 1.2) -> float:
     """Back the one-shot landing sparsity off the target: s - alpha * s^beta.
@@ -110,6 +123,15 @@ def one_shot_threshold(soft: np.ndarray, s: float) -> np.ndarray:
     mask = np.zeros(v.size, dtype=bool)
     mask[magnitude_order(v)[:keep]] = True
     return mask
+
+
+def threshold_masks(soft, s_g: float, s_theta: float) -> BinaryMasks:
+    """Binary masks keeping the largest-|value| entries of trained soft
+    masks: edges at sparsity ``s_g``, the pooled weights at ``s_theta``."""
+    return BinaryMasks.all_ones(
+        soft.edges.size, soft.theta0.shape, soft.theta1.shape
+    ).with_edges(one_shot_threshold(soft.edges, s_g)).with_weights_flat(
+        one_shot_threshold(soft.weights_flat(), s_theta))
 
 
 @dataclass(frozen=True)
@@ -162,10 +184,13 @@ def load_mask(path: str | Path) -> np.ndarray:
     if blob[:4] != MASK_MAGIC:
         raise ValueError(f"{path}: bad magic {blob[:4]!r}")
     (size,) = struct.unpack("<Q", blob[4:12])
-    bits = np.unpackbits(np.frombuffer(blob[12:], dtype=np.uint8),
-                         bitorder="little")
-    if bits.size < size:
-        raise ValueError(f"{path}: truncated mask payload")
+    payload = np.frombuffer(blob[12:], dtype=np.uint8)
+    if payload.size != -(-size // 8):
+        raise ValueError(f"{path}: mask payload is {payload.size} bytes, "
+                         f"expected {-(-size // 8)} for {size} bits")
+    bits = np.unpackbits(payload, bitorder="little")
+    if bits[size:].any():
+        raise ValueError(f"{path}: non-zero pad bits after bit {size}")
     return bits[:size].astype(bool)
 
 

@@ -75,6 +75,16 @@ def glorot_params(num_features: int, hidden: int, num_classes: int,
                      theta1=glorot(hidden, num_classes))
 
 
+def arm_params(dataset: Dataset, params0: GcnParams | None, hidden: int,
+               seed: int, dtype=np.float64) -> GcnParams:
+    """Starting weights of one method arm: a fresh copy of the shared
+    initialization ``params0`` when given, else a new Glorot draw."""
+    if params0 is not None:
+        return params0.fresh_copy()
+    return glorot_params(dataset.num_features, hidden, dataset.num_classes,
+                         seed=seed, dtype=dtype)
+
+
 @dataclass
 class SoftMasks:
     """Trainable real-valued multipliers over edges and weight entries."""

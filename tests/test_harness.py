@@ -106,6 +106,40 @@ def test_suite_shares_initialization(tmp_path):
     assert outcome.reports[0].relative_time == 1.0
 
 
+def test_suite_artifact_set_per_method(tmp_path):
+    suite = {"shared": {"dataset": DESK_SBM, "epochs": 4,
+                        "denoise_epochs": 8, "interval": 4, "hidden": 8,
+                        "lr": 0.01, "seed": 3, "imp_p_g": 0.2,
+                        "imp_p_theta": 0.3, "imp_epochs_per_round": 2},
+             "arms": [{"method": m, "s_g": 0.3, "s_theta": 0.5}
+                      for m in ("random", "oneshot", "imp", "fastglt")]}
+    outcome = run_suite(suite, tmp_path / "suite")
+    masks = {"masks_edges.gltm", "masks_theta0.gltm", "masks_theta1.gltm"}
+    rounds = {f"round_{k:03d}_{kind}.gltm" for k in (1, 2)
+              for kind in ("edges", "weights")}
+    expected = {
+        "dense": {"report.json"},
+        "random": masks | {"report.json"},
+        "oneshot": masks | {"soft_edges.f32", "report.json"},
+        "imp": masks | rounds | {"report.json"},
+        "fastglt": masks | {"soft_edges.f32", "swaps.jsonl", "report.json"},
+    }
+    common = {"method", "s_g", "s_theta", "acc_inplace", "acc_retrained",
+              "macs", "dense_macs", "mac_savings", "seed", "config_digest",
+              "search_epochs", "verify_epochs"}
+    extra = {"dense": {"best_epoch"}, "random": set(),
+             "oneshot": {"oneshot_best_epoch"},
+             "imp": {"rounds", "p_g", "p_theta"},
+             "fastglt": {"intervals", "oneshot_best_epoch"}}
+    assert [r.method for r in outcome.reports] == list(expected)
+    for arm_dir, rep in zip(outcome.arm_dirs, outcome.reports):
+        files = {p.name for p in arm_dir.iterdir()}
+        assert files == expected[rep.method], rep.method
+        report = json.loads((arm_dir / "report.json").read_text())
+        assert set(report["results"]) == common | extra[rep.method]
+        assert bool(report["history"]) == (rep.method == "fastglt")
+
+
 def test_suite_auto_adds_dense(tmp_path):
     suite = {"shared": {"dataset": DESK_SBM, "epochs": 4,
                         "denoise_epochs": 8, "interval": 4, "hidden": 8,

@@ -150,6 +150,24 @@ def test_mask_file_bad_magic(tmp_path):
         load_mask(path)
 
 
+def test_mask_file_trailing_bytes(tmp_path):
+    path = tmp_path / "long.gltm"
+    save_mask(np.ones(10, dtype=bool), path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="long.gltm"):
+        load_mask(path)
+
+
+def test_mask_file_nonzero_pad_bits(tmp_path):
+    path = tmp_path / "pad.gltm"
+    save_mask(np.ones(10, dtype=bool), path)
+    blob = bytearray(path.read_bytes())
+    blob[-1] |= 0x80            # bit 15 lies past the 10-bit universe
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="pad.gltm"):
+        load_mask(path)
+
+
 def test_soft_values_round_trip(tmp_path):
     vals = np.array([1.25, -0.5, 3.0])
     save_soft_values(vals, tmp_path / "s.f32")
