@@ -12,9 +12,9 @@ from .config import ExperimentConfig
 from .data import Dataset, generate_sbm, load_bundle, save_bundle
 from .denoise import DenoiseSchedule, run_fastglt
 from .graph import edge_degree_scores, hamming_distance, normalize_adjacency
-from .masks import (BinaryMasks, SparsityPlan, intermediate_sparsity,
-                    one_shot_threshold, sparsity)
-from .nn import GcnParams, SoftMasks, glorot_params
+from .masks import (BinaryMasks, SoftMasks, SparsityPlan,
+                    intermediate_sparsity, one_shot_threshold, sparsity)
+from .nn import GcnParams, glorot_params
 
 __all__ = [
     "BinaryMasks", "Dataset", "DenoiseSchedule", "ExperimentConfig",

@@ -148,7 +148,8 @@ def run_imp(dataset: Dataset, imp: ImpConfig, *, s_g: float, s_theta: float,
         "imp", dataset, params, binary, t_start,
         {"rounds": t_search, "verify": time.perf_counter()},
         acc_inplace=acc_inplace, acc_retrained=verify.test_at_best,
-        search_epochs=len(round_masks) * imp.epochs_per_round,
+        # the degenerate branch trains one round that prunes nothing
+        search_epochs=max(len(round_masks), 1) * imp.epochs_per_round,
         verify_epochs=verify_epochs, seed=seed, config_digest=config_digest,
         extra={"rounds": len(round_masks), "p_g": imp.p_g,
                "p_theta": imp.p_theta})

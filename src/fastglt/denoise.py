@@ -22,9 +22,9 @@ import numpy as np
 from .analysis import ArmResult, build_report
 from .data import Dataset
 from .graph import edge_degree_scores
-from .masks import (BinaryMasks, SparsityPlan, _round_half_up,
+from .masks import (BinaryMasks, SoftMasks, SparsityPlan, _round_half_up,
                     init_soft_masks, kept_count, threshold_masks)
-from .nn import GcnParams, SoftMasks, arm_params, evaluate_accuracy
+from .nn import GcnParams, arm_params, evaluate_accuracy
 from .train import TrainLoop, train_oneshot_phase, verify_ticket
 
 
@@ -274,8 +274,8 @@ def run_fastglt(dataset: Dataset, *, s_g: float, s_theta: float,
     """
     t_start = time.perf_counter()
     params = arm_params(dataset, params0, hidden, seed, dtype)
-    shape0, shape1 = params.theta0.shape, params.theta1.shape
-    soft = init_soft_masks(dataset, shape0, shape1, seed=seed, dtype=dtype)
+    soft = init_soft_masks(dataset, params.theta0.shape, params.theta1.shape,
+                           seed=seed, dtype=dtype)
     plan = SparsityPlan(s_g_tgt=s_g, s_theta_tgt=s_theta,
                         alpha=alpha, beta=beta)
 
@@ -288,17 +288,14 @@ def run_fastglt(dataset: Dataset, *, s_g: float, s_theta: float,
                                               plan.s_theta_inm)
 
     # Denoising trains the weights and the graph soft mask; the weight soft
-    # mask is absorbed into the binary mask and frozen at identity.
-    soft_dn = SoftMasks(edges=best.edges.astype(dtype).copy(),
-                        theta0=np.ones(shape0, dtype=dtype),
-                        theta1=np.ones(shape1, dtype=dtype))
+    # mask is absorbed into the binary mask and dropped.
+    soft_dn = SoftMasks(edges=best.edges.astype(dtype).copy())
     schedule = DenoiseSchedule.build(
         delta_t=interval, total_epochs=epochs_denoise, tau=tau, kappa=kappa,
         edge_universe=dataset.num_edges,
         weight_universe=binary.weight_universe, plan=plan)
 
-    loop = TrainLoop(dataset, params, soft_dn, binary=binary, lr=lr,
-                     update_theta=True, update_soft_edges=True)
+    loop = TrainLoop(dataset, params, soft_dn, binary=binary, lr=lr)
     grad_acc = np.zeros(binary.weight_universe, dtype=np.float64)
     swaps: list[SwapRecord] = []
     history = list(oneshot.history)
@@ -328,8 +325,8 @@ def run_fastglt(dataset: Dataset, *, s_g: float, s_theta: float,
         if regrow_w.size:
             _zero_flat_weights(params, regrow_w)
             n0 = params.theta0.size
-            loop.opt_theta0.reset_entries(regrow_w[regrow_w < n0])
-            loop.opt_theta1.reset_entries(regrow_w[regrow_w >= n0] - n0)
+            loop.opt["theta0"].reset_entries(regrow_w[regrow_w < n0])
+            loop.opt["theta1"].reset_entries(regrow_w[regrow_w >= n0] - n0)
         # Regrown edges re-enter at the 25th percentile of the surviving
         # kept |m_g|: low enough that they must earn promotion before the
         # next boundary, high enough not to be re-pruned immediately.
@@ -342,7 +339,7 @@ def run_fastglt(dataset: Dataset, *, s_g: float, s_theta: float,
             fill = float(np.percentile(np.abs(soft_dn.edges[survivors]), 25)) \
                 if survivors.any() else 1.0
             soft_dn.edges[regrow_e] = fill
-            loop.opt_m_edges.reset_entries(regrow_e)
+            loop.opt["m_edges"].reset_entries(regrow_e)
 
         binary = new_binary
         loop.binary = binary

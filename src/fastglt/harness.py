@@ -137,8 +137,7 @@ def _probe_weight_gradients(dataset: Dataset, config: ExperimentConfig,
     params = params0.fresh_copy()
     soft = init_soft_masks(dataset, params.theta0.shape, params.theta1.shape,
                            seed=config.seed, dtype=config.dtype)
-    loop = TrainLoop(dataset, params, soft, lr=config.lr, update_theta=True,
-                     update_soft_edges=True, update_soft_weights=True)
+    loop = TrainLoop(dataset, params, soft, lr=config.lr)
     acc = np.zeros(params.theta0.size + params.theta1.size)
     for _ in range(config.epochs):
         stats = loop.run_epoch()

@@ -59,6 +59,29 @@ class BinaryMasks:
         return sparsity(self.weights_flat())
 
 
+@dataclass
+class SoftMasks:
+    """Trainable real-valued multipliers over edges and weight entries; a
+    field left None is a multiplier of 1 that no one trains."""
+
+    edges: np.ndarray | None = None    # (E,)
+    theta0: np.ndarray | None = None   # (F, H)
+    theta1: np.ndarray | None = None   # (H, C)
+
+    @staticmethod
+    def identity(num_edges: int, shape0, shape1, dtype=np.float64):
+        return SoftMasks(edges=np.ones(num_edges, dtype=dtype),
+                         theta0=np.ones(shape0, dtype=dtype),
+                         theta1=np.ones(shape1, dtype=dtype))
+
+    def copy(self) -> "SoftMasks":
+        return SoftMasks(*(None if m is None else m.copy()
+                           for m in (self.edges, self.theta0, self.theta1)))
+
+    def weights_flat(self) -> np.ndarray:
+        return np.concatenate([self.theta0.ravel(), self.theta1.ravel()])
+
+
 def sparsity(mask: np.ndarray) -> float:
     """1 - kept/size of a bitset."""
     m = np.asarray(mask, dtype=bool)
@@ -125,7 +148,8 @@ def one_shot_threshold(soft: np.ndarray, s: float) -> np.ndarray:
     return mask
 
 
-def threshold_masks(soft, s_g: float, s_theta: float) -> BinaryMasks:
+def threshold_masks(soft: SoftMasks, s_g: float,
+                    s_theta: float) -> BinaryMasks:
     """Binary masks keeping the largest-|value| entries of trained soft
     masks: edges at sparsity ``s_g``, the pooled weights at ``s_theta``."""
     return BinaryMasks.all_ones(
@@ -154,10 +178,8 @@ class SparsityPlan:
 
 def init_soft_masks(dataset: Dataset, shape0: tuple[int, int],
                     shape1: tuple[int, int], seed: int,
-                    dtype=np.float64):
+                    dtype=np.float64) -> SoftMasks:
     """Near-identity soft masks: 1.0 plus seeded uniform noise in ±0.01."""
-    from .nn import SoftMasks  # local import: nn depends on this module
-
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x50F7]))
     def draw(n): return (1.0 + rng.uniform(-0.01, 0.01, n)).astype(dtype)
     return SoftMasks(edges=draw(dataset.num_edges),
@@ -183,6 +205,8 @@ def load_mask(path: str | Path) -> np.ndarray:
     blob = Path(path).read_bytes()
     if blob[:4] != MASK_MAGIC:
         raise ValueError(f"{path}: bad magic {blob[:4]!r}")
+    if len(blob) < 12:
+        raise ValueError(f"{path}: {len(blob)}-byte file, header needs 12")
     (size,) = struct.unpack("<Q", blob[4:12])
     payload = np.frombuffer(blob[12:], dtype=np.uint8)
     if payload.size != -(-size // 8):

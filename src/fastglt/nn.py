@@ -3,7 +3,8 @@
 The model is Softmax(A_hat ReLU(A_hat X W0) W1) where A_hat is the
 degree-normalized adjacency of the binary-masked graph (self-loops added)
 and each kept-edge entry is further scaled by the trainable soft edge mask.
-Effective weights are theta * soft_mask * binary_mask elementwise.
+Effective weights are theta * soft_mask * binary_mask elementwise; an absent
+(None) mask is a factor of 1, neither multiplied nor differentiated.
 
 Normalization is only recomputed when the binary edge mask changes (phase
 starts, swap boundaries); within a phase the soft mask scales A_hat entries
@@ -20,7 +21,7 @@ from scipy.special import logsumexp
 
 from .data import Dataset
 from .graph import NormAdj, normalize_adjacency
-from .masks import BinaryMasks
+from .masks import BinaryMasks, SoftMasks
 
 # Feature matrices at or below this density run through scipy CSR; the
 # planetoid bag-of-words matrices sit around 1% and dominate the epoch cost
@@ -86,41 +87,20 @@ def arm_params(dataset: Dataset, params0: GcnParams | None, hidden: int,
 
 
 @dataclass
-class SoftMasks:
-    """Trainable real-valued multipliers over edges and weight entries."""
-
-    edges: np.ndarray    # (E,)
-    theta0: np.ndarray   # (F, H)
-    theta1: np.ndarray   # (H, C)
-
-    @staticmethod
-    def identity(num_edges: int, shape0, shape1, dtype=np.float64):
-        return SoftMasks(edges=np.ones(num_edges, dtype=dtype),
-                         theta0=np.ones(shape0, dtype=dtype),
-                         theta1=np.ones(shape1, dtype=dtype))
-
-    def copy(self) -> "SoftMasks":
-        return SoftMasks(self.edges.copy(), self.theta0.copy(),
-                         self.theta1.copy())
-
-    def weights_flat(self) -> np.ndarray:
-        return np.concatenate([self.theta0.ravel(), self.theta1.ravel()])
-
-
-@dataclass
 class Gradients:
     """Loss gradients for weights, soft masks, and dense weight positions.
 
     ``theta*_dense`` is the gradient with respect to the effective (post
     mask) weight slot, defined on every entry including pruned ones; it is
-    what the denoiser accumulates to rank regrowth candidates.
+    what the denoiser accumulates to rank regrowth candidates. ``m_*`` is
+    None where the forward pass had no soft mask.
     """
 
     theta0: np.ndarray
     theta1: np.ndarray
-    m_theta0: np.ndarray
-    m_theta1: np.ndarray
-    m_edges: np.ndarray
+    m_theta0: np.ndarray | None
+    m_theta1: np.ndarray | None
+    m_edges: np.ndarray | None
     theta0_dense: np.ndarray
     theta1_dense: np.ndarray
 
@@ -156,14 +136,19 @@ def feature_operator(dataset: Dataset, dtype=np.float64):
     return np.ascontiguousarray(x.astype(dtype))
 
 
+def _gated(x: np.ndarray, *gates) -> np.ndarray:
+    """x times each gate in turn; an absent (None) gate is a factor of 1."""
+    for gate in gates:
+        if gate is not None:
+            x = x * gate
+    return x
+
+
 def effective_weights(params: GcnParams, soft: SoftMasks,
                       binary: BinaryMasks | None):
-    w0 = params.theta0 * soft.theta0
-    w1 = params.theta1 * soft.theta1
-    if binary is not None:
-        w0 = w0 * binary.theta0
-        w1 = w1 * binary.theta1
-    return w0, w1
+    b0, b1 = (None, None) if binary is None else (binary.theta0, binary.theta1)
+    return (_gated(params.theta0, soft.theta0, b0),
+            _gated(params.theta1, soft.theta1, b1))
 
 
 def gcn_forward(params: GcnParams, soft: SoftMasks,
@@ -183,10 +168,10 @@ def gcn_forward(params: GcnParams, soft: SoftMasks,
     if x_op is None:
         x_op = feature_operator(dataset, dtype)
 
-    if soft.theta0.shape != params.theta0.shape \
-            or soft.theta1.shape != params.theta1.shape:
+    if any(m is not None and m.shape != w.shape for m, w in
+           ((soft.theta0, params.theta0), (soft.theta1, params.theta1))):
         raise ValueError("soft mask shapes do not match the weights")
-    if soft.edges.shape != (dataset.num_edges,):
+    if soft.edges is not None and soft.edges.shape != (dataset.num_edges,):
         raise ValueError("soft edge mask does not index the edge list")
 
     a_eff = norm.effective(soft.edges,
@@ -252,36 +237,37 @@ def backward(cache: ForwardCache, labels: np.ndarray,
     if sp.issparse(dw0_dense):            # csr.T @ dense stays dense; guard
         dw0_dense = np.asarray(dw0_dense)
 
-    # Gradient of each stored adjacency entry (i, j):
-    #   layer 2 contributes  g2[i] . h1w1[j]
-    #   layer 1 contributes  ds1[i] . xw0[j]
-    norm = cache.norm
-    ri, ci = norm.entry_row, norm.entry_col
-    d_entry = np.einsum("ij,ij->i", g2[ri], cache.h1w1[ci])
-    d_entry += np.einsum("ij,ij->i", ds1[ri], cache.xw0[ci])
-
-    e_of = norm.edge_of_entry
-    on_edge = e_of >= 0
-    num_edges = cache.soft.edges.shape[0]
-    gate = norm.matrix.data[on_edge].astype(dtype)
-    if cache.binary is not None:
-        gate = gate * cache.binary.edges[e_of[on_edge]]
-    d_m_edges = np.zeros(num_edges, dtype=dtype)
-    np.add.at(d_m_edges, e_of[on_edge], d_entry[on_edge] * gate)
-
     soft, params, binary = cache.soft, cache.params, cache.binary
-    b0 = binary.theta0 if binary is not None else 1.0
-    b1 = binary.theta1 if binary is not None else 1.0
-    grads = Gradients(
-        theta0=dw0_dense * soft.theta0 * b0,
-        theta1=dw1_dense * soft.theta1 * b1,
-        m_theta0=dw0_dense * params.theta0 * b0,
-        m_theta1=dw1_dense * params.theta1 * b1,
+    d_m_edges = None
+    if soft.edges is not None:
+        # Gradient of each stored adjacency entry (i, j):
+        #   layer 2 contributes  g2[i] . h1w1[j]
+        #   layer 1 contributes  ds1[i] . xw0[j]
+        norm = cache.norm
+        ri, ci = norm.entry_row, norm.entry_col
+        d_entry = np.einsum("ij,ij->i", g2[ri], cache.h1w1[ci])
+        d_entry += np.einsum("ij,ij->i", ds1[ri], cache.xw0[ci])
+
+        e_of = norm.edge_of_entry
+        on_edge = e_of >= 0
+        gate = norm.matrix.data[on_edge].astype(dtype)
+        if binary is not None:
+            gate = gate * binary.edges[e_of[on_edge]]
+        d_m_edges = np.zeros(soft.edges.shape[0], dtype=dtype)
+        np.add.at(d_m_edges, e_of[on_edge], d_entry[on_edge] * gate)
+
+    b0, b1 = (None, None) if binary is None else (binary.theta0, binary.theta1)
+    return Gradients(
+        theta0=_gated(dw0_dense, soft.theta0, b0),
+        theta1=_gated(dw1_dense, soft.theta1, b1),
+        m_theta0=None if soft.theta0 is None
+        else _gated(dw0_dense, params.theta0, b0),
+        m_theta1=None if soft.theta1 is None
+        else _gated(dw1_dense, params.theta1, b1),
         m_edges=d_m_edges,
         theta0_dense=dw0_dense,
         theta1_dense=dw1_dense,
     )
-    return grads
 
 
 def evaluate_accuracy(params: GcnParams, soft: SoftMasks,

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 from .data import Dataset
 from .graph import normalize_adjacency
-from .masks import BinaryMasks
-from .nn import (GcnParams, Gradients, SoftMasks, backward, evaluate_accuracy,
+from .masks import BinaryMasks, SoftMasks
+from .nn import (GcnParams, Gradients, backward, evaluate_accuracy,
                  feature_operator, gcn_forward, masked_loss)
 from .optim import AdamState, adam_step
 
@@ -26,32 +26,36 @@ class EpochStats:
 class TrainLoop:
     """Owns the mutable state of one full-batch training session.
 
-    Which tensors move is fixed at construction: the one-shot phase trains
-    weights and both soft masks, the denoising phase trains weights and the
-    soft edge mask only, verification retrains train weights alone. Binary
-    masks, when present, gate both the forward pass and the updates; call
-    :meth:`rebuild_norm` after changing the binary edge mask.
+    The weights always train, plus exactly the soft masks that ``soft``
+    holds: the one-shot phase passes all three, the denoising phase only
+    the edge mask, verification none (``SoftMasks()``). Binary masks, when
+    present, gate both the forward pass and the updates; call
+    :meth:`rebuild_norm` after changing the binary edge mask. ``opt`` maps
+    each trained tensor's gradient field name to its Adam state.
     """
 
     def __init__(self, dataset: Dataset, params: GcnParams, soft: SoftMasks,
-                 binary: BinaryMasks | None = None, lr: float = 0.001,
-                 update_theta: bool = True, update_soft_edges: bool = False,
-                 update_soft_weights: bool = False):
+                 binary: BinaryMasks | None = None, lr: float = 0.001):
         self.dataset = dataset
         self.params = params
         self.soft = soft
         self.binary = binary
-        self.update_theta = update_theta
-        self.update_soft_edges = update_soft_edges
-        self.update_soft_weights = update_soft_weights
         self.x_op = feature_operator(dataset, params.theta0.dtype)
         self.norm = None
         self.rebuild_norm()
-        self.opt_theta0 = AdamState.for_param(params.theta0, lr)
-        self.opt_theta1 = AdamState.for_param(params.theta1, lr)
-        self.opt_m_edges = AdamState.for_param(soft.edges, lr)
-        self.opt_m_theta0 = AdamState.for_param(soft.theta0, lr)
-        self.opt_m_theta1 = AdamState.for_param(soft.theta1, lr)
+        self.opt = {name: AdamState.for_param(tensor, lr)
+                    for name, tensor in self._tensors().items()
+                    if tensor is not None}
+        # what trains, for callers that label epochs by phase
+        self.update_soft_edges = "m_edges" in self.opt
+        self.update_soft_weights = "m_theta0" in self.opt \
+            or "m_theta1" in self.opt
+
+    def _tensors(self) -> dict:
+        """The trainable tensors by gradient field; None where absent."""
+        p, s = self.params, self.soft
+        return {"theta0": p.theta0, "theta1": p.theta1, "m_edges": s.edges,
+                "m_theta0": s.theta0, "m_theta1": s.theta1}
 
     def rebuild_norm(self) -> None:
         mask = self.binary.edges if self.binary is not None else None
@@ -68,19 +72,12 @@ class TrainLoop:
         loss = masked_loss(logits, ds.labels, ds.train_idx)
         grads = backward(cache, ds.labels, ds.train_idx)
 
-        if self.update_theta:
-            adam_step(self.opt_theta0, self.params.theta0, grads.theta0,
-                      self._binary_or_none("theta0"), name="theta0")
-            adam_step(self.opt_theta1, self.params.theta1, grads.theta1,
-                      self._binary_or_none("theta1"), name="theta1")
-        if self.update_soft_edges:
-            adam_step(self.opt_m_edges, self.soft.edges, grads.m_edges,
-                      self._binary_or_none("edges"), name="m_edges")
-        if self.update_soft_weights:
-            adam_step(self.opt_m_theta0, self.soft.theta0, grads.m_theta0,
-                      self._binary_or_none("theta0"), name="m_theta0")
-            adam_step(self.opt_m_theta1, self.soft.theta1, grads.m_theta1,
-                      self._binary_or_none("theta1"), name="m_theta1")
+        tensors = self._tensors()
+        for name, state in self.opt.items():
+            # a soft mask is gated by the binary mask of the same slot
+            adam_step(state, tensors[name], getattr(grads, name),
+                      self._binary_or_none(name.removeprefix("m_")),
+                      name=name)
 
         eval_logits, _ = gcn_forward(self.params, self.soft, self.binary, ds,
                                      norm=self.norm, x_op=self.x_op)
@@ -110,9 +107,7 @@ def train_oneshot_phase(dataset: Dataset, params: GcnParams,
     """
     if epochs < 1:
         raise ValueError("one-shot phase needs at least one epoch")
-    loop = TrainLoop(dataset, params, soft, binary=binary, lr=lr,
-                     update_theta=True, update_soft_edges=True,
-                     update_soft_weights=True)
+    loop = TrainLoop(dataset, params, soft, binary=binary, lr=lr)
     best = OneShotResult(best_soft=soft.copy(), best_epoch=0,
                          best_val_acc=-1.0, history=[])
     for epoch in range(1, epochs + 1):
@@ -138,18 +133,14 @@ class ThetaTrainResult:
 def train_theta_only(dataset: Dataset, params: GcnParams,
                      binary: BinaryMasks | None, epochs: int,
                      lr: float = 0.001) -> ThetaTrainResult:
-    """Train the weights under fixed masks; soft masks stay at identity.
+    """Train the weights under fixed binary masks and no soft masks.
 
     Reports the test accuracy at the best-validation epoch (earliest on
     ties), the usual protocol for semi-supervised node classification.
     """
     if epochs < 1:
         raise ValueError("need at least one epoch")
-    shape0, shape1 = params.theta0.shape, params.theta1.shape
-    soft = SoftMasks.identity(dataset.num_edges, shape0, shape1,
-                              dtype=params.theta0.dtype)
-    loop = TrainLoop(dataset, params, soft, binary=binary, lr=lr,
-                     update_theta=True)
+    loop = TrainLoop(dataset, params, SoftMasks(), binary=binary, lr=lr)
     out = ThetaTrainResult(best_val_acc=-1.0, best_epoch=0,
                            test_at_best=0.0, final_test=0.0, history=[])
     for epoch in range(1, epochs + 1):

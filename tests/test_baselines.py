@@ -70,6 +70,23 @@ def test_imp_unreachable_target(ds):
         run_imp(ds, imp, s_g=0.0, s_theta=0.5, seed=0, hidden=8, lr=0.01)
 
 
+def test_imp_zero_targets_reports_the_trained_epochs(ds, monkeypatch):
+    import fastglt.baselines as baselines
+    trained = []
+    real = baselines.train_oneshot_phase
+
+    def counting(*args, epochs, **kwargs):
+        trained.append(epochs)
+        return real(*args, epochs=epochs, **kwargs)
+
+    monkeypatch.setattr(baselines, "train_oneshot_phase", counting)
+    res = run_imp(ds, ImpConfig(epochs_per_round=7), s_g=0, s_theta=0,
+                  seed=0, hidden=8, retrain_epochs=2, lr=0.01)
+    assert trained == [7]
+    assert res.report.search_epochs == 7
+    assert res.report.extra["rounds"] == 0       # nothing was pruned
+
+
 def test_imp_record_levels(ds):
     imp = ImpConfig(p_g=0.05, p_theta=0.0, epochs_per_round=2)
     levels = [0.10, 0.20]

@@ -158,6 +158,13 @@ def test_mask_file_trailing_bytes(tmp_path):
         load_mask(path)
 
 
+def test_mask_file_short_header(tmp_path):
+    path = tmp_path / "short.gltm"
+    path.write_bytes(b"GLTM\x01\x02")
+    with pytest.raises(ValueError, match="short.gltm"):
+        load_mask(path)
+
+
 def test_mask_file_nonzero_pad_bits(tmp_path):
     path = tmp_path / "pad.gltm"
     save_mask(np.ones(10, dtype=bool), path)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import fastglt.train as train
 from fastglt.data import generate_sbm
-from fastglt.masks import BinaryMasks, init_soft_masks
-from fastglt.nn import glorot_params
-from fastglt.train import train_oneshot_phase, train_theta_only, verify_ticket
+from fastglt.masks import BinaryMasks, SoftMasks, init_soft_masks
+from fastglt.nn import backward, gcn_forward, glorot_params
+from fastglt.optim import AdamState, adam_step
+from fastglt.train import (TrainLoop, train_oneshot_phase, train_theta_only,
+                           verify_ticket)
 
 
 def build(seed=0, hidden=16, dataset=None):
@@ -96,3 +99,65 @@ def test_rewind_restores_initialization():
     assert not np.array_equal(params.theta0, init0)
     params.rewind()
     np.testing.assert_array_equal(params.theta0, init0)
+
+
+def pruned_binary(ds, params):
+    binary = BinaryMasks.all_ones(ds.num_edges, params.theta0.shape,
+                                  params.theta1.shape)
+    binary.edges[::3] = False
+    binary.theta0[1, :] = False
+    return binary
+
+
+# What each phase trains: the weights plus exactly the soft masks it holds.
+PHASES = {
+    "cotrain": (lambda soft: soft,
+                ["theta0", "theta1", "m_edges", "m_theta0", "m_theta1"]),
+    "denoise": (lambda soft: SoftMasks(edges=soft.edges),
+                ["theta0", "theta1", "m_edges"]),
+    "theta": (lambda soft: SoftMasks(), ["theta0", "theta1"]),
+}
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
+def test_each_phase_steps_exactly_its_tensors(phase, monkeypatch):
+    ds, params, soft = build()
+    pick, trained = PHASES[phase]
+    loop = TrainLoop(ds, params, pick(soft), binary=pruned_binary(ds, params))
+    assert list(loop.opt) == trained
+    steps = []
+
+    def counting(*args, name, **kwargs):
+        steps.append(name)
+        return adam_step(*args, name=name, **kwargs)
+
+    monkeypatch.setattr(train, "adam_step", counting)
+    for _ in range(2):
+        grads = loop.run_epoch().grads
+    assert steps == trained * 2
+    for field in ("m_edges", "m_theta0", "m_theta1"):
+        assert (getattr(grads, field) is None) == (field not in trained)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_theta_only_matches_identity_replay(masked):
+    """Training with no soft masks is bit-identical to multiplying by
+    arrays of ones and stepping the weights by hand."""
+    ds, params, _ = build(seed=2)
+    binary = pruned_binary(ds, params) if masked else None
+    replay = params.fresh_copy()
+    train_theta_only(ds, params, binary, epochs=4, lr=0.01)
+
+    ones = SoftMasks.identity(ds.num_edges, replay.theta0.shape,
+                              replay.theta1.shape)
+    states = [AdamState.for_param(replay.theta0, 0.01),
+              AdamState.for_param(replay.theta1, 0.01)]
+    for _ in range(4):
+        _, cache = gcn_forward(replay, ones, binary, ds)
+        g = backward(cache, ds.labels, ds.train_idx)
+        adam_step(states[0], replay.theta0, g.theta0,
+                  binary.theta0 if masked else None)
+        adam_step(states[1], replay.theta1, g.theta1,
+                  binary.theta1 if masked else None)
+    np.testing.assert_array_equal(params.theta0, replay.theta0)
+    np.testing.assert_array_equal(params.theta1, replay.theta1)
