@@ -129,8 +129,14 @@ def _bottom_k(scores: np.ndarray, eligible: np.ndarray, k: int,
         raise ValueError(f"{what}: quota {k} exceeds pool of {pool.size}")
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    order = np.argsort(scores[pool], kind="stable")
-    return pool[order[:k]]
+    s = scores[pool]
+    # Only entries at or below the k-th smallest score can be picked. A
+    # stable sort of just those, in index order, ranks them as a stable
+    # sort of the whole pool would, at a fraction of its cost.
+    kth = np.partition(s, k - 1)[k - 1]
+    cand = np.flatnonzero(s <= kth)
+    order = np.argsort(s[cand], kind="stable")
+    return pool[cand[order[:k]]]
 
 
 def identify_noisy(binary: BinaryMasks, soft_edges: np.ndarray,
@@ -297,12 +303,16 @@ def run_fastglt(dataset: Dataset, *, s_g: float, s_theta: float,
 
     loop = TrainLoop(dataset, params, soft_dn, binary=binary, lr=lr)
     grad_acc = np.zeros(binary.weight_universe, dtype=np.float64)
+    n0 = params.theta0.size
+    acc0 = grad_acc[:n0].reshape(params.theta0.shape)
+    acc1 = grad_acc[n0:].reshape(params.theta1.shape)
     swaps: list[SwapRecord] = []
     history = list(oneshot.history)
     mu_done = 0
     for d in range(1, epochs_denoise + 1):
         stats = loop.run_epoch()
-        grad_acc += np.abs(stats.grads.dense_flat())
+        acc0 += np.abs(stats.grads.theta0_dense)
+        acc1 += np.abs(stats.grads.theta1_dense)
         stats.grads = None
         history.append(stats)
         at_boundary = (d % interval == 0) or (d == epochs_denoise)
@@ -324,7 +334,6 @@ def run_fastglt(dataset: Dataset, *, s_g: float, s_theta: float,
         regrow_w = potential[1]
         if regrow_w.size:
             _zero_flat_weights(params, regrow_w)
-            n0 = params.theta0.size
             loop.opt["theta0"].reset_entries(regrow_w[regrow_w < n0])
             loop.opt["theta1"].reset_entries(regrow_w[regrow_w >= n0] - n0)
         # Regrown edges re-enter at the 25th percentile of the surviving
@@ -353,7 +362,8 @@ def run_fastglt(dataset: Dataset, *, s_g: float, s_theta: float,
     t_denoise = time.perf_counter()
 
     acc_inplace = evaluate_accuracy(params, soft_dn, binary, dataset,
-                                    dataset.test_idx)
+                                    dataset.test_idx, norm=loop.norm,
+                                    x_op=loop.x_op)
     budget = epochs_oneshot + epochs_denoise
     verify_epochs = retrain_epochs if retrain_epochs is not None else budget
     verify = verify_ticket(dataset, params, binary, verify_epochs, lr=lr)

@@ -224,4 +224,8 @@ def save_soft_values(values: np.ndarray, path: str | Path) -> None:
 
 
 def load_soft_values(path: str | Path) -> np.ndarray:
-    return np.fromfile(path, dtype="<f4").astype(np.float64)
+    blob = Path(path).read_bytes()
+    if len(blob) % 4:
+        raise ValueError(f"{path}: {len(blob)} bytes is not a whole number "
+                         f"of float32 values")
+    return np.frombuffer(blob, dtype="<f4").astype(np.float64)

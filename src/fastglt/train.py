@@ -29,9 +29,15 @@ class TrainLoop:
     The weights always train, plus exactly the soft masks that ``soft``
     holds: the one-shot phase passes all three, the denoising phase only
     the edge mask, verification none (``SoftMasks()``). Binary masks, when
-    present, gate both the forward pass and the updates; call
-    :meth:`rebuild_norm` after changing the binary edge mask. ``opt`` maps
+    present, gate both the forward pass and the updates. ``opt`` maps
     each trained tensor's gradient field name to its Adam state.
+
+    Each epoch runs one forward pass: the post-update evaluation forward of
+    one epoch is kept and serves as the training forward of the next.
+    Call :meth:`rebuild_norm` after any change to ``params``, ``soft`` or
+    ``binary`` made outside :meth:`run_epoch` (a swap boundary, say): it
+    renormalizes the adjacency and drops the kept forward, which would
+    otherwise describe the state before the change.
     """
 
     def __init__(self, dataset: Dataset, params: GcnParams, soft: SoftMasks,
@@ -42,6 +48,7 @@ class TrainLoop:
         self.binary = binary
         self.x_op = feature_operator(dataset, params.theta0.dtype)
         self.norm = None
+        self._forward = None  # (logits, cache) of the current state
         self.rebuild_norm()
         self.opt = {name: AdamState.for_param(tensor, lr)
                     for name, tensor in self._tensors().items()
@@ -60,17 +67,24 @@ class TrainLoop:
     def rebuild_norm(self) -> None:
         mask = self.binary.edges if self.binary is not None else None
         self.norm = normalize_adjacency(self.dataset, mask)
+        self._forward = None
+
+    def _run_forward(self):
+        return gcn_forward(self.params, self.soft, self.binary, self.dataset,
+                           norm=self.norm, x_op=self.x_op)
 
     def _binary_or_none(self, attr: str):
         return getattr(self.binary, attr) if self.binary is not None else None
 
     def run_epoch(self) -> EpochStats:
-        """One forward/backward/update sweep plus a post-update eval."""
+        """One backward/update sweep plus a post-update eval forward, which
+        is kept as the next epoch's training forward."""
         ds = self.dataset
-        logits, cache = gcn_forward(self.params, self.soft, self.binary, ds,
-                                    norm=self.norm, x_op=self.x_op)
+        logits, cache = self._forward or self._run_forward()
+        self._forward = None
         loss = masked_loss(logits, ds.labels, ds.train_idx)
         grads = backward(cache, ds.labels, ds.train_idx)
+        del logits, cache  # free the activations before the next forward
 
         tensors = self._tensors()
         for name, state in self.opt.items():
@@ -79,8 +93,8 @@ class TrainLoop:
                       self._binary_or_none(name.removeprefix("m_")),
                       name=name)
 
-        eval_logits, _ = gcn_forward(self.params, self.soft, self.binary, ds,
-                                     norm=self.norm, x_op=self.x_op)
+        self._forward = self._run_forward()
+        eval_logits = self._forward[0]
         val = evaluate_accuracy(self.params, self.soft, self.binary, ds,
                                 ds.val_idx, logits=eval_logits)
         test = evaluate_accuracy(self.params, self.soft, self.binary, ds,

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastglt.data import generate_sbm
-from fastglt.denoise import (DenoiseSchedule, Quota, SwapRecord,
+from fastglt.denoise import (DenoiseSchedule, Quota, SwapRecord, _bottom_k,
                              denoise_ratio, discover_potential, export_swaps,
                              identify_noisy, interval_quotas, run_fastglt,
                              update_masks)
@@ -369,3 +371,19 @@ def test_gradient_accumulator_matches_replay(desk_sbm):
         stats = loop.run_epoch()
         acc += np.abs(stats.grads.dense_flat())
     np.testing.assert_allclose(acc, acc_replay, rtol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0, 7.25]),
+                       min_size=1, max_size=60),
+       data=st.data())
+def test_bottom_k_ranks_as_a_full_stable_sort(scores, data):
+    """Ties, signed zeros and every k from 0 to the whole pool: the pick
+    and its order equal the head of a stable sort of the eligible pool."""
+    scores = np.array(scores)
+    eligible = np.array(data.draw(st.lists(st.booleans(), min_size=len(scores),
+                                           max_size=len(scores))))
+    pool = np.flatnonzero(eligible)
+    k = data.draw(st.integers(0, pool.size))
+    want = pool[np.argsort(scores[pool], kind="stable")[:k]]
+    np.testing.assert_array_equal(_bottom_k(scores, eligible, k, "x"), want)

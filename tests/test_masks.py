@@ -179,3 +179,11 @@ def test_soft_values_round_trip(tmp_path):
     vals = np.array([1.25, -0.5, 3.0])
     save_soft_values(vals, tmp_path / "s.f32")
     np.testing.assert_allclose(load_soft_values(tmp_path / "s.f32"), vals)
+
+
+def test_soft_values_reject_trailing_bytes(tmp_path):
+    path = tmp_path / "cut.f32"
+    save_soft_values(np.array([1.0, 2.0]), path)
+    path.write_bytes(path.read_bytes() + b"\x00\x01")    # 10 bytes
+    with pytest.raises(ValueError, match="cut.f32"):
+        load_soft_values(path)

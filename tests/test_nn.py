@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fastglt.nn as nn
 from fastglt.masks import BinaryMasks, init_soft_masks
 from fastglt.nn import (SoftMasks, backward, evaluate_accuracy,
                         gcn_forward, glorot_params, masked_loss)
@@ -277,3 +278,56 @@ def test_forward_shape_mismatch():
     soft = SoftMasks.identity(99, (3, 4), (4, 2))
     with pytest.raises(ValueError):
         gcn_forward(params, soft, None, ds)
+
+
+def reference_m_edges(cache, labels, split):
+    """Edge-mask gradient from one einsum over every stored entry,
+    self-loops included and dropped afterwards."""
+    n, c = cache.logits.shape
+    g2 = np.zeros((n, c))
+    probs = nn._softmax_rows(cache.logits[split])
+    probs[np.arange(split.size), labels[split]] -= 1.0
+    g2[split] = probs / split.size
+    dh1 = (cache.a_eff @ g2) @ cache.w1_eff.T
+    ds1 = dh1 * (cache.s1 > 0)
+
+    norm = cache.norm
+    ri, ci = norm.entry_row, norm.entry_col
+    d_entry = np.einsum("ij,ij->i", g2[ri], cache.h1w1[ci])
+    d_entry += np.einsum("ij,ij->i", ds1[ri], cache.xw0[ci])
+    e_of = norm.edge_of_entry
+    on_edge = e_of >= 0
+    gate = norm.matrix.data[on_edge]
+    if cache.binary is not None:
+        gate = gate * cache.binary.edges[e_of[on_edge]]
+    want = np.zeros(cache.soft.edges.shape[0])
+    np.add.at(want, e_of[on_edge], d_entry[on_edge] * gate)
+    return want
+
+
+@pytest.mark.parametrize("n, edge_prob, pruned", [
+    (60, 0.2, 0.0),      # several blocks and a partial last one
+    (8, 0.4, 0.3),       # fewer edge entries than one block
+    (12, 0.4, 1.0),      # every edge pruned: no edge entries at all
+])
+def test_edge_gradient_matches_all_entry_einsum(n, edge_prob, pruned):
+    rng = np.random.default_rng(n)
+    ds, params, soft = make_instance(rng, n, h=16, edge_prob=edge_prob)
+    binary = BinaryMasks.all_ones(ds.num_edges, params.theta0.shape,
+                                  params.theta1.shape)
+    binary = BinaryMasks(edges=rng.random(ds.num_edges) >= pruned,
+                         theta0=binary.theta0, theta1=binary.theta1)
+    _, cache = gcn_forward(params, soft, binary, ds)
+    entries = int(np.count_nonzero(cache.norm.edge_of_entry >= 0))
+    block = nn._SDDMM_BLOCK
+    if pruned == 1.0:
+        assert entries == 0
+    elif n == 8:
+        assert 0 < entries < block
+    else:
+        assert entries > 2 * block and entries % block
+    got = backward(cache, ds.labels, ds.train_idx).m_edges
+    want = reference_m_edges(cache, ds.labels, ds.train_idx)
+    np.testing.assert_array_equal(got, want)
+    if pruned == 1.0:
+        assert not got.any()

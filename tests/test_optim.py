@@ -94,3 +94,52 @@ def test_reset_entries():
     state.reset_entries(np.array([1, 2]))
     assert state.m[0, 1] == 0.0 and state.v[1, 0] == 0.0
     assert state.m[0, 0] != 0.0
+
+
+class OutOfPlaceAdam:
+    """The out-of-place Adam formula, kept as the reference for the
+    in-place ``adam_step``: every step allocates fresh moments."""
+
+    def __init__(self, param, lr):
+        self.lr, self.b1, self.b2, self.eps, self.t = lr, 0.9, 0.999, 1e-8, 0
+        self.m, self.v = np.zeros_like(param), np.zeros_like(param)
+
+    def step(self, param, grad, mask):
+        self.t += 1
+        self.m = self.b1 * self.m + (1.0 - self.b1) * grad
+        self.v = self.b2 * self.v + (1.0 - self.b2) * grad * grad
+        m_hat = self.m / (1.0 - self.b1 ** self.t)
+        v_hat = self.v / (1.0 - self.b2 ** self.t)
+        step = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        if mask is not None:
+            step = step * mask
+        param -= step
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("masked", [False, True])
+def test_in_place_step_matches_out_of_place_formula(dtype, masked):
+    rng = np.random.default_rng(11)
+    shape = (13, 9)
+    p = rng.normal(size=shape).astype(dtype)
+    ref_p = p.copy()
+    mask = rng.random(shape) < 0.6 if masked else None
+    state = AdamState.for_param(p, lr=0.01)
+    ref = OutOfPlaceAdam(ref_p, lr=0.01)
+    m, v = state.m, state.v
+    for t in range(12):
+        scale = 10.0 ** rng.integers(-4, 2)
+        g = (rng.normal(scale=scale, size=shape)
+             * (rng.random(shape) < 0.8)).astype(dtype)
+        adam_step(state, p, g, binary_mask=mask)
+        ref.step(ref_p, g, mask)
+        if t == 5:      # a boundary regrows some entries mid-trace
+            idx = rng.choice(p.size, 20, replace=False)
+            state.reset_entries(idx)
+            ref.m.reshape(-1)[idx] = 0.0
+            ref.v.reshape(-1)[idx] = 0.0
+        assert state.m is m and state.v is v
+        assert p.dtype == state.m.dtype == state.v.dtype == dtype
+        np.testing.assert_array_equal(p, ref_p)
+        np.testing.assert_array_equal(state.m, ref.m)
+        np.testing.assert_array_equal(state.v, ref.v)

@@ -4,7 +4,8 @@ import pytest
 import fastglt.train as train
 from fastglt.data import generate_sbm
 from fastglt.masks import BinaryMasks, SoftMasks, init_soft_masks
-from fastglt.nn import backward, gcn_forward, glorot_params
+from fastglt.nn import (backward, evaluate_accuracy, gcn_forward,
+                        glorot_params, masked_loss)
 from fastglt.optim import AdamState, adam_step
 from fastglt.train import (TrainLoop, train_oneshot_phase, train_theta_only,
                            verify_ticket)
@@ -161,3 +162,72 @@ def test_theta_only_matches_identity_replay(masked):
                   binary.theta1 if masked else None)
     np.testing.assert_array_equal(params.theta0, replay.theta0)
     np.testing.assert_array_equal(params.theta1, replay.theta1)
+
+
+def test_one_forward_per_epoch(monkeypatch):
+    ds, params, soft = build()
+    loop = TrainLoop(ds, params, SoftMasks(edges=soft.edges))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return gcn_forward(*args, **kwargs)
+
+    monkeypatch.setattr(train, "gcn_forward", counting)
+    for _ in range(4):
+        loop.run_epoch()
+    assert len(calls) == 5
+    loop.rebuild_norm()         # drops the kept forward
+    loop.run_epoch()
+    assert len(calls) == 7
+
+
+def test_forward_reuse_matches_two_forward_replay():
+    """A denoise-style loop through an out-of-band boundary mutation equals,
+    bit for bit, a replay that runs both forwards of every epoch."""
+    ds, params, soft = build(seed=4)
+    soft_dn = SoftMasks(edges=soft.edges.copy())
+    binary = pruned_binary(ds, params)
+    replay, replay_soft = params.fresh_copy(), soft_dn.copy()
+    lr = 0.01
+    loop = TrainLoop(ds, params, soft_dn, binary=binary, lr=lr)
+    states = {name: AdamState.for_param(t, lr) for name, t in
+              (("theta0", replay.theta0), ("theta1", replay.theta1),
+               ("m_edges", replay_soft.edges))}
+
+    def replay_epoch(b):
+        logits, cache = gcn_forward(replay, replay_soft, b, ds)
+        loss = masked_loss(logits, ds.labels, ds.train_idx)
+        g = backward(cache, ds.labels, ds.train_idx)
+        adam_step(states["theta0"], replay.theta0, g.theta0, b.theta0)
+        adam_step(states["theta1"], replay.theta1, g.theta1, b.theta1)
+        adam_step(states["m_edges"], replay_soft.edges, g.m_edges, b.edges)
+        logits, _ = gcn_forward(replay, replay_soft, b, ds)
+        return (loss, evaluate_accuracy(replay, replay_soft, b, ds,
+                                        ds.val_idx, logits=logits))
+
+    def mutate(p, s):
+        p.theta0[2, :] = 0.0
+        p.theta1[:, 1] = 0.0
+        s.edges[1::4] = 0.5
+
+    got, want = [], []
+    for _ in range(3):
+        stats = loop.run_epoch()
+        got.append((stats.loss, stats.val_acc))
+        want.append(replay_epoch(binary))
+
+    swapped = binary.with_edges(~binary.edges)
+    mutate(params, soft_dn)
+    loop.binary = swapped
+    loop.rebuild_norm()
+    mutate(replay, replay_soft)
+    for _ in range(3):
+        stats = loop.run_epoch()
+        got.append((stats.loss, stats.val_acc))
+        want.append(replay_epoch(swapped))
+
+    assert got == want
+    np.testing.assert_array_equal(params.theta0, replay.theta0)
+    np.testing.assert_array_equal(params.theta1, replay.theta1)
+    np.testing.assert_array_equal(soft_dn.edges, replay_soft.edges)
