@@ -12,8 +12,8 @@ import numpy as np
 
 from .analysis import ArmResult, build_report
 from .data import Dataset
-from .masks import (BinaryMasks, _round_half_up, init_soft_masks, kept_count,
-                    random_bits, threshold_masks)
+from .masks import (BinaryMasks, _bottom_k, _round_half_up, init_soft_masks,
+                    kept_count, random_bits, threshold_masks)
 from .nn import GcnParams, arm_params, evaluate_accuracy
 from .train import train_oneshot_phase, train_theta_only, verify_ticket
 
@@ -44,15 +44,6 @@ def imp_rounds_needed(p: float, target: float) -> int:
     if p <= 0.0:
         raise ValueError(f"target sparsity {target} unreachable with p=0")
     return int(np.ceil(np.log(1.0 - target) / np.log(1.0 - p) - 1e-12))
-
-
-def _prune_lowest(mask: np.ndarray, scores: np.ndarray, n: int) -> np.ndarray:
-    """Drop the n kept entries of smallest |score| (ties by index)."""
-    kept = np.flatnonzero(mask)
-    order = kept[np.argsort(np.abs(scores[kept]), kind="stable")]
-    out = mask.copy()
-    out[order[:n]] = False
-    return out
 
 
 def run_imp(dataset: Dataset, imp: ImpConfig, *, s_g: float, s_theta: float,
@@ -118,7 +109,9 @@ def run_imp(dataset: Dataset, imp: ImpConfig, *, s_g: float, s_theta: float,
                 next_level_kept = level_kept[pending_levels[0]]
                 if kept_e - n_drop < next_level_kept:
                     n_drop = kept_e - next_level_kept
-            new_edges = _prune_lowest(binary.edges, best.edges, n_drop)
+            new_edges = binary.edges.copy()
+            new_edges[_bottom_k(np.abs(best.edges), binary.edges, n_drop,
+                                "imp edges")] = False
             for lvl in pending_levels:
                 if int(new_edges.sum()) == level_kept[lvl]:
                     level_masks[lvl] = new_edges.copy()
@@ -126,7 +119,8 @@ def run_imp(dataset: Dataset, imp: ImpConfig, *, s_g: float, s_theta: float,
         new_wflat = binary.weights_flat()
         if kept_w > tgt_kept_w:
             n_drop = max(_round_half_up(imp.p_theta * kept_w), 1)
-            new_wflat = _prune_lowest(new_wflat, best.weights_flat(), n_drop)
+            new_wflat[_bottom_k(np.abs(best.weights_flat()), new_wflat,
+                                n_drop, "imp weights")] = False
 
         binary = binary.with_edges(new_edges).with_weights_flat(new_wflat)
         round_masks.append(binary)

@@ -22,8 +22,9 @@ import numpy as np
 from .analysis import ArmResult, build_report
 from .data import Dataset
 from .graph import edge_degree_scores
-from .masks import (BinaryMasks, SoftMasks, SparsityPlan, _round_half_up,
-                    init_soft_masks, kept_count, threshold_masks)
+from .masks import (BinaryMasks, SoftMasks, SparsityPlan, _bottom_k,
+                    _round_half_up, init_soft_masks, kept_count,
+                    threshold_masks)
 from .nn import GcnParams, arm_params, evaluate_accuracy
 from .train import TrainLoop, train_oneshot_phase, verify_ticket
 
@@ -119,24 +120,6 @@ def interval_quotas(mu: int, schedule: DenoiseSchedule, kept_edges: int,
     ratio = denoise_ratio(mu, schedule)
     return (_quota(mu, ratio, schedule.graph, kept_edges),
             _quota(mu, ratio, schedule.weights, kept_weights))
-
-
-def _bottom_k(scores: np.ndarray, eligible: np.ndarray, k: int,
-              what: str) -> np.ndarray:
-    """Indices of the k smallest-score eligible entries, ties by index."""
-    pool = np.flatnonzero(eligible)
-    if k > pool.size:
-        raise ValueError(f"{what}: quota {k} exceeds pool of {pool.size}")
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    s = scores[pool]
-    # Only entries at or below the k-th smallest score can be picked. A
-    # stable sort of just those, in index order, ranks them as a stable
-    # sort of the whole pool would, at a fraction of its cost.
-    kth = np.partition(s, k - 1)[k - 1]
-    cand = np.flatnonzero(s <= kth)
-    order = np.argsort(s[cand], kind="stable")
-    return pool[cand[order[:k]]]
 
 
 def identify_noisy(binary: BinaryMasks, soft_edges: np.ndarray,
@@ -304,21 +287,11 @@ def run_fastglt(dataset: Dataset, *, s_g: float, s_theta: float,
     loop = TrainLoop(dataset, params, soft_dn, binary=binary, lr=lr)
     grad_acc = np.zeros(binary.weight_universe, dtype=np.float64)
     n0 = params.theta0.size
-    acc0 = grad_acc[:n0].reshape(params.theta0.shape)
-    acc1 = grad_acc[n0:].reshape(params.theta1.shape)
     swaps: list[SwapRecord] = []
     history = list(oneshot.history)
-    mu_done = 0
-    for d in range(1, epochs_denoise + 1):
-        stats = loop.run_epoch()
-        acc0 += np.abs(stats.grads.theta0_dense)
-        acc1 += np.abs(stats.grads.theta1_dense)
-        stats.grads = None
-        history.append(stats)
-        at_boundary = (d % interval == 0) or (d == epochs_denoise)
-        if not at_boundary:
-            continue
-        mu = mu_done + 1
+    for mu in range(1, schedule.mu_end + 1):
+        epochs = min(interval, epochs_denoise - (mu - 1) * interval)
+        history += loop.train(epochs, grad_acc).history
         quotas = interval_quotas(mu, schedule,
                                  int(binary.edges.sum()),
                                  int(binary.weights_flat().sum()))
@@ -355,7 +328,6 @@ def run_fastglt(dataset: Dataset, *, s_g: float, s_theta: float,
         loop.rebuild_norm()
         grad_acc[:] = 0.0
         swaps.append(record)
-        mu_done = mu
 
     assert int(binary.edges.sum()) == schedule.graph.kept_target
     assert int(binary.weights_flat().sum()) == schedule.weights.kept_target

@@ -38,16 +38,14 @@ class NormAdj:
         return self.matrix.shape[0]
 
     def effective(self, soft_edges: np.ndarray | None,
-                  binary_edges: np.ndarray | None,
                   dtype=np.float64) -> sp.csr_matrix:
-        """CSR with each kept-edge entry scaled by soft * binary gates."""
+        """CSR with each kept-edge entry scaled by its soft edge mask;
+        pruned edges are not stored, so they need no gate."""
         data = self.matrix.data.astype(dtype, copy=True)
-        e = self.edge_of_entry
-        on_edge = e >= 0
         if soft_edges is not None:
+            e = self.edge_of_entry
+            on_edge = e >= 0
             data[on_edge] *= soft_edges.astype(dtype)[e[on_edge]]
-        if binary_edges is not None:
-            data[on_edge] *= binary_edges[e[on_edge]].astype(dtype)
         return sp.csr_matrix((data, self.matrix.indices, self.matrix.indptr),
                              shape=self.matrix.shape)
 

@@ -24,7 +24,7 @@ from .graph import edge_degree_scores
 from .masks import (init_soft_masks, load_mask, one_shot_threshold,
                     random_bits, save_mask, save_soft_values)
 from .nn import GcnParams, arm_params
-from .train import TrainLoop, train_oneshot_phase
+from .train import TrainLoop
 
 SCHEMA_VERSION = 1
 
@@ -127,24 +127,6 @@ class SuiteOutcome:
     failed_arm: str | None = None
 
 
-def _probe_weight_gradients(dataset: Dataset, config: ExperimentConfig,
-                            params0: GcnParams) -> np.ndarray:
-    """Accumulated |dense-position gradients| over a dense probe training.
-
-    Run on the shared initialization and splits so pruned-set comparisons
-    between methods are attributable to their masks.
-    """
-    params = params0.fresh_copy()
-    soft = init_soft_masks(dataset, params.theta0.shape, params.theta1.shape,
-                           seed=config.seed, dtype=config.dtype)
-    loop = TrainLoop(dataset, params, soft, lr=config.lr)
-    acc = np.zeros(params.theta0.size + params.theta1.size)
-    for _ in range(config.epochs):
-        stats = loop.run_epoch()
-        acc += np.abs(stats.grads.dense_flat())
-    return acc
-
-
 def _fig2_artifacts(out: Path, dataset: Dataset, config: ExperimentConfig,
                     params0: GcnParams, levels: list[float],
                     weight_level: float = 0.3) -> None:
@@ -163,11 +145,14 @@ def _fig2_artifacts(out: Path, dataset: Dataset, config: ExperimentConfig,
     imp_res = dispatch(imp_cfg, dataset, params0, record_levels=levels)
     reference = [imp_res.level_masks[lvl] for lvl in levels]
 
+    # one co-training run gives the one-shot masks and, summed over its
+    # epochs, the |dense weight gradient| the pruned-set stats rank by
     soft = init_soft_masks(dataset, params0.theta0.shape,
                            params0.theta1.shape, seed=config.seed,
                            dtype=config.dtype)
-    oneshot = train_oneshot_phase(dataset, params0.fresh_copy(), soft,
-                                  epochs=config.epochs, lr=config.lr)
+    grads = np.zeros(params0.theta0.size + params0.theta1.size)
+    oneshot = TrainLoop(dataset, params0.fresh_copy(), soft,
+                        lr=config.lr).train(config.epochs, grads)
     histories: dict[str, list[np.ndarray]] = {"oneshot": [], "random": []}
     rng = np.random.default_rng(np.random.SeedSequence([config.seed,
                                                         0xF162]))
@@ -190,7 +175,6 @@ def _fig2_artifacts(out: Path, dataset: Dataset, config: ExperimentConfig,
 
     # pruned-set comparison: edges at the top matched level, weights at the
     # iterative arm's achieved weight sparsity
-    grads = _probe_weight_gradients(dataset, config, params0)
     degs = edge_degree_scores(dataset)
     save_soft_values(grads, out / "probe_weight_grads.f32")
     save_soft_values(degs, out / "edge_degrees.f32")

@@ -127,10 +127,23 @@ def intermediate_sparsity(s_tgt: float, alpha: float = 0.01,
     return s_inm
 
 
-def magnitude_order(values: np.ndarray) -> np.ndarray:
-    """Indices sorted by descending |value|, ties by ascending index."""
-    v = np.abs(np.asarray(values, dtype=np.float64).ravel())
-    return np.argsort(-v, kind="stable")
+def _bottom_k(scores: np.ndarray, eligible: np.ndarray, k: int,
+              what: str) -> np.ndarray:
+    """Indices of the k smallest-score eligible entries, ties by index."""
+    pool = np.flatnonzero(eligible)
+    if k > pool.size:
+        raise ValueError(f"{what}: quota {k} exceeds pool of {pool.size}")
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    s = scores[pool]
+    # Only entries at or below the k-th smallest score can be picked. A
+    # stable sort of just those, in index order, ranks them as a stable
+    # sort of the whole pool would, at a fraction of its cost. "Not above"
+    # keeps NaN scores, which both sorts place last, when kth is NaN.
+    kth = np.partition(s, k - 1)[k - 1]
+    cand = np.flatnonzero(~(s > kth))
+    order = np.argsort(s[cand], kind="stable")
+    return pool[cand[order[:k]]]
 
 
 def one_shot_threshold(soft: np.ndarray, s: float) -> np.ndarray:
@@ -141,10 +154,10 @@ def one_shot_threshold(soft: np.ndarray, s: float) -> np.ndarray:
     """
     if not 0.0 <= s < 1.0:
         raise ValueError(f"sparsity {s} outside [0, 1)")
-    v = np.asarray(soft).ravel()
-    keep = kept_count(v.size, s)
+    v = np.asarray(soft, dtype=np.float64).ravel()
     mask = np.zeros(v.size, dtype=bool)
-    mask[magnitude_order(v)[:keep]] = True
+    mask[_bottom_k(-np.abs(v), np.ones(v.size, dtype=bool),
+                   kept_count(v.size, s), "one-shot cut")] = True
     return mask
 
 

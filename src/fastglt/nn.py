@@ -179,9 +179,7 @@ def gcn_forward(params: GcnParams, soft: SoftMasks,
     if soft.edges is not None and soft.edges.shape != (dataset.num_edges,):
         raise ValueError("soft edge mask does not index the edge list")
 
-    a_eff = norm.effective(soft.edges,
-                           binary.edges if binary is not None else None,
-                           dtype=dtype)
+    a_eff = norm.effective(soft.edges, dtype=dtype)
     w0, w1 = effective_weights(params, soft, binary)
 
     xw0 = x_op @ w0
@@ -260,8 +258,6 @@ def backward(cache: ForwardCache, labels: np.ndarray,
 
         e_of = norm.edge_of_entry[on_edge]
         gate = norm.matrix.data[on_edge].astype(dtype)
-        if binary is not None:
-            gate = gate * binary.edges[e_of]
         d_m_edges = np.zeros(soft.edges.shape[0], dtype=dtype)
         np.add.at(d_m_edges, e_of, d_entry * gate)
 

@@ -1,11 +1,14 @@
-"""Training loops: one-shot mask co-training, masked weight-only training,
-and the retrain-from-initialization check that decides whether a sparse
+"""One training loop, ``TrainLoop.train``, and the phases built on it:
+one-shot mask co-training, masked weight-only training, and the
+retrain-from-initialization check that decides whether a sparse
 (graph, network) pair really is a winning ticket.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .data import Dataset
 from .graph import normalize_adjacency
@@ -101,82 +104,77 @@ class TrainLoop:
                                  ds.test_idx, logits=eval_logits)
         return EpochStats(loss=loss, val_acc=val, test_acc=test, grads=grads)
 
+    def train(self, epochs: int,
+              grad_acc: np.ndarray | None = None) -> TrainResult:
+        """Run ``epochs`` epochs; report the best-validation epoch (earliest
+        on ties), the usual protocol for semi-supervised node classification.
+        ``grad_acc``, a float64 buffer over the pooled weight universe, gets
+        each epoch's |dense weight gradient| added in place."""
+        if epochs < 1:
+            raise ValueError("need at least one epoch")
+        if grad_acc is not None:
+            n0 = self.params.theta0.size
+            acc0 = grad_acc[:n0].reshape(self.params.theta0.shape)
+            acc1 = grad_acc[n0:].reshape(self.params.theta1.shape)
+        out = TrainResult()
+        for epoch in range(1, epochs + 1):
+            stats = self.run_epoch()
+            if grad_acc is not None:
+                acc0 += np.abs(stats.grads.theta0_dense)
+                acc1 += np.abs(stats.grads.theta1_dense)
+            stats.grads = None      # keep history light
+            out.history.append(stats)
+            if stats.val_acc > out.best_val_acc:
+                out.best_val_acc = stats.val_acc
+                out.best_epoch = epoch
+                out.test_at_best = stats.test_acc
+                out.best_soft = self.soft.copy()
+            out.final_test = stats.test_acc
+        return out
+
 
 @dataclass
-class OneShotResult:
-    best_soft: SoftMasks          # mask snapshot from the best-val epoch
-    best_epoch: int               # 1-based
-    best_val_acc: float
-    history: list[EpochStats]
+class TrainResult:
+    """What :meth:`TrainLoop.train` saw: the best-validation epoch (1-based)
+    with its accuracies and soft-mask snapshot, the last epoch's test
+    accuracy, and every epoch's stats (gradients dropped)."""
+
+    best_soft: SoftMasks | None = None
+    best_epoch: int = 0
+    best_val_acc: float = -1.0
+    test_at_best: float = 0.0
+    final_test: float = 0.0
+    history: list[EpochStats] = field(default_factory=list)
 
 
 def train_oneshot_phase(dataset: Dataset, params: GcnParams,
                         soft: SoftMasks, epochs: int, lr: float = 0.001,
-                        binary: BinaryMasks | None = None) -> OneShotResult:
+                        binary: BinaryMasks | None = None) -> TrainResult:
     """Co-optimize weights and both soft masks for ``epochs`` full batches.
 
-    Snapshots (m_g, m_theta) at the epoch with the highest validation
-    accuracy, earliest epoch on ties. ``params`` is trained in place and
-    left at its final-epoch state. No l1 term is applied to the masks.
+    ``best_soft`` snapshots (m_g, m_theta) at the best-validation epoch.
+    ``params`` is trained in place and left at its final-epoch state. No l1
+    term is applied to the masks.
     """
-    if epochs < 1:
-        raise ValueError("one-shot phase needs at least one epoch")
-    loop = TrainLoop(dataset, params, soft, binary=binary, lr=lr)
-    best = OneShotResult(best_soft=soft.copy(), best_epoch=0,
-                         best_val_acc=-1.0, history=[])
-    for epoch in range(1, epochs + 1):
-        stats = loop.run_epoch()
-        stats.grads = None      # keep history light
-        best.history.append(stats)
-        if stats.val_acc > best.best_val_acc:
-            best.best_val_acc = stats.val_acc
-            best.best_epoch = epoch
-            best.best_soft = soft.copy()
-    return best
-
-
-@dataclass
-class ThetaTrainResult:
-    best_val_acc: float
-    best_epoch: int
-    test_at_best: float
-    final_test: float
-    history: list[EpochStats]
+    return TrainLoop(dataset, params, soft, binary=binary, lr=lr).train(epochs)
 
 
 def train_theta_only(dataset: Dataset, params: GcnParams,
                      binary: BinaryMasks | None, epochs: int,
-                     lr: float = 0.001) -> ThetaTrainResult:
-    """Train the weights under fixed binary masks and no soft masks.
-
-    Reports the test accuracy at the best-validation epoch (earliest on
-    ties), the usual protocol for semi-supervised node classification.
-    """
-    if epochs < 1:
-        raise ValueError("need at least one epoch")
-    loop = TrainLoop(dataset, params, SoftMasks(), binary=binary, lr=lr)
-    out = ThetaTrainResult(best_val_acc=-1.0, best_epoch=0,
-                           test_at_best=0.0, final_test=0.0, history=[])
-    for epoch in range(1, epochs + 1):
-        stats = loop.run_epoch()
-        stats.grads = None
-        out.history.append(stats)
-        if stats.val_acc > out.best_val_acc:
-            out.best_val_acc = stats.val_acc
-            out.best_epoch = epoch
-            out.test_at_best = stats.test_acc
-        out.final_test = stats.test_acc
-    return out
+                     lr: float = 0.001) -> TrainResult:
+    """Train the weights under fixed binary masks and no soft masks."""
+    return TrainLoop(dataset, params, SoftMasks(), binary=binary,
+                     lr=lr).train(epochs)
 
 
 def verify_ticket(dataset: Dataset, params: GcnParams,
                   binary: BinaryMasks | None, epochs: int,
-                  lr: float = 0.001) -> ThetaTrainResult:
+                  lr: float = 0.001) -> TrainResult:
     """Retrain from the recorded initialization under the final masks.
 
     This is the winning-ticket check: the masks are kept, the weights are
     rewound to their initialization, and the sparse model is trained in
     isolation. ``params`` is not modified.
     """
-    fresh = params.fresh_copy()
-    return train_theta_only(dataset, fresh, binary, epochs, lr=lr)
+    return train_theta_only(dataset, params.fresh_copy(), binary, epochs,
+                            lr=lr)

@@ -374,11 +374,12 @@ def test_gradient_accumulator_matches_replay(desk_sbm):
 
 
 @settings(max_examples=200, deadline=None)
-@given(scores=st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0, 7.25]),
+@given(scores=st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0, 7.25,
+                                        np.nan]),
                        min_size=1, max_size=60),
        data=st.data())
 def test_bottom_k_ranks_as_a_full_stable_sort(scores, data):
-    """Ties, signed zeros and every k from 0 to the whole pool: the pick
+    """Ties, signed zeros, NaN and every k from 0 to the whole pool: the pick
     and its order equal the head of a stable sort of the eligible pool."""
     scores = np.array(scores)
     eligible = np.array(data.draw(st.lists(st.booleans(), min_size=len(scores),
@@ -387,3 +388,52 @@ def test_bottom_k_ranks_as_a_full_stable_sort(scores, data):
     k = data.draw(st.integers(0, pool.size))
     want = pool[np.argsort(scores[pool], kind="stable")[:k]]
     np.testing.assert_array_equal(_bottom_k(scores, eligible, k, "x"), want)
+
+
+_PROPERTY_SBM = generate_sbm(2, 12, 0.4, 0.1, 5, seed=21)
+
+
+@settings(max_examples=40, deadline=None)
+@given(epochs_denoise=st.integers(1, 9), interval=st.integers(1, 4),
+       tau=st.sampled_from([0.0, 0.1, 0.3, 0.6]),
+       s_g=st.sampled_from([0.0, 0.2, 0.5]),
+       s_theta=st.sampled_from([0.0, 0.4, 0.8]))
+def test_run_fastglt_swap_walk_property(epochs_denoise, interval, tau, s_g,
+                                        s_theta):
+    """Over random schedules, a D that interval may not divide included:
+    one swap record per interval, numbered 1..ceil(D/interval), one
+    history entry per epoch, and swap sets that are in-universe, disjoint,
+    removed from the kept set and regrown from the pruned set, walking the
+    kept counts from the one-shot cut through each n_net to the target."""
+    ds = _PROPERTY_SBM
+    res = run_fastglt(ds, s_g=s_g, s_theta=s_theta, epochs_oneshot=2,
+                      epochs_denoise=epochs_denoise, interval=interval,
+                      tau=tau, lr=0.01, hidden=4, seed=3, retrain_epochs=1)
+    mu_end = -(-epochs_denoise // interval)
+    assert [r.interval for r in res.swaps] == list(range(1, mu_end + 1))
+    assert len(res.history) == 2 + epochs_denoise
+
+    start = res.initial_binary
+    schedule = DenoiseSchedule.build(
+        interval, epochs_denoise, tau, 1.0, ds.num_edges,
+        start.weight_universe, SparsityPlan(s_g_tgt=s_g, s_theta_tgt=s_theta))
+    walk = {"edges": (start.edges.copy(), schedule.graph),
+            "weights": (start.weights_flat(), schedule.weights)}
+    for kind, (kept, plan) in walk.items():
+        assert int(kept.sum()) == plan.kept_start
+        for rec in res.swaps:
+            removed = getattr(rec, f"{kind}_removed")
+            regrown = getattr(rec, f"{kind}_regrown")
+            for idx in (removed, regrown):
+                assert idx.size == np.unique(idx).size
+                assert ((idx >= 0) & (idx < kept.size)).all()
+            assert kept[removed].all() and not kept[regrown].any()
+            assert np.intersect1d(removed, regrown).size == 0
+            before = int(kept.sum())
+            kept[removed] = False
+            kept[regrown] = True
+            assert before - int(kept.sum()) == plan.n_net[rec.interval - 1]
+        assert int(kept.sum()) == plan.kept_target
+    np.testing.assert_array_equal(walk["edges"][0], res.binary.edges)
+    np.testing.assert_array_equal(walk["weights"][0],
+                                  res.binary.weights_flat())

@@ -88,7 +88,7 @@ def test_edge_of_entry_mapping():
 def test_effective_scales_only_edges():
     ds = tiny_dataset([(0, 1)], 2)
     norm = normalize_adjacency(ds)
-    eff = normalize_adjacency(ds).effective(np.array([0.5]), None).toarray()
+    eff = normalize_adjacency(ds).effective(np.array([0.5])).toarray()
     base = norm.matrix.toarray()
     np.testing.assert_allclose(eff[0, 1], base[0, 1] * 0.5)
     np.testing.assert_allclose(np.diag(eff), np.diag(base))

@@ -296,3 +296,42 @@ def test_cli_precision_flag(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["precision"] == "f32"
+
+
+def test_fig2_one_shot_artifacts_replay_one_cotraining_run(tmp_path):
+    """``probe_weight_grads.f32`` and the one-shot fig-2 masks come from a
+    single co-training run: they equal a hand replay of one ``TrainLoop``
+    on the shared initialization, stepped epoch by epoch."""
+    import numpy as np
+
+    from fastglt.data import parse_dataset_spec
+    from fastglt.harness import _fig2_artifacts, make_params0
+    from fastglt.masks import (init_soft_masks, load_mask, load_soft_values,
+                               one_shot_threshold)
+    from fastglt.train import TrainLoop
+
+    cfg = desk_config(epochs=7, imp_p_g=0.2, imp_p_theta=0.3)
+    ds = parse_dataset_spec(cfg.dataset)
+    params0 = make_params0(ds, cfg)
+    levels = [0.2, 0.4]
+    _fig2_artifacts(tmp_path, ds, cfg, params0, levels, weight_level=0.3)
+
+    soft = init_soft_masks(ds, params0.theta0.shape, params0.theta1.shape,
+                           seed=cfg.seed, dtype=cfg.dtype)
+    loop = TrainLoop(ds, params0.fresh_copy(), soft, lr=cfg.lr)
+    grads = np.zeros(params0.theta0.size + params0.theta1.size)
+    best_val, best_edges = -1.0, None
+    for _ in range(cfg.epochs):
+        stats = loop.run_epoch()
+        grads += np.abs(stats.grads.dense_flat())
+        if stats.val_acc > best_val:
+            best_val, best_edges = stats.val_acc, soft.edges.copy()
+
+    np.testing.assert_array_equal(
+        load_soft_values(tmp_path / "probe_weight_grads.f32"),
+        grads.astype(np.float32).astype(np.float64))
+    for lvl in levels:
+        name = f"oneshot_s{int(round(lvl * 100)):03d}.gltm"
+        np.testing.assert_array_equal(
+            load_mask(tmp_path / "fig2_masks" / name),
+            one_shot_threshold(best_edges, lvl))

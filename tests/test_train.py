@@ -231,3 +231,45 @@ def test_forward_reuse_matches_two_forward_replay():
     np.testing.assert_array_equal(params.theta0, replay.theta0)
     np.testing.assert_array_equal(params.theta1, replay.theta1)
     np.testing.assert_array_equal(soft_dn.edges, replay_soft.edges)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_train_matches_a_run_epoch_replay(dtype):
+    """Two ``train`` calls on one loop equal, bit for bit, a twin loop
+    stepped by hand: history, best epoch (earliest on ties) with its test
+    accuracy and soft snapshot, final test accuracy, and the |dense grad|
+    sums added into the caller's buffer across both calls."""
+    ds = generate_sbm(2, 25, 0.5, 0.05, 6, seed=9)
+    params = glorot_params(ds.num_features, 8, ds.num_classes, seed=2,
+                           dtype=dtype)
+    soft = init_soft_masks(ds, params.theta0.shape, params.theta1.shape,
+                           seed=2, dtype=dtype)
+    twin_params, twin_soft = params.fresh_copy(), soft.copy()
+    loop = TrainLoop(ds, params, soft, lr=0.01)
+    twin = TrainLoop(ds, twin_params, twin_soft, lr=0.01)
+
+    acc = np.zeros(params.theta0.size + params.theta1.size)
+    results = [loop.train(n, acc) for n in (4, 3)]
+
+    want_acc = np.zeros_like(acc)
+    for res, n in zip(results, (4, 3)):
+        stats, snapshots = [], []
+        for _ in range(n):
+            s = twin.run_epoch()
+            want_acc += np.abs(s.grads.dense_flat())
+            stats.append(s)
+            snapshots.append(twin_soft.copy())
+        assert [(h.loss, h.val_acc, h.test_acc) for h in res.history] == \
+            [(h.loss, h.val_acc, h.test_acc) for h in stats]
+        assert all(h.grads is None for h in res.history)
+        vals = [h.val_acc for h in stats]
+        best = vals.index(max(vals))
+        assert (res.best_epoch, res.best_val_acc, res.test_at_best) == \
+            (best + 1, vals[best], stats[best].test_acc)
+        assert res.final_test == stats[-1].test_acc
+        for name in ("edges", "theta0", "theta1"):
+            np.testing.assert_array_equal(getattr(res.best_soft, name),
+                                          getattr(snapshots[best], name))
+    np.testing.assert_array_equal(acc, want_acc)
+    np.testing.assert_array_equal(params.theta0, twin_params.theta0)
+
