@@ -8,7 +8,8 @@ counts as a winning ticket when retraining it from the original
 initialization matches the dense model.
 """
 
-from fastglt import generate_sbm, glorot_params, intermediate_sparsity
+from fastglt import (ExperimentConfig, generate_sbm, glorot_params,
+                     intermediate_sparsity)
 from fastglt.baselines import run_dense, run_oneshot_only
 from fastglt.masks import init_soft_masks, one_shot_threshold, sparsity
 from fastglt.train import train_oneshot_phase
@@ -37,11 +38,15 @@ for s_tgt in (0.3, 0.6, 0.9):
           f"(achieved {sparsity(bits):.4f})")
 
 # --- one-shot-only tickets vs the dense reference ----------------------------
-dense = run_dense(ds, epochs=120, seed=1, params0=params0, lr=0.01)
+# One config describes every arm: 40 co-training epochs, and a full budget
+# of 40 + 80 = 120 epochs for the dense arm and each verification retrain.
+cfg = ExperimentConfig(epochs=40, denoise_epochs=80, lr=0.01, hidden=24,
+                       seed=1)
+dense = run_dense(ds, cfg.replace(method="dense"), params0)
 print(f"\ndense reference: test acc {dense.report.acc_retrained:.3f}")
 for s_g in (0.2, 0.4, 0.6):
-    res = run_oneshot_only(ds, s_g=s_g, s_theta=0.5, epochs=40, seed=1,
-                           params0=params0, lr=0.01, retrain_epochs=120)
+    res = run_oneshot_only(ds, cfg.replace(method="oneshot", s_g=s_g,
+                                           s_theta=0.5), params0)
     r = res.report
     tick = "winning" if r.acc_retrained >= dense.report.acc_retrained \
         else "below dense"

@@ -10,8 +10,8 @@ target sparsity while bad early decisions stay correctable.
 
 import numpy as np
 
-from fastglt import DenoiseSchedule, SparsityPlan, generate_sbm, \
-    glorot_params, run_fastglt
+from fastglt import DenoiseSchedule, ExperimentConfig, SparsityPlan, \
+    generate_sbm, glorot_params, run_fastglt
 from fastglt.baselines import run_dense
 from fastglt.denoise import denoise_ratio, interval_quotas
 
@@ -38,11 +38,13 @@ print(f"landing: {kept_e} kept edges (target {sched.graph.kept_target}), "
 # --- a full search on a synthetic graph ---------------------------------------
 ds = generate_sbm(3, 60, 0.12, 0.025, 10, seed=3, mean_scale=0.25)
 params0 = glorot_params(ds.num_features, 24, ds.num_classes, seed=1)
-dense = run_dense(ds, epochs=120, seed=1, params0=params0, lr=0.01)
+# 40 one-shot epochs, then 80 denoising epochs in intervals of 10; the
+# dense arm and the verification retrain each get the full 120
+cfg = ExperimentConfig(s_g=0.4, s_theta=0.6, epochs=40, denoise_epochs=80,
+                       interval=10, lr=0.01, hidden=24, seed=1)
+dense = run_dense(ds, cfg.replace(method="dense"), params0)
 
-res = run_fastglt(ds, s_g=0.4, s_theta=0.6, epochs_oneshot=40,
-                  epochs_denoise=80, interval=10, lr=0.01, seed=1,
-                  params0=params0, retrain_epochs=120)
+res = run_fastglt(ds, cfg, params0)
 r = res.report
 print(f"\nsearch finished: s_g={r.s_g:.4f}, s_theta={r.s_theta:.4f} "
       f"(targets 0.4 / 0.6, landed within one element)")

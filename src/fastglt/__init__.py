@@ -6,8 +6,7 @@ recorded initialization, and ships the iterative/random/one-shot baselines
 plus the measurement tooling used to compare them.
 """
 
-from .baselines import (ImpConfig, run_dense, run_imp, run_oneshot_only,
-                        run_random)
+from .baselines import run_dense, run_imp, run_oneshot_only, run_random
 from .config import ExperimentConfig
 from .data import Dataset, generate_sbm, load_bundle, save_bundle
 from .denoise import DenoiseSchedule, run_fastglt
@@ -18,7 +17,7 @@ from .nn import GcnParams, glorot_params
 
 __all__ = [
     "BinaryMasks", "Dataset", "DenoiseSchedule", "ExperimentConfig",
-    "GcnParams", "ImpConfig", "SoftMasks", "SparsityPlan",
+    "GcnParams", "SoftMasks", "SparsityPlan",
     "edge_degree_scores", "generate_sbm", "glorot_params",
     "hamming_distance", "intermediate_sparsity", "load_bundle",
     "normalize_adjacency", "one_shot_threshold", "run_dense", "run_fastglt",

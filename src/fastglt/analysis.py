@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .data import Dataset
 from .graph import hamming_distance
 from .masks import BinaryMasks
@@ -80,15 +81,16 @@ class ArmResult:
     level_masks: dict[float, np.ndarray] = field(default_factory=dict)
 
 
-def build_report(method: str, dataset: Dataset, params: GcnParams,
-                 binary: BinaryMasks | None, t_start: float,
-                 phase_ends: dict[str, float], *, acc_inplace: float,
-                 acc_retrained: float, search_epochs: int,
-                 verify_epochs: int, seed: int, config_digest: str,
+def build_report(method: str, config: ExperimentConfig, dataset: Dataset,
+                 params: GcnParams, binary: BinaryMasks | None,
+                 t_start: float, phase_ends: dict[str, float], *,
+                 acc_inplace: float, acc_retrained: float,
+                 search_epochs: int, verify_epochs: int,
                  extra: dict | None = None) -> TicketReport:
-    """The ticket report of one arm, from its final masks (None: dense)
-    and the ``perf_counter`` time at which each phase ended, in order.
-    Every phase before a closing "verify" phase counts as search."""
+    """The ticket report of one arm, from its config (seed and digest), its
+    final masks (None: dense) and the ``perf_counter`` time at which each
+    phase ended, in order. Every phase before a closing "verify" phase
+    counts as search."""
     ends = [t_start, *phase_ends.values()]
     phase_seconds = dict(zip(phase_ends, np.diff(ends).tolist()))
     search_end = ends[-2] if "verify" in phase_ends else ends[-1]
@@ -99,7 +101,7 @@ def build_report(method: str, dataset: Dataset, params: GcnParams,
         acc_inplace=acc_inplace, acc_retrained=acc_retrained,
         macs=mac_count(dataset, binary, params.hidden),
         dense_macs=mac_count(dataset, None, params.hidden),
-        seed=seed, config_digest=config_digest,
+        seed=config.seed, config_digest=config.digest(),
         phase_seconds=phase_seconds,
         search_seconds=search_end - t_start,
         total_seconds=ends[-1] - t_start,

@@ -6,35 +6,16 @@ and the dense reference arm.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import ArmResult, build_report
+from .config import ExperimentConfig
 from .data import Dataset
 from .masks import (BinaryMasks, _bottom_k, _round_half_up, init_soft_masks,
                     kept_count, random_bits, threshold_masks)
 from .nn import GcnParams, arm_params, evaluate_accuracy
 from .train import train_oneshot_phase, train_theta_only, verify_ticket
-
-
-@dataclass
-class ImpConfig:
-    """Per-round prune fractions and training budget for iterative pruning."""
-
-    p_g: float = 0.05
-    p_theta: float = 0.2
-    epochs_per_round: int = 200
-
-    def validate(self) -> "ImpConfig":
-        for name, p in (("p_g", self.p_g), ("p_theta", self.p_theta)):
-            if not 0.0 <= p < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {p}")
-        if self.p_g == 0.0 and self.p_theta == 0.0:
-            raise ValueError("at least one prune fraction must be positive")
-        if self.epochs_per_round < 1:
-            raise ValueError("epochs_per_round must be >= 1")
-        return self
 
 
 def imp_rounds_needed(p: float, target: float) -> int:
@@ -46,39 +27,40 @@ def imp_rounds_needed(p: float, target: float) -> int:
     return int(np.ceil(np.log(1.0 - target) / np.log(1.0 - p) - 1e-12))
 
 
-def run_imp(dataset: Dataset, imp: ImpConfig, *, s_g: float, s_theta: float,
-            seed: int = 0, lr: float = 0.001, hidden: int = 512,
-            dtype=np.float64, retrain_epochs: int | None = None,
+def run_imp(dataset: Dataset, config: ExperimentConfig,
             params0: GcnParams | None = None,
-            record_levels: list[float] | None = None,
-            config_digest: str = "") -> ArmResult:
+            record_levels: list[float] | None = None) -> ArmResult:
     """Train, prune a fraction of what remains, rewind, repeat.
 
-    Each round trains weights and soft masks for the round budget, prunes
-    p_g of the kept edges and p_theta of the kept weights by soft-mask
-    magnitude, and rewinds the weights to their initialization. A mask type
-    stops pruning once its own target is met; the loop ends when both are.
+    Each round trains weights and soft masks for ``config.round_budget``
+    epochs, prunes imp_p_g of the kept edges and imp_p_theta of the kept
+    weights by soft-mask magnitude, and rewinds the weights to their
+    initialization. A mask type stops pruning once its own target is met;
+    the loop ends when both are.
 
     ``record_levels`` (graph sparsities) makes the edge prune counts land
     exactly on each requested level as it is crossed and snapshots the edge
     mask there, so distance curves can compare methods at matched levels.
     """
-    imp.validate()
+    config.validate()
     t_start = time.perf_counter()
-    params = arm_params(dataset, params0, hidden, seed, dtype)
+    params = arm_params(dataset, params0, config)
     shape0, shape1 = params.theta0.shape, params.theta1.shape
-    soft0 = init_soft_masks(dataset, shape0, shape1, seed=seed, dtype=dtype)
+    soft0 = init_soft_masks(dataset, shape0, shape1, seed=config.seed,
+                            dtype=config.dtype)
+    p_g, p_theta = config.imp_p_g, config.imp_p_theta
+    epochs, lr = config.round_budget, config.lr
 
-    if s_g > 0 and imp.p_g == 0.0:
+    if config.s_g > 0 and p_g == 0.0:
         raise ValueError("graph target unreachable with p_g=0")
-    if s_theta > 0 and imp.p_theta == 0.0:
+    if config.s_theta > 0 and p_theta == 0.0:
         raise ValueError("weight target unreachable with p_theta=0")
 
     n_edges = dataset.num_edges
     binary = BinaryMasks.all_ones(n_edges, shape0, shape1)
     w_universe = binary.weight_universe
-    tgt_kept_e = kept_count(n_edges, s_g)
-    tgt_kept_w = kept_count(w_universe, s_theta)
+    tgt_kept_e = kept_count(n_edges, config.s_g)
+    tgt_kept_w = kept_count(w_universe, config.s_theta)
     levels = sorted(record_levels) if record_levels else []
     level_kept = {lvl: kept_count(n_edges, lvl) for lvl in levels}
     level_masks: dict[float, np.ndarray] = {}
@@ -97,13 +79,13 @@ def run_imp(dataset: Dataset, imp: ImpConfig, *, s_g: float, s_theta: float,
         params.rewind()
         soft = soft0.copy()
         last_train = train_oneshot_phase(dataset, params, soft,
-                                         epochs=imp.epochs_per_round, lr=lr,
+                                         epochs=epochs, lr=lr,
                                          binary=binary)
         best = last_train.best_soft
 
         new_edges = binary.edges
         if kept_e > tgt_kept_e or pending_levels:
-            n_drop = _round_half_up(imp.p_g * kept_e)
+            n_drop = _round_half_up(p_g * kept_e)
             n_drop = max(n_drop, 1)
             if pending_levels:
                 next_level_kept = level_kept[pending_levels[0]]
@@ -118,7 +100,7 @@ def run_imp(dataset: Dataset, imp: ImpConfig, *, s_g: float, s_theta: float,
 
         new_wflat = binary.weights_flat()
         if kept_w > tgt_kept_w:
-            n_drop = max(_round_half_up(imp.p_theta * kept_w), 1)
+            n_drop = max(_round_half_up(p_theta * kept_w), 1)
             new_wflat[_bottom_k(np.abs(best.weights_flat()), new_wflat,
                                 n_drop, "imp weights")] = False
 
@@ -128,25 +110,23 @@ def run_imp(dataset: Dataset, imp: ImpConfig, *, s_g: float, s_theta: float,
     t_search = time.perf_counter()
     if last_train is None:     # degenerate (0, 0) targets: nothing to prune
         last_train = train_oneshot_phase(dataset, params, soft0.copy(),
-                                         epochs=imp.epochs_per_round, lr=lr,
+                                         epochs=epochs, lr=lr,
                                          binary=binary)
         t_search = time.perf_counter()
 
     acc_inplace = evaluate_accuracy(params, last_train.best_soft, binary,
                                     dataset, dataset.test_idx)
-    verify_epochs = retrain_epochs if retrain_epochs is not None \
-        else imp.epochs_per_round
-    verify = verify_ticket(dataset, params, binary, verify_epochs, lr=lr)
+    verify = verify_ticket(dataset, params, binary, config.retrain_budget,
+                           lr=lr)
 
     report = build_report(
-        "imp", dataset, params, binary, t_start,
+        "imp", config, dataset, params, binary, t_start,
         {"rounds": t_search, "verify": time.perf_counter()},
         acc_inplace=acc_inplace, acc_retrained=verify.test_at_best,
         # the degenerate branch trains one round that prunes nothing
-        search_epochs=max(len(round_masks), 1) * imp.epochs_per_round,
-        verify_epochs=verify_epochs, seed=seed, config_digest=config_digest,
-        extra={"rounds": len(round_masks), "p_g": imp.p_g,
-               "p_theta": imp.p_theta})
+        search_epochs=max(len(round_masks), 1) * epochs,
+        verify_epochs=config.retrain_budget,
+        extra={"rounds": len(round_masks), "p_g": p_g, "p_theta": p_theta})
     return ArmResult(report=report, params=params, binary=binary,
                      round_masks=round_masks, level_masks=level_masks)
 
@@ -161,78 +141,71 @@ def random_masks(dataset: Dataset, shape0, shape1, *, s_g: float,
         random_bits(rng, masks.weight_universe, s_theta))
 
 
-def run_random(dataset: Dataset, *, s_g: float, s_theta: float,
-               epochs: int, seed: int = 0, lr: float = 0.001,
-               hidden: int = 512, dtype=np.float64,
-               retrain_epochs: int | None = None,
-               params0: GcnParams | None = None,
-               config_digest: str = "") -> ArmResult:
-    """Random masks at exact target sparsity, trained and then verified."""
+def run_random(dataset: Dataset, config: ExperimentConfig,
+               params0: GcnParams | None = None) -> ArmResult:
+    """Random masks at exact target sparsity, trained for ``config.epochs``
+    and then verified."""
     t_start = time.perf_counter()
-    params = arm_params(dataset, params0, hidden, seed, dtype)
+    params = arm_params(dataset, params0, config)
     binary = random_masks(dataset, params.theta0.shape, params.theta1.shape,
-                          s_g=s_g, s_theta=s_theta, seed=seed)
-    inplace = train_theta_only(dataset, params, binary, epochs, lr=lr)
+                          s_g=config.s_g, s_theta=config.s_theta,
+                          seed=config.seed)
+    inplace = train_theta_only(dataset, params, binary, config.epochs,
+                               lr=config.lr)
     t_search = time.perf_counter()
-    verify_epochs = retrain_epochs if retrain_epochs is not None else epochs
-    verify = verify_ticket(dataset, params, binary, verify_epochs, lr=lr)
+    verify = verify_ticket(dataset, params, binary, config.retrain_budget,
+                           lr=config.lr)
 
     report = build_report(
-        "random", dataset, params, binary, t_start,
+        "random", config, dataset, params, binary, t_start,
         {"train": t_search, "verify": time.perf_counter()},
         acc_inplace=inplace.test_at_best, acc_retrained=verify.test_at_best,
-        search_epochs=epochs, verify_epochs=verify_epochs, seed=seed,
-        config_digest=config_digest)
+        search_epochs=config.epochs, verify_epochs=config.retrain_budget)
     return ArmResult(report=report, params=params, binary=binary)
 
 
-def run_oneshot_only(dataset: Dataset, *, s_g: float, s_theta: float,
-                     epochs: int, seed: int = 0, lr: float = 0.001,
-                     hidden: int = 512, dtype=np.float64,
-                     retrain_epochs: int | None = None,
-                     params0: GcnParams | None = None,
-                     config_digest: str = "") -> ArmResult:
-    """One co-training phase, then threshold straight to the targets."""
+def run_oneshot_only(dataset: Dataset, config: ExperimentConfig,
+                     params0: GcnParams | None = None) -> ArmResult:
+    """One co-training phase of ``config.epochs``, then threshold straight
+    to the targets."""
     t_start = time.perf_counter()
-    params = arm_params(dataset, params0, hidden, seed, dtype)
+    params = arm_params(dataset, params0, config)
     soft = init_soft_masks(dataset, params.theta0.shape, params.theta1.shape,
-                           seed=seed, dtype=dtype)
-    oneshot = train_oneshot_phase(dataset, params, soft, epochs=epochs,
-                                  lr=lr)
+                           seed=config.seed, dtype=config.dtype)
+    oneshot = train_oneshot_phase(dataset, params, soft,
+                                  epochs=config.epochs, lr=config.lr)
     best = oneshot.best_soft
-    binary = threshold_masks(best, s_g, s_theta)
+    binary = threshold_masks(best, config.s_g, config.s_theta)
     t_search = time.perf_counter()
 
     acc_inplace = evaluate_accuracy(params, best, binary, dataset,
                                     dataset.test_idx)
-    verify_epochs = retrain_epochs if retrain_epochs is not None else epochs
-    verify = verify_ticket(dataset, params, binary, verify_epochs, lr=lr)
+    verify = verify_ticket(dataset, params, binary, config.retrain_budget,
+                           lr=config.lr)
 
     report = build_report(
-        "oneshot", dataset, params, binary, t_start,
+        "oneshot", config, dataset, params, binary, t_start,
         {"oneshot": t_search, "verify": time.perf_counter()},
         acc_inplace=acc_inplace, acc_retrained=verify.test_at_best,
-        search_epochs=epochs, verify_epochs=verify_epochs, seed=seed,
-        config_digest=config_digest,
+        search_epochs=config.epochs, verify_epochs=config.retrain_budget,
         extra={"oneshot_best_epoch": oneshot.best_epoch})
     return ArmResult(report=report, params=params, binary=binary,
                      soft_edges=best.edges)
 
 
-def run_dense(dataset: Dataset, *, epochs: int, seed: int = 0,
-              lr: float = 0.001, hidden: int = 512, dtype=np.float64,
-              params0: GcnParams | None = None,
-              config_digest: str = "") -> ArmResult:
-    """The unpruned reference arm every ticket is judged against."""
+def run_dense(dataset: Dataset, config: ExperimentConfig,
+              params0: GcnParams | None = None) -> ArmResult:
+    """The unpruned reference arm every ticket is judged against, trained
+    for the full ``config.budget``."""
     t_start = time.perf_counter()
-    params = arm_params(dataset, params0, hidden, seed, dtype)
-    trained = train_theta_only(dataset, params, None, epochs, lr=lr)
+    params = arm_params(dataset, params0, config)
+    trained = train_theta_only(dataset, params, None, config.budget,
+                               lr=config.lr)
 
     report = build_report(
-        "dense", dataset, params, None, t_start,
+        "dense", config, dataset, params, None, t_start,
         {"train": time.perf_counter()},
         acc_inplace=trained.test_at_best, acc_retrained=trained.test_at_best,
-        search_epochs=epochs, verify_epochs=0, seed=seed,
-        config_digest=config_digest,
+        search_epochs=config.budget, verify_epochs=0,
         extra={"best_epoch": trained.best_epoch})
     return ArmResult(report=report, params=params)

@@ -15,12 +15,13 @@ import sys
 
 
 def _apply_thread_cap() -> None:
-    cap = os.environ.get("GLT_THREADS")
-    if not cap:
+    from .config import threads_setting
+    cap = threads_setting()
+    if cap is None:
         return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
+        os.environ.setdefault(var, str(cap))
 
 
 def _parse_sets(items: list[str]) -> dict:
@@ -154,7 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _apply_thread_cap()
+    try:
+        _apply_thread_cap()
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     args = build_parser().parse_args(argv)
     return args.func(args)
 

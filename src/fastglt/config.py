@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,10 +17,10 @@ PRECISIONS = {"f32": np.float32, "f64": np.float64}
 
 @dataclass
 class ExperimentConfig:
-    """One method arm. ``epochs`` is the mask co-training budget, and
-    ``denoise_epochs`` the denoising budget; their sum is the full training
-    budget used for the dense arm, verification retrains, and (by default)
-    each iterative-pruning round."""
+    """One method arm, as every ``run_*`` arm reads it. ``epochs`` is the
+    mask co-training budget, and ``denoise_epochs`` the denoising budget;
+    their sum is the full training budget used for the dense arm,
+    verification retrains, and (by default) each iterative-pruning round."""
 
     dataset: str = "sbm:blocks=3,nodes_per_block=50,p_in=0.25,p_out=0.05,feature_dim=12,seed=0"
     method: str = "fastglt"
@@ -55,6 +56,12 @@ class ExperimentConfig:
         return self.retrain_epochs if self.retrain_epochs is not None \
             else self.budget
 
+    @property
+    def round_budget(self) -> int:
+        """Training epochs of one iterative-pruning round."""
+        return self.imp_epochs_per_round \
+            if self.imp_epochs_per_round is not None else self.budget
+
     def validate(self) -> "ExperimentConfig":
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, "
@@ -89,6 +96,11 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1)")
+        if self.method == "imp":
+            if self.imp_p_g == self.imp_p_theta == 0.0:
+                raise ValueError("at least one prune fraction must be > 0")
+            if self.round_budget < 1:
+                raise ValueError("imp_epochs_per_round must be >= 1")
         return self
 
     def as_dict(self) -> dict:
@@ -102,6 +114,16 @@ class ExperimentConfig:
 
     def replace(self, **kw) -> "ExperimentConfig":
         return dataclasses.replace(self, **kw)
+
+
+def threads_setting() -> int | None:
+    """The GLT_THREADS thread cap, or None when it is unset. Anything but a
+    positive integer is rejected with an error that names the variable."""
+    val = os.environ.get("GLT_THREADS")
+    if val and (not val.strip().isdecimal() or int(val) < 1):
+        raise ValueError(f"GLT_THREADS must be a positive integer, "
+                         f"got {val!r}")
+    return int(val) if val else None
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -50,16 +49,6 @@ class Dataset:
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
-
-    @cached_property
-    def adjacency(self) -> sp.csr_matrix:
-        """Symmetric binary CSR adjacency (both directions, no self-loops)."""
-        src = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        dst = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        data = np.ones(src.shape[0], dtype=np.float64)
-        a = sp.coo_matrix((data, (src, dst)),
-                          shape=(self.num_nodes, self.num_nodes))
-        return a.tocsr()
 
     def split(self, which: str) -> np.ndarray:
         try:
@@ -102,20 +91,17 @@ class Dataset:
 
 
 def canonical_edges(src: np.ndarray, dst: np.ndarray,
-                    num_nodes: int, *, reject_self_loops: bool = True
-                    ) -> np.ndarray:
-    """Canonicalize an edge list: i < j, deduplicated, lexicographic order."""
+                    num_nodes: int) -> np.ndarray:
+    """Canonicalize an edge list: i < j, deduplicated, lexicographic order.
+    Self-loops are rejected."""
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     if src.size and (min(src.min(), dst.min()) < 0
                      or max(src.max(), dst.max()) >= num_nodes):
         raise BundleError("edge endpoint out of range")
-    loops = src == dst
-    if loops.any():
-        if reject_self_loops:
-            i = int(np.flatnonzero(loops)[0])
-            raise BundleError(f"self-loop {src[i]},{dst[i]} rejected")
-        src, dst = src[~loops], dst[~loops]
+    loops = np.flatnonzero(src == dst)
+    if loops.size:
+        raise BundleError(f"self-loop {src[loops[0]]},{dst[loops[0]]} rejected")
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
     keys = np.unique(lo * np.int64(num_nodes) + hi)
@@ -166,6 +152,8 @@ def load_bundle(path: str | Path) -> Dataset:
         raise BundleError(f"labels.csv has {lab_raw.shape[0]} rows, expected {n}")
     if lab_raw.size and (lab_raw[:, 0].min() < 0 or lab_raw[:, 0].max() >= n):
         raise BundleError("labels.csv node id out of range")
+    if np.unique(lab_raw[:, 0]).size != lab_raw.shape[0]:
+        raise BundleError(f"{root / 'labels.csv'}: repeated node id")
     labels[lab_raw[:, 0]] = lab_raw[:, 1]
 
     splits = json.loads((root / "splits.json").read_text())

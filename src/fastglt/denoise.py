@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ArmResult, build_report
+from .config import ExperimentConfig
 from .data import Dataset
 from .graph import edge_degree_scores
 from .masks import (BinaryMasks, SoftMasks, SparsityPlan, _bottom_k,
@@ -244,32 +245,26 @@ def _zero_flat_weights(params: GcnParams, idx: np.ndarray) -> None:
     params.theta1.reshape(-1)[hi] = 0.0
 
 
-def run_fastglt(dataset: Dataset, *, s_g: float, s_theta: float,
-                epochs_oneshot: int, epochs_denoise: int, interval: int,
-                tau: float = 0.1, kappa: float = 1.0, alpha: float = 0.01,
-                beta: float = 1.2, lr: float = 0.001, hidden: int = 512,
-                seed: int = 0, dtype=np.float64,
-                retrain_epochs: int | None = None,
-                params0: GcnParams | None = None,
-                config_digest: str = "") -> ArmResult:
+def run_fastglt(dataset: Dataset, config: ExperimentConfig,
+                params0: GcnParams | None = None) -> ArmResult:
     """One-shot co-training, thresholding to the decayed intermediate
     sparsities, interval-wise denoising to the targets, then the
     retrain-from-initialization verification.
 
-    The search consumes epochs_oneshot + epochs_denoise training epochs;
-    verification retraining is budgeted separately (defaults to the same
-    total). ``params0`` lets a harness share one initialization across
-    method arms.
+    The search consumes ``config.budget`` (epochs + denoise_epochs)
+    training epochs; verification retrains for ``config.retrain_budget``.
+    ``params0`` lets a harness share one initialization across method arms.
     """
     t_start = time.perf_counter()
-    params = arm_params(dataset, params0, hidden, seed, dtype)
+    params = arm_params(dataset, params0, config)
+    dtype, lr, interval = config.dtype, config.lr, config.interval
     soft = init_soft_masks(dataset, params.theta0.shape, params.theta1.shape,
-                           seed=seed, dtype=dtype)
-    plan = SparsityPlan(s_g_tgt=s_g, s_theta_tgt=s_theta,
-                        alpha=alpha, beta=beta)
+                           seed=config.seed, dtype=dtype)
+    plan = SparsityPlan(s_g_tgt=config.s_g, s_theta_tgt=config.s_theta,
+                        alpha=config.alpha, beta=config.beta)
 
     oneshot = train_oneshot_phase(dataset, params, soft,
-                                  epochs=epochs_oneshot, lr=lr)
+                                  epochs=config.epochs, lr=lr)
     t_oneshot = time.perf_counter()
 
     best = oneshot.best_soft
@@ -280,8 +275,8 @@ def run_fastglt(dataset: Dataset, *, s_g: float, s_theta: float,
     # mask is absorbed into the binary mask and dropped.
     soft_dn = SoftMasks(edges=best.edges.astype(dtype).copy())
     schedule = DenoiseSchedule.build(
-        delta_t=interval, total_epochs=epochs_denoise, tau=tau, kappa=kappa,
-        edge_universe=dataset.num_edges,
+        delta_t=interval, total_epochs=config.denoise_epochs, tau=config.tau,
+        kappa=config.kappa, edge_universe=dataset.num_edges,
         weight_universe=binary.weight_universe, plan=plan)
 
     loop = TrainLoop(dataset, params, soft_dn, binary=binary, lr=lr)
@@ -290,7 +285,7 @@ def run_fastglt(dataset: Dataset, *, s_g: float, s_theta: float,
     swaps: list[SwapRecord] = []
     history = list(oneshot.history)
     for mu in range(1, schedule.mu_end + 1):
-        epochs = min(interval, epochs_denoise - (mu - 1) * interval)
+        epochs = min(interval, config.denoise_epochs - (mu - 1) * interval)
         history += loop.train(epochs, grad_acc).history
         quotas = interval_quotas(mu, schedule,
                                  int(binary.edges.sum()),
@@ -336,17 +331,15 @@ def run_fastglt(dataset: Dataset, *, s_g: float, s_theta: float,
     acc_inplace = evaluate_accuracy(params, soft_dn, binary, dataset,
                                     dataset.test_idx, norm=loop.norm,
                                     x_op=loop.x_op)
-    budget = epochs_oneshot + epochs_denoise
-    verify_epochs = retrain_epochs if retrain_epochs is not None else budget
-    verify = verify_ticket(dataset, params, binary, verify_epochs, lr=lr)
+    verify = verify_ticket(dataset, params, binary, config.retrain_budget,
+                           lr=lr)
 
     report = build_report(
-        "fastglt", dataset, params, binary, t_start,
+        "fastglt", config, dataset, params, binary, t_start,
         {"oneshot": t_oneshot, "denoise": t_denoise,
          "verify": time.perf_counter()},
         acc_inplace=acc_inplace, acc_retrained=verify.test_at_best,
-        search_epochs=budget, verify_epochs=verify_epochs, seed=seed,
-        config_digest=config_digest,
+        search_epochs=config.budget, verify_epochs=config.retrain_budget,
         extra={"intervals": len(swaps),
                "oneshot_best_epoch": oneshot.best_epoch})
     return ArmResult(report=report, params=params, binary=binary,

@@ -5,7 +5,6 @@ initialization, the extreme-sparsity sweep, and artifact emission.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import median
@@ -15,9 +14,8 @@ import numpy as np
 from .analysis import (ArmResult, TicketReport, distance_curve,
                        distance_curve_csv, efficiency_csv, pruned_set_stats,
                        pruned_set_stats_csv, timing_report)
-from .baselines import (ImpConfig, run_dense, run_imp, run_oneshot_only,
-                        run_random)
-from .config import ExperimentConfig, config_from_dict
+from .baselines import run_dense, run_imp, run_oneshot_only, run_random
+from .config import ExperimentConfig, config_from_dict, threads_setting
 from .data import Dataset, parse_dataset_spec
 from .denoise import export_swaps, run_fastglt
 from .graph import edge_degree_scores
@@ -29,48 +27,22 @@ from .train import TrainLoop
 SCHEMA_VERSION = 1
 
 
-def threads_setting() -> int | None:
-    val = os.environ.get("GLT_THREADS")
-    return int(val) if val else None
-
-
 def make_params0(dataset: Dataset, config: ExperimentConfig) -> GcnParams:
-    return arm_params(dataset, None, config.hidden, config.seed, config.dtype)
+    return arm_params(dataset, None, config)
 
 
 def dispatch(config: ExperimentConfig, dataset: Dataset,
              params0: GcnParams | None, record_levels=None) -> ArmResult:
     """Run one method arm and return its result."""
-    common = dict(seed=config.seed, lr=config.lr, hidden=config.hidden,
-                  dtype=config.dtype, params0=params0,
-                  config_digest=config.digest())
-    if config.method == "dense":
-        return run_dense(dataset, epochs=config.budget, **common)
-    if config.method == "fastglt":
-        return run_fastglt(
-            dataset, s_g=config.s_g, s_theta=config.s_theta,
-            epochs_oneshot=config.epochs,
-            epochs_denoise=config.denoise_epochs, interval=config.interval,
-            tau=config.tau, kappa=config.kappa, alpha=config.alpha,
-            beta=config.beta, retrain_epochs=config.retrain_budget, **common)
     if config.method == "imp":
-        rounds_budget = config.imp_epochs_per_round \
-            if config.imp_epochs_per_round is not None else config.budget
-        imp = ImpConfig(p_g=config.imp_p_g, p_theta=config.imp_p_theta,
-                        epochs_per_round=rounds_budget)
-        return run_imp(dataset, imp, s_g=config.s_g, s_theta=config.s_theta,
-                       retrain_epochs=config.retrain_budget,
-                       record_levels=record_levels, **common)
-    if config.method == "random":
-        return run_random(dataset, s_g=config.s_g, s_theta=config.s_theta,
-                          epochs=config.epochs,
-                          retrain_epochs=config.retrain_budget, **common)
-    if config.method == "oneshot":
-        return run_oneshot_only(
-            dataset, s_g=config.s_g, s_theta=config.s_theta,
-            epochs=config.epochs, retrain_epochs=config.retrain_budget,
-            **common)
-    raise ValueError(f"unknown method {config.method!r}")
+        return run_imp(dataset, config, params0, record_levels)
+    # Built per call, so the names resolve now: a tracer that rebinds the
+    # module globals must see its wrappers called.
+    arms = {"dense": run_dense, "fastglt": run_fastglt,
+            "random": run_random, "oneshot": run_oneshot_only}
+    if config.method not in arms:
+        raise ValueError(f"unknown method {config.method!r}")
+    return arms[config.method](dataset, config, params0)
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path,
@@ -78,6 +50,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
                    params0: GcnParams | None = None) -> ArmResult:
     """Execute one arm and write report.json plus mask/swap artifacts."""
     config.validate()
+    threads = threads_setting()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if dataset is None:
@@ -105,7 +78,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
         "schema_version": SCHEMA_VERSION,
         "config": config.as_dict(),
         "config_digest": config.digest(),
-        "threads": threads_setting(),
+        "threads": threads,
         "results": payload["results"],
         "history": history,
         "timing": payload["timing"],

@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import logsumexp
 
+from .config import ExperimentConfig
 from .data import Dataset
 from .graph import NormAdj, normalize_adjacency
 from .masks import BinaryMasks, SoftMasks
@@ -81,14 +82,16 @@ def glorot_params(num_features: int, hidden: int, num_classes: int,
                      theta1=glorot(hidden, num_classes))
 
 
-def arm_params(dataset: Dataset, params0: GcnParams | None, hidden: int,
-               seed: int, dtype=np.float64) -> GcnParams:
+def arm_params(dataset: Dataset, params0: GcnParams | None,
+               config: ExperimentConfig) -> GcnParams:
     """Starting weights of one method arm: a fresh copy of the shared
-    initialization ``params0`` when given, else a new Glorot draw."""
+    initialization ``params0`` when given, else a new Glorot draw from the
+    config's width, seed and precision."""
     if params0 is not None:
         return params0.fresh_copy()
-    return glorot_params(dataset.num_features, hidden, dataset.num_classes,
-                         seed=seed, dtype=dtype)
+    return glorot_params(dataset.num_features, config.hidden,
+                         dataset.num_classes, seed=config.seed,
+                         dtype=config.dtype)
 
 
 @dataclass

@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from fastglt.analysis import mac_count
-from fastglt.baselines import ImpConfig, run_dense, run_imp
-from fastglt.config import config_from_dict
+from fastglt.baselines import run_dense, run_imp
+from fastglt.config import ExperimentConfig, config_from_dict
 from fastglt.data import generate_sbm, load_bundle
 from fastglt.denoise import (Quota, _plan, discover_potential, identify_noisy,
                              interval_quotas, run_fastglt, update_masks,
@@ -38,13 +38,15 @@ from test_nn import fd_check, make_instance
 # edges, weakly informative features; graph structure carries the signal
 SBM_SPEC = ("sbm:blocks=3,nodes_per_block=100,p_in=0.06,p_out=0.02,"
             "feature_dim=12,seed=101,mean_scale=0.2")
-SBM_HP = dict(epochs_oneshot=30, epochs_denoise=110, interval=10, tau=0.1,
-              lr=0.01, retrain_epochs=140)
 SBM_HIDDEN = 32
+SBM_CFG = ExperimentConfig(dataset=SBM_SPEC, epochs=30, denoise_epochs=110,
+                           interval=10, tau=0.1, lr=0.01, hidden=SBM_HIDDEN,
+                           retrain_epochs=140)
 TRIAL_SEEDS = (1, 2, 3)
 
-CORA_HP = dict(epochs_oneshot=30, epochs_denoise=400, interval=10, tau=0.1,
-               lr=0.001, retrain_epochs=430)
+CORA_CFG = ExperimentConfig(epochs=30, denoise_epochs=400, interval=10,
+                            tau=0.1, lr=0.001, hidden=512,
+                            retrain_epochs=430)
 
 
 def _pass(n, msg):
@@ -75,8 +77,8 @@ def sbm_inits(sbm):
 
 @pytest.fixture(scope="module")
 def sbm_dense(sbm, sbm_inits):
-    return {s: run_dense(sbm, epochs=140, seed=s, params0=sbm_inits[s],
-                         lr=0.01).report.acc_retrained
+    return {s: run_dense(sbm, SBM_CFG.replace(method="dense", seed=s),
+                         sbm_inits[s]).report.acc_retrained
             for s in TRIAL_SEEDS}
 
 
@@ -86,7 +88,7 @@ def test_criterion_1_dense_cora_baseline():
     ds = cora_bundle()
     assert (ds.num_nodes, ds.num_features, ds.num_classes) == (2708, 1433, 7)
     t0 = time.perf_counter()
-    res = run_dense(ds, epochs=430, seed=1, lr=0.001, hidden=512)
+    res = run_dense(ds, CORA_CFG.replace(method="dense", seed=1))
     elapsed = time.perf_counter() - t0
     acc = res.report.acc_retrained
     assert 0.780 <= acc <= 0.825, f"dense Cora accuracy {acc:.4f}"
@@ -102,10 +104,10 @@ def test_criterion_2_cora_winning_ticket():
     for seed in TRIAL_SEEDS:
         params0 = glorot_params(ds.num_features, 512, ds.num_classes,
                                 seed=seed)
-        dense = run_dense(ds, epochs=430, seed=seed, params0=params0,
-                          lr=0.001)
-        res = run_fastglt(ds, s_g=0.20, s_theta=0.30, seed=seed,
-                          params0=params0, **CORA_HP)
+        dense = run_dense(ds, CORA_CFG.replace(method="dense", seed=seed),
+                          params0)
+        res = run_fastglt(ds, CORA_CFG.replace(s_g=0.20, s_theta=0.30,
+                                               seed=seed), params0)
         diffs.append(res.report.acc_retrained - dense.report.acc_retrained)
     mean_diff = float(np.mean(diffs))
     assert mean_diff >= -0.010, f"ticket trails dense by {-mean_diff:.4f}"
@@ -119,9 +121,9 @@ def test_criterion_2_desk_analog(sbm, sbm_inits, sbm_dense):
     for s_theta in (0.3, 0.5):
         diffs = []
         for seed in TRIAL_SEEDS:
-            res = run_fastglt(sbm, s_g=0.20, s_theta=s_theta, seed=seed,
-                              hidden=SBM_HIDDEN, params0=sbm_inits[seed],
-                              **SBM_HP)
+            res = run_fastglt(sbm, SBM_CFG.replace(s_g=0.20, s_theta=s_theta,
+                                                   seed=seed),
+                              sbm_inits[seed])
             diffs.append(res.report.acc_retrained - sbm_dense[seed])
         mean_diff = float(np.mean(diffs))
         assert mean_diff >= -0.010, \
@@ -180,13 +182,12 @@ def test_criterion_4_speedup(sbm, sbm_inits):
     iterative-pruning search with p_g=5%, p_theta=20%; 3-run median."""
     ratios = []
     for seed in TRIAL_SEEDS:
-        fg = run_fastglt(sbm, s_g=0.30, s_theta=0.90, seed=seed,
-                         hidden=SBM_HIDDEN, params0=sbm_inits[seed],
-                         **SBM_HP)
-        imp = run_imp(sbm, ImpConfig(p_g=0.05, p_theta=0.20,
-                                     epochs_per_round=140),
-                      s_g=0.30, s_theta=0.90, seed=seed, lr=0.01,
-                      params0=sbm_inits[seed], retrain_epochs=140)
+        cfg = SBM_CFG.replace(s_g=0.30, s_theta=0.90, seed=seed)
+        fg = run_fastglt(sbm, cfg, sbm_inits[seed])
+        imp = run_imp(sbm, cfg.replace(method="imp", imp_p_g=0.05,
+                                       imp_p_theta=0.20,
+                                       imp_epochs_per_round=140),
+                      sbm_inits[seed])
         assert imp.report.s_g >= 0.30 and imp.report.s_theta >= 0.90
         assert abs(fg.report.s_g - 0.30) <= 1.0 / sbm.num_edges + 1e-12
         ratios.append(fg.report.search_seconds / imp.report.search_seconds)
@@ -338,12 +339,12 @@ def test_criterion_9_swap_set_algebra(sbm, sbm_inits):
     """Replay every swap of a full run: removals within the kept set,
     regrows within the pruned set, disjoint, and the per-interval net
     shrink exactly matches the schedule."""
-    res = run_fastglt(sbm, s_g=0.35, s_theta=0.6, seed=1,
-                      hidden=SBM_HIDDEN, params0=sbm_inits[1], **SBM_HP)
+    res = run_fastglt(sbm, SBM_CFG.replace(s_g=0.35, s_theta=0.6, seed=1),
+                      sbm_inits[1])
     from fastglt.masks import SparsityPlan
     plan = SparsityPlan(s_g_tgt=0.35, s_theta_tgt=0.6)
     schedule = DenoiseSchedule.build(
-        SBM_HP["interval"], SBM_HP["epochs_denoise"], SBM_HP["tau"], 1.0,
+        SBM_CFG.interval, SBM_CFG.denoise_epochs, SBM_CFG.tau, 1.0,
         sbm.num_edges, res.binary.weight_universe, plan)
     edges = res.initial_binary.edges.copy()
     wflat = res.initial_binary.weights_flat().copy()

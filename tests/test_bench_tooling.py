@@ -87,3 +87,38 @@ def test_bench_checks_pass_on_a_fastglt_arm(tmp_path):
     assert set(survival) == {"edges", "weights"}
     assert checks.artifact_digest(arms[:1]) == \
         checks.artifact_digest(arms[1:])
+
+
+def test_tracer_sees_every_arm_of_a_suite(tracer_module, tmp_path):
+    """The tracer wraps each ``run_*`` where the harness looks it up. A
+    dispatch table bound at import would keep the unwrapped arms: the run
+    would pass, but the bench would lose every arm span and the phase spans
+    under them."""
+    from fastglt.harness import run_suite
+    suite = {
+        "shared": {"dataset": "sbm:blocks=2,nodes_per_block=15,p_in=0.3,"
+                              "p_out=0.05,feature_dim=5,seed=3",
+                   "s_g": 0.2, "s_theta": 0.3, "epochs": 2,
+                   "denoise_epochs": 4, "interval": 2, "hidden": 4,
+                   "lr": 0.01, "seed": 1, "retrain_epochs": 1,
+                   "imp_epochs_per_round": 1},
+        "arms": [{"method": m}
+                 for m in ("dense", "fastglt", "imp", "oneshot", "random")],
+        "fig2": {"levels": [0.1, 0.2], "weight_level": 0.2}}
+    tracer = tracer_module.Tracer()
+    with tracer:
+        run_suite(suite, tmp_path / "suite")
+    spans = tracer.dump()
+    names = [s["name"] for s in spans]
+    for arm in ("baselines.run_dense", "denoise.run_fastglt",
+                "baselines.run_imp", "baselines.run_oneshot_only",
+                "baselines.run_random"):
+        assert arm in names, arm
+
+    def children(parent: str) -> set:
+        ids = {s["id"] for s in spans if s["name"] == parent}
+        return {s["name"] for s in spans if s["parent"] in ids}
+
+    assert "train.train_oneshot_phase" in children("baselines.run_imp")
+    assert {"denoise.interval_quotas", "train.TrainLoop.rebuild_norm"} <= \
+        children("denoise.run_fastglt")

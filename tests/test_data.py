@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from fastglt.data import (BundleError, convert_planetoid, generate_sbm,
                           load_bundle, parse_dataset_spec, save_bundle)
+from fastglt.graph import normalize_adjacency
 
 from conftest import tiny_dataset
 
@@ -27,14 +28,24 @@ def test_load_bundle_counts_directed_entries(tmp_path):
     ds = tiny_dataset([(0, 1), (1, 2), (2, 3), (0, 3)], 4, num_features=3)
     save_bundle(ds, tmp_path / "b")
     back = load_bundle(tmp_path / "b")
-    # symmetry doubles the undirected count
-    assert back.adjacency.nnz == 8
+    # symmetry doubles the undirected count; one self-loop per node
+    assert normalize_adjacency(back).matrix.nnz == 2 * 4 + 4
 
 
 def test_load_bundle_rejects_self_loop(tmp_path, sbm_small):
     root = save_bundle(sbm_small, tmp_path / "b")
     (root / "edges.csv").write_text("src,dst\n5,5\n")
     with pytest.raises(BundleError, match="self-loop"):
+        load_bundle(root)
+
+
+def test_load_bundle_rejects_repeated_label_node(tmp_path, sbm_small):
+    root = save_bundle(sbm_small, tmp_path / "b")
+    rows = (root / "labels.csv").read_text().splitlines()
+    # node 0 twice and the last node missing: the row count still matches
+    rows[-1] = "0,1"
+    (root / "labels.csv").write_text("\n".join(rows) + "\n")
+    with pytest.raises(BundleError, match="labels.csv: repeated node id"):
         load_bundle(root)
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fastglt.config import ExperimentConfig
 from fastglt.data import generate_sbm
 from fastglt.denoise import (DenoiseSchedule, Quota, SwapRecord, _bottom_k,
                              denoise_ratio, discover_potential, export_swaps,
@@ -266,12 +267,13 @@ def desk_sbm():
     return generate_sbm(3, 40, 0.3, 0.04, 10, seed=21)
 
 
-def run_small(dataset, s_g=0.3, s_theta=0.5, seed=1, **kw):
-    defaults = dict(epochs_oneshot=15, epochs_denoise=40, interval=10,
-                    lr=0.01, hidden=16, retrain_epochs=40)
+def run_small(dataset, s_g=0.3, s_theta=0.5, seed=1, params0=None, **kw):
+    defaults = dict(epochs=15, denoise_epochs=40, interval=10, lr=0.01,
+                    hidden=16, retrain_epochs=40)
     defaults.update(kw)
-    return run_fastglt(dataset, s_g=s_g, s_theta=s_theta, seed=seed,
-                       **defaults)
+    return run_fastglt(dataset, ExperimentConfig(s_g=s_g, s_theta=s_theta,
+                                                 seed=seed, **defaults),
+                       params0)
 
 
 def test_run_fastglt_lands_on_targets(desk_sbm):
@@ -285,7 +287,7 @@ def test_run_fastglt_lands_on_targets(desk_sbm):
 
 
 def test_run_fastglt_interval_count(desk_sbm):
-    res = run_small(desk_sbm, epochs_denoise=35, interval=10)
+    res = run_small(desk_sbm, denoise_epochs=35, interval=10)
     assert len(res.swaps) == 4     # ceil(35/10), final partial interval
 
 
@@ -331,7 +333,9 @@ def test_run_fastglt_ticket_quality(desk_sbm):
     from fastglt.nn import glorot_params
     params0 = glorot_params(desk_sbm.num_features, 16,
                             desk_sbm.num_classes, seed=7)
-    dense = run_dense(desk_sbm, epochs=55, seed=7, params0=params0, lr=0.01)
+    dense = run_dense(desk_sbm, ExperimentConfig(
+        method="dense", epochs=15, denoise_epochs=40, seed=7, lr=0.01),
+        params0)
     res = run_small(desk_sbm, s_g=0.2, s_theta=0.5, seed=7, params0=params0)
     assert res.report.acc_retrained >= dense.report.acc_inplace - 0.05
 
@@ -406,9 +410,10 @@ def test_run_fastglt_swap_walk_property(epochs_denoise, interval, tau, s_g,
     removed from the kept set and regrown from the pruned set, walking the
     kept counts from the one-shot cut through each n_net to the target."""
     ds = _PROPERTY_SBM
-    res = run_fastglt(ds, s_g=s_g, s_theta=s_theta, epochs_oneshot=2,
-                      epochs_denoise=epochs_denoise, interval=interval,
-                      tau=tau, lr=0.01, hidden=4, seed=3, retrain_epochs=1)
+    res = run_fastglt(ds, ExperimentConfig(
+        s_g=s_g, s_theta=s_theta, epochs=2, denoise_epochs=epochs_denoise,
+        interval=interval, tau=tau, lr=0.01, hidden=4, seed=3,
+        retrain_epochs=1))
     mu_end = -(-epochs_denoise // interval)
     assert [r.interval for r in res.swaps] == list(range(1, mu_end + 1))
     assert len(res.history) == 2 + epochs_denoise

@@ -254,6 +254,21 @@ def test_cli_rejects_invalid_target(tmp_path):
     assert not (tmp_path / "x").exists()  # validation before any training
 
 
+@pytest.mark.parametrize("threads", ["four", "0", "-2", "1.5"])
+def test_bad_thread_cap_rejected_before_training(tmp_path, monkeypatch,
+                                                 threads):
+    monkeypatch.setenv("GLT_THREADS", threads)
+    out = tmp_path / "lib"
+    with pytest.raises(ValueError, match="GLT_THREADS"):
+        run_experiment(desk_config(), out)
+    assert not out.exists()      # no masks, soft values or swap log
+    out = tmp_path / "cli"
+    proc = _glt("run", "--out", str(out), "--set", f"dataset={DESK_SBM}")
+    assert proc.returncode == 2
+    assert "GLT_THREADS" in proc.stderr
+    assert not out.exists()
+
+
 def test_cli_convert_and_run_on_bundle(tmp_path):
     # reuse the planetoid fixture writer from the data tests
     from test_data import _write_planetoid_fixture
