@@ -6,22 +6,27 @@ recorded initialization, and ships the iterative/random/one-shot baselines
 plus the measurement tooling used to compare them.
 """
 
-from .baselines import run_dense, run_imp, run_oneshot_only, run_random
-from .config import ExperimentConfig
-from .data import Dataset, generate_sbm, load_bundle, save_bundle
-from .denoise import DenoiseSchedule, run_fastglt
-from .graph import edge_degree_scores, hamming_distance, normalize_adjacency
-from .masks import (BinaryMasks, SoftMasks, SparsityPlan,
-                    intermediate_sparsity, one_shot_threshold, sparsity)
-from .nn import GcnParams, glorot_params
+import importlib
 
-__all__ = [
-    "BinaryMasks", "Dataset", "DenoiseSchedule", "ExperimentConfig",
-    "GcnParams", "SoftMasks", "SparsityPlan",
-    "edge_degree_scores", "generate_sbm", "glorot_params",
-    "hamming_distance", "intermediate_sparsity", "load_bundle",
-    "normalize_adjacency", "one_shot_threshold", "run_dense", "run_fastglt",
-    "run_imp", "run_oneshot_only", "run_random", "save_bundle", "sparsity",
-]
+# Public names resolve on first access (PEP 562): ``import fastglt.cli``
+# must load no numerical library before the CLI exports its thread caps.
+_HOME = {name: module for module, names in [
+    ("baselines", "run_dense run_imp run_oneshot_only run_random"),
+    ("config", "ExperimentConfig"),
+    ("data", "Dataset generate_sbm load_bundle save_bundle"),
+    ("denoise", "DenoiseSchedule run_fastglt"),
+    ("graph", "edge_degree_scores hamming_distance normalize_adjacency"),
+    ("masks", "BinaryMasks SoftMasks SparsityPlan intermediate_sparsity "
+              "one_shot_threshold sparsity"),
+    ("nn", "GcnParams glorot_params"),
+] for name in names.split()}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
 
 __version__ = "0.1.0"

@@ -1,14 +1,15 @@
-"""Measurement apparatus: inference-cost accounting, pruned-set statistics,
-mask-distance curves, and relative wall-clock tables.
+"""Measurement apparatus: the one ending of every arm (``finish_arm``: the
+verification retrain and the report), inference-cost accounting, pruned-set
+statistics, mask-distance curves, and relative wall-clock tables.
 
-All operations are pure post-processing over finished runs; CSV emission is
-plot-ready data only (no rendering here).
+CSV emission is plot-ready data only (no rendering here).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ from .data import Dataset
 from .graph import hamming_distance
 from .masks import BinaryMasks
 from .nn import GcnParams
+from .train import verify_ticket
 
 
 @dataclass
@@ -78,23 +80,28 @@ class ArmResult:
     history: list = field(default_factory=list)  # train.EpochStats
     initial_binary: BinaryMasks | None = None   # masks after one-shot cut
     round_masks: list[BinaryMasks] = field(default_factory=list)
-    level_masks: dict[float, np.ndarray] = field(default_factory=dict)
 
 
-def build_report(method: str, config: ExperimentConfig, dataset: Dataset,
-                 params: GcnParams, binary: BinaryMasks | None,
-                 t_start: float, phase_ends: dict[str, float], *,
-                 acc_inplace: float, acc_retrained: float,
-                 search_epochs: int, verify_epochs: int,
-                 extra: dict | None = None) -> TicketReport:
-    """The ticket report of one arm, from its config (seed and digest), its
-    final masks (None: dense) and the ``perf_counter`` time at which each
-    phase ended, in order. Every phase before a closing "verify" phase
-    counts as search."""
+def finish_arm(method: str, config: ExperimentConfig, dataset: Dataset,
+               params: GcnParams, binary: BinaryMasks | None,
+               t_start: float, phase_ends: dict[str, float], *,
+               acc_inplace: float, search_epochs: int,
+               extra: dict | None = None, **artifacts) -> ArmResult:
+    """The one ending of every method arm. A ticket (``binary`` given) is
+    retrained from the recorded initialization for ``config.retrain_budget``
+    epochs, which closes a "verify" phase; the dense arm (``binary`` None)
+    is its own reference. ``phase_ends`` holds the ``perf_counter`` time at
+    which each search phase ended, in order; ``artifacts`` are the
+    remaining ``ArmResult`` fields."""
+    search_end = list(phase_ends.values())[-1]
+    acc_retrained, verify_epochs = acc_inplace, 0
+    if binary is not None:
+        verify_epochs = config.retrain_budget
+        acc_retrained = verify_ticket(dataset, params, binary, verify_epochs,
+                                      lr=config.lr).test_at_best
+        phase_ends = {**phase_ends, "verify": time.perf_counter()}
     ends = [t_start, *phase_ends.values()]
-    phase_seconds = dict(zip(phase_ends, np.diff(ends).tolist()))
-    search_end = ends[-2] if "verify" in phase_ends else ends[-1]
-    return TicketReport(
+    report = TicketReport(
         method=method,
         s_g=binary.graph_sparsity() if binary is not None else 0.0,
         s_theta=binary.weight_sparsity() if binary is not None else 0.0,
@@ -102,11 +109,13 @@ def build_report(method: str, config: ExperimentConfig, dataset: Dataset,
         macs=mac_count(dataset, binary, params.hidden),
         dense_macs=mac_count(dataset, None, params.hidden),
         seed=config.seed, config_digest=config.digest(),
-        phase_seconds=phase_seconds,
+        phase_seconds=dict(zip(phase_ends, np.diff(ends).tolist())),
         search_seconds=search_end - t_start,
         total_seconds=ends[-1] - t_start,
         search_epochs=search_epochs, verify_epochs=verify_epochs,
         extra=extra or {})
+    return ArmResult(report=report, params=params, binary=binary,
+                     **artifacts)
 
 
 def mac_count(dataset: Dataset, binary: BinaryMasks | None,

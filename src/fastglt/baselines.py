@@ -9,13 +9,13 @@ import time
 
 import numpy as np
 
-from .analysis import ArmResult, build_report
+from .analysis import ArmResult, finish_arm
 from .config import ExperimentConfig
 from .data import Dataset
 from .masks import (BinaryMasks, _bottom_k, _round_half_up, init_soft_masks,
                     kept_count, random_bits, threshold_masks)
 from .nn import GcnParams, arm_params, evaluate_accuracy
-from .train import train_oneshot_phase, train_theta_only, verify_ticket
+from .train import train_oneshot_phase, train_theta_only
 
 
 def imp_rounds_needed(p: float, target: float) -> int:
@@ -27,24 +27,24 @@ def imp_rounds_needed(p: float, target: float) -> int:
     return int(np.ceil(np.log(1.0 - target) / np.log(1.0 - p) - 1e-12))
 
 
-def run_imp(dataset: Dataset, config: ExperimentConfig,
-            params0: GcnParams | None = None,
-            record_levels: list[float] | None = None) -> ArmResult:
+def imp_search(dataset: Dataset, config: ExperimentConfig,
+               params: GcnParams, levels=()) -> tuple:
     """Train, prune a fraction of what remains, rewind, repeat.
 
     Each round trains weights and soft masks for ``config.round_budget``
     epochs, prunes imp_p_g of the kept edges and imp_p_theta of the kept
-    weights by soft-mask magnitude, and rewinds the weights to their
+    weights by soft-mask magnitude, and rewinds ``params`` to their
     initialization. A mask type stops pruning once its own target is met;
     the loop ends when both are.
 
-    ``record_levels`` (graph sparsities) makes the edge prune counts land
-    exactly on each requested level as it is crossed and snapshots the edge
-    mask there, so distance curves can compare methods at matched levels.
+    ``levels`` (graph sparsities) makes the edge prune counts land exactly
+    on each requested level as it is crossed and snapshots the edge mask
+    there, so distance curves can compare methods at matched levels.
+
+    Returns (final masks, the last round's ``TrainResult``, the masks after
+    each round, {level: edge mask}).
     """
     config.validate()
-    t_start = time.perf_counter()
-    params = arm_params(dataset, params0, config)
     shape0, shape1 = params.theta0.shape, params.theta1.shape
     soft0 = init_soft_masks(dataset, shape0, shape1, seed=config.seed,
                             dtype=config.dtype)
@@ -61,7 +61,7 @@ def run_imp(dataset: Dataset, config: ExperimentConfig,
     w_universe = binary.weight_universe
     tgt_kept_e = kept_count(n_edges, config.s_g)
     tgt_kept_w = kept_count(w_universe, config.s_theta)
-    levels = sorted(record_levels) if record_levels else []
+    levels = sorted(levels)
     level_kept = {lvl: kept_count(n_edges, lvl) for lvl in levels}
     level_masks: dict[float, np.ndarray] = {}
 
@@ -107,28 +107,32 @@ def run_imp(dataset: Dataset, config: ExperimentConfig,
         binary = binary.with_edges(new_edges).with_weights_flat(new_wflat)
         round_masks.append(binary)
 
-    t_search = time.perf_counter()
     if last_train is None:     # degenerate (0, 0) targets: nothing to prune
         last_train = train_oneshot_phase(dataset, params, soft0.copy(),
                                          epochs=epochs, lr=lr,
                                          binary=binary)
-        t_search = time.perf_counter()
+    return binary, last_train, round_masks, level_masks
 
+
+def run_imp(dataset: Dataset, config: ExperimentConfig,
+            params0: GcnParams | None = None) -> ArmResult:
+    """Iterative magnitude pruning with weight rewinding (``imp_search``)
+    to the config's targets, then the verification retrain."""
+    config.validate()           # before arm_params reads the precision
+    t_start = time.perf_counter()
+    params = arm_params(dataset, params0, config)
+    binary, last_train, round_masks, _ = imp_search(dataset, config, params)
+    t_search = time.perf_counter()
     acc_inplace = evaluate_accuracy(params, last_train.best_soft, binary,
                                     dataset, dataset.test_idx)
-    verify = verify_ticket(dataset, params, binary, config.retrain_budget,
-                           lr=lr)
-
-    report = build_report(
+    return finish_arm(
         "imp", config, dataset, params, binary, t_start,
-        {"rounds": t_search, "verify": time.perf_counter()},
-        acc_inplace=acc_inplace, acc_retrained=verify.test_at_best,
+        {"rounds": t_search}, acc_inplace=acc_inplace,
         # the degenerate branch trains one round that prunes nothing
-        search_epochs=max(len(round_masks), 1) * epochs,
-        verify_epochs=config.retrain_budget,
-        extra={"rounds": len(round_masks), "p_g": p_g, "p_theta": p_theta})
-    return ArmResult(report=report, params=params, binary=binary,
-                     round_masks=round_masks, level_masks=level_masks)
+        search_epochs=max(len(round_masks), 1) * config.round_budget,
+        extra={"rounds": len(round_masks), "p_g": config.imp_p_g,
+               "p_theta": config.imp_p_theta},
+        round_masks=round_masks)
 
 
 def random_masks(dataset: Dataset, shape0, shape1, *, s_g: float,
@@ -152,16 +156,10 @@ def run_random(dataset: Dataset, config: ExperimentConfig,
                           seed=config.seed)
     inplace = train_theta_only(dataset, params, binary, config.epochs,
                                lr=config.lr)
-    t_search = time.perf_counter()
-    verify = verify_ticket(dataset, params, binary, config.retrain_budget,
-                           lr=config.lr)
-
-    report = build_report(
+    return finish_arm(
         "random", config, dataset, params, binary, t_start,
-        {"train": t_search, "verify": time.perf_counter()},
-        acc_inplace=inplace.test_at_best, acc_retrained=verify.test_at_best,
-        search_epochs=config.epochs, verify_epochs=config.retrain_budget)
-    return ArmResult(report=report, params=params, binary=binary)
+        {"train": time.perf_counter()}, acc_inplace=inplace.test_at_best,
+        search_epochs=config.epochs)
 
 
 def run_oneshot_only(dataset: Dataset, config: ExperimentConfig,
@@ -180,17 +178,12 @@ def run_oneshot_only(dataset: Dataset, config: ExperimentConfig,
 
     acc_inplace = evaluate_accuracy(params, best, binary, dataset,
                                     dataset.test_idx)
-    verify = verify_ticket(dataset, params, binary, config.retrain_budget,
-                           lr=config.lr)
-
-    report = build_report(
+    return finish_arm(
         "oneshot", config, dataset, params, binary, t_start,
-        {"oneshot": t_search, "verify": time.perf_counter()},
-        acc_inplace=acc_inplace, acc_retrained=verify.test_at_best,
-        search_epochs=config.epochs, verify_epochs=config.retrain_budget,
-        extra={"oneshot_best_epoch": oneshot.best_epoch})
-    return ArmResult(report=report, params=params, binary=binary,
-                     soft_edges=best.edges)
+        {"oneshot": t_search}, acc_inplace=acc_inplace,
+        search_epochs=config.epochs,
+        extra={"oneshot_best_epoch": oneshot.best_epoch},
+        soft_edges=best.edges)
 
 
 def run_dense(dataset: Dataset, config: ExperimentConfig,
@@ -201,11 +194,8 @@ def run_dense(dataset: Dataset, config: ExperimentConfig,
     params = arm_params(dataset, params0, config)
     trained = train_theta_only(dataset, params, None, config.budget,
                                lr=config.lr)
-
-    report = build_report(
+    return finish_arm(
         "dense", config, dataset, params, None, t_start,
-        {"train": time.perf_counter()},
-        acc_inplace=trained.test_at_best, acc_retrained=trained.test_at_best,
-        search_epochs=config.budget, verify_epochs=0,
+        {"train": time.perf_counter()}, acc_inplace=trained.test_at_best,
+        search_epochs=config.budget,
         extra={"best_epoch": trained.best_epoch})
-    return ArmResult(report=report, params=params)

@@ -9,10 +9,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 METHODS = ("dense", "fastglt", "imp", "random", "oneshot")
-PRECISIONS = {"f32": np.float32, "f64": np.float64}
+PRECISIONS = {"f32": "float32", "f64": "float64"}
 
 
 @dataclass
@@ -44,7 +42,8 @@ class ExperimentConfig:
 
     @property
     def dtype(self):
-        return PRECISIONS[self.precision]
+        import numpy as np   # not at module level: see fastglt.cli
+        return np.dtype(PRECISIONS[self.precision])
 
     @property
     def budget(self) -> int:

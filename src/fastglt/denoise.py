@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ArmResult, build_report
+from .analysis import ArmResult, finish_arm
 from .config import ExperimentConfig
 from .data import Dataset
 from .graph import edge_degree_scores
@@ -27,7 +27,7 @@ from .masks import (BinaryMasks, SoftMasks, SparsityPlan, _bottom_k,
                     _round_half_up, init_soft_masks, kept_count,
                     threshold_masks)
 from .nn import GcnParams, arm_params, evaluate_accuracy
-from .train import TrainLoop, train_oneshot_phase, verify_ticket
+from .train import TrainLoop, train_oneshot_phase
 
 
 @dataclass(frozen=True)
@@ -331,17 +331,11 @@ def run_fastglt(dataset: Dataset, config: ExperimentConfig,
     acc_inplace = evaluate_accuracy(params, soft_dn, binary, dataset,
                                     dataset.test_idx, norm=loop.norm,
                                     x_op=loop.x_op)
-    verify = verify_ticket(dataset, params, binary, config.retrain_budget,
-                           lr=lr)
-
-    report = build_report(
+    return finish_arm(
         "fastglt", config, dataset, params, binary, t_start,
-        {"oneshot": t_oneshot, "denoise": t_denoise,
-         "verify": time.perf_counter()},
-        acc_inplace=acc_inplace, acc_retrained=verify.test_at_best,
-        search_epochs=config.budget, verify_epochs=config.retrain_budget,
+        {"oneshot": t_oneshot, "denoise": t_denoise},
+        acc_inplace=acc_inplace, search_epochs=config.budget,
         extra={"intervals": len(swaps),
-               "oneshot_best_epoch": oneshot.best_epoch})
-    return ArmResult(report=report, params=params, binary=binary,
-                     soft_edges=soft_dn.edges, swaps=swaps, history=history,
-                     initial_binary=initial_binary)
+               "oneshot_best_epoch": oneshot.best_epoch},
+        soft_edges=soft_dn.edges, swaps=swaps, history=history,
+        initial_binary=initial_binary)

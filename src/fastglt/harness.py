@@ -14,7 +14,8 @@ import numpy as np
 from .analysis import (ArmResult, TicketReport, distance_curve,
                        distance_curve_csv, efficiency_csv, pruned_set_stats,
                        pruned_set_stats_csv, timing_report)
-from .baselines import run_dense, run_imp, run_oneshot_only, run_random
+from .baselines import (imp_search, run_dense, run_imp, run_oneshot_only,
+                        run_random)
 from .config import ExperimentConfig, config_from_dict, threads_setting
 from .data import Dataset, parse_dataset_spec
 from .denoise import export_swaps, run_fastglt
@@ -32,13 +33,11 @@ def make_params0(dataset: Dataset, config: ExperimentConfig) -> GcnParams:
 
 
 def dispatch(config: ExperimentConfig, dataset: Dataset,
-             params0: GcnParams | None, record_levels=None) -> ArmResult:
+             params0: GcnParams | None) -> ArmResult:
     """Run one method arm and return its result."""
-    if config.method == "imp":
-        return run_imp(dataset, config, params0, record_levels)
     # Built per call, so the names resolve now: a tracer that rebinds the
     # module globals must see its wrappers called.
-    arms = {"dense": run_dense, "fastglt": run_fastglt,
+    arms = {"dense": run_dense, "fastglt": run_fastglt, "imp": run_imp,
             "random": run_random, "oneshot": run_oneshot_only}
     if config.method not in arms:
         raise ValueError(f"unknown method {config.method!r}")
@@ -105,18 +104,17 @@ def _fig2_artifacts(out: Path, dataset: Dataset, config: ExperimentConfig,
                     weight_level: float = 0.3) -> None:
     """Mask-similarity and pruned-set CSVs at matched sparsity levels.
 
-    The iterative arm records its edge mask exactly at each level; one-shot
-    and random masks are generated at the same kept counts, so every
-    distance compares equally sparse masks. Weight-pruned sets are compared
-    at the iterative arm's achieved weight sparsity.
+    The iterative search (unverified) records its edge mask exactly at each
+    level; one-shot and random masks are generated at the same kept counts,
+    so every distance compares equally sparse masks. Weight-pruned sets are
+    compared at the iterative search's achieved weight sparsity.
     """
-    if weight_level > 0 and config.imp_p_theta <= 0:
-        raise ValueError("fig2 weight comparison needs imp_p_theta > 0")
     levels = sorted(levels)
     imp_cfg = config.replace(method="imp", s_g=max(levels),
                              s_theta=weight_level)
-    imp_res = dispatch(imp_cfg, dataset, params0, record_levels=levels)
-    reference = [imp_res.level_masks[lvl] for lvl in levels]
+    imp_binary, _, _, level_masks = imp_search(
+        dataset, imp_cfg, params0.fresh_copy(), levels)
+    reference = [level_masks[lvl] for lvl in levels]
 
     # one co-training run gives the one-shot masks and, summed over its
     # epochs, the |dense weight gradient| the pruned-set stats rank by
@@ -151,10 +149,10 @@ def _fig2_artifacts(out: Path, dataset: Dataset, config: ExperimentConfig,
     degs = edge_degree_scores(dataset)
     save_soft_values(grads, out / "probe_weight_grads.f32")
     save_soft_values(degs, out / "edge_degrees.f32")
-    imp_w = imp_res.binary.weights_flat()
+    imp_w = imp_binary.weights_flat()
     os_w = one_shot_threshold(oneshot.best_soft.weights_flat(),
                               1.0 - imp_w.sum() / imp_w.size)
-    imp_masks = imp_res.binary.with_edges(imp_res.level_masks[levels[-1]])
+    imp_masks = imp_binary.with_edges(level_masks[levels[-1]])
     os_masks = imp_masks.with_edges(
         histories["oneshot"][-1]).with_weights_flat(os_w)
     stats = pruned_set_stats(imp_masks, os_masks, grads, degs,

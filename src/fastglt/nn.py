@@ -239,9 +239,7 @@ def backward(cache: ForwardCache, labels: np.ndarray,
     dh1 = dh1w1 @ cache.w1_eff.T
     ds1 = dh1 * (cache.s1 > 0)
     dxw0 = a @ ds1
-    dw0_dense = (cache.x_op.T @ dxw0)
-    if sp.issparse(dw0_dense):            # csr.T @ dense stays dense; guard
-        dw0_dense = np.asarray(dw0_dense)
+    dw0_dense = cache.x_op.T @ dxw0       # an ndarray for CSR and dense X
 
     soft, params, binary = cache.soft, cache.params, cache.binary
     d_m_edges = None

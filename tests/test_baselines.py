@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fastglt.baselines import (imp_rounds_needed, random_masks, run_dense,
-                               run_imp, run_oneshot_only, run_random)
+from fastglt.baselines import (imp_rounds_needed, imp_search, random_masks,
+                               run_dense, run_imp, run_oneshot_only,
+                               run_random)
 from fastglt.config import ExperimentConfig
 from fastglt.data import generate_sbm
 from fastglt.masks import kept_count
@@ -100,15 +101,17 @@ def test_imp_zero_targets_reports_the_trained_epochs(ds, monkeypatch):
 
 def test_imp_record_levels(ds):
     levels = [0.10, 0.20]
-    res = run_imp(ds, imp_config(imp_p_g=0.05, imp_p_theta=0.0,
-                                 imp_epochs_per_round=2, s_g=0.25, seed=1,
-                                 retrain_epochs=2), record_levels=levels)
+    params = glorot_params(ds.num_features, 8, ds.num_classes, seed=1)
+    _, _, _, level_masks = imp_search(
+        ds, imp_config(imp_p_g=0.05, imp_p_theta=0.0,
+                       imp_epochs_per_round=2, s_g=0.25, seed=1),
+        params, levels)
     e = ds.num_edges
     for lvl in levels:
-        mask = res.level_masks[lvl]
+        mask = level_masks[lvl]
         assert int(mask.sum()) == kept_count(e, lvl)
     # later levels prune supersets of earlier levels
-    assert not np.any(res.level_masks[0.20] & ~res.level_masks[0.10])
+    assert not np.any(level_masks[0.20] & ~level_masks[0.10])
 
 
 def test_random_exact_counts_and_determinism(ds):

@@ -93,7 +93,9 @@ def test_tracer_sees_every_arm_of_a_suite(tracer_module, tmp_path):
     """The tracer wraps each ``run_*`` where the harness looks it up. A
     dispatch table bound at import would keep the unwrapped arms: the run
     would pass, but the bench would lose every arm span and the phase spans
-    under them."""
+    under them. Each ticket arm verifies exactly once, inside its own span
+    (the bench counts verify epochs under ``run_fastglt``); the dense arm
+    and fig-2's iterative search verify nothing."""
     from fastglt.harness import run_suite
     suite = {
         "shared": {"dataset": "sbm:blocks=2,nodes_per_block=15,p_in=0.3,"
@@ -122,3 +124,9 @@ def test_tracer_sees_every_arm_of_a_suite(tracer_module, tmp_path):
     assert "train.train_oneshot_phase" in children("baselines.run_imp")
     assert {"denoise.interval_quotas", "train.TrainLoop.rebuild_norm"} <= \
         children("denoise.run_fastglt")
+    name_of = {s["id"]: s["name"] for s in spans}
+    verify_parents = [name_of.get(s["parent"]) for s in spans
+                      if s["name"] == "train.verify_ticket"]
+    assert sorted(verify_parents) == [
+        "baselines.run_imp", "baselines.run_oneshot_only",
+        "baselines.run_random", "denoise.run_fastglt"]

@@ -340,6 +340,54 @@ def test_run_fastglt_ticket_quality(desk_sbm):
     assert res.report.acc_retrained >= dense.report.acc_inplace - 0.05
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_regrown_entries_restart(desk_sbm, monkeypatch, seed):
+    """At every boundary each regrown weight restarts at exactly 0 with
+    zeroed Adam moments in its own layer's optimizer entry, and each
+    regrown edge restarts with zeroed moments at the 25th percentile of the
+    surviving kept |m_g|. Checked when the driver renormalizes, after the
+    swap and before the next epoch."""
+    import fastglt.denoise as denoise
+    from fastglt.train import TrainLoop
+
+    pending = []
+    regrown = {"theta0": 0, "theta1": 0, "edges": 0}
+    real_update, real_rebuild = denoise.update_masks, TrainLoop.rebuild_norm
+
+    def update_masks(binary, noisy, potential, interval=0):
+        survivors = binary.edges.copy()
+        survivors[noisy[0]] = False
+        pending.append((survivors, *potential))
+        return real_update(binary, noisy, potential, interval=interval)
+
+    def rebuild_norm(loop):
+        if pending:
+            survivors, regrow_e, regrow_w = pending.pop()
+            n0 = loop.params.theta0.size
+            for name, idx in (("theta0", regrow_w[regrow_w < n0]),
+                              ("theta1", regrow_w[regrow_w >= n0] - n0)):
+                state = loop.opt[name]
+                for values in (getattr(loop.params, name), state.m, state.v):
+                    assert not values.ravel()[idx].any(), name
+                regrown[name] += idx.size
+            state = loop.opt["m_edges"]
+            assert not state.m[regrow_e].any()
+            assert not state.v[regrow_e].any()
+            if regrow_e.size:
+                fill = np.percentile(np.abs(loop.soft.edges[survivors]), 25)
+                np.testing.assert_array_equal(loop.soft.edges[regrow_e],
+                                              fill)
+            regrown["edges"] += regrow_e.size
+        real_rebuild(loop)
+
+    monkeypatch.setattr(denoise, "update_masks", update_masks)
+    monkeypatch.setattr(TrainLoop, "rebuild_norm", rebuild_norm)
+    res = run_small(desk_sbm, seed=seed, tau=0.3, retrain_epochs=1)
+    assert not pending and len(res.swaps) == 4
+    assert regrown["theta0"] > 0 and regrown["theta1"] > 0
+    assert regrown["edges"] > 0
+
+
 def test_gradient_accumulator_matches_replay(desk_sbm):
     """Three denoise epochs accumulate exactly the per-epoch dense grads."""
     from fastglt.nn import SoftMasks, backward, gcn_forward, glorot_params

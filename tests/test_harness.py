@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -267,6 +268,22 @@ def test_bad_thread_cap_rejected_before_training(tmp_path, monkeypatch,
     assert proc.returncode == 2
     assert "GLT_THREADS" in proc.stderr
     assert not out.exists()
+
+
+def test_cli_exports_thread_cap_before_numpy_loads():
+    """The BLAS pools read their thread variables once, when numpy loads,
+    so ``glt`` must export the GLT_THREADS cap before anything imports
+    numpy."""
+    code = ("import os, sys, fastglt.cli\n"
+            "fastglt.cli._apply_thread_cap()\n"
+            "print(sorted({'numpy', 'scipy'} & set(sys.modules)),"
+            " os.environ['OPENBLAS_NUM_THREADS'])")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**env, "GLT_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "1"]
 
 
 def test_cli_convert_and_run_on_bundle(tmp_path):
