@@ -118,7 +118,6 @@ def run_imp(dataset: Dataset, config: ExperimentConfig,
             params0: GcnParams | None = None) -> ArmResult:
     """Iterative magnitude pruning with weight rewinding (``imp_search``)
     to the config's targets, then the verification retrain."""
-    config.validate()           # before arm_params reads the precision
     t_start = time.perf_counter()
     params = arm_params(dataset, params0, config)
     binary, last_train, round_masks, _ = imp_search(dataset, config, params)

@@ -15,7 +15,7 @@ src < dst, deduplicates, and rejects self-loops.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,10 @@ class Dataset:
     ``edges`` holds each undirected edge exactly once as (i, j) with i < j,
     sorted lexicographically; the row position is the stable edge index used
     by every mask in the package.
+
+    Derived operators are memoized on the instance (the feature operator of
+    ``nn.feature_operator``, once per dtype), so a dataset's arrays must not
+    be mutated in place; ``dataclasses.replace`` gives a fresh memo.
     """
 
     name: str
@@ -45,6 +49,8 @@ class Dataset:
     train_idx: np.ndarray   # int64 node ids, pairwise disjoint with val/test
     val_idx: np.ndarray
     test_idx: np.ndarray
+    _x_ops: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)   # dtype -> feature operator
 
     @property
     def num_edges(self) -> int:

@@ -9,6 +9,11 @@ Effective weights are theta * soft_mask * binary_mask elementwise; an absent
 Normalization is only recomputed when the binary edge mask changes (phase
 starts, swap boundaries); within a phase the soft mask scales A_hat entries
 on its fixed support, so edge-mask gradients stay local to each edge.
+
+The loss reads only the split's logits, so ``backward`` computes on the
+split's receptive field: its cost follows the split's 2-hop set, not the
+node count, and its gradients equal the full-graph sweep bit for bit. The
+feature operator is built once per dataset and dtype and then shared.
 """
 
 from __future__ import annotations
@@ -86,7 +91,9 @@ def arm_params(dataset: Dataset, params0: GcnParams | None,
                config: ExperimentConfig) -> GcnParams:
     """Starting weights of one method arm: a fresh copy of the shared
     initialization ``params0`` when given, else a new Glorot draw from the
-    config's width, seed and precision."""
+    config's width, seed and precision. Every arm calls it first, so it
+    validates the config for them."""
+    config.validate()
     if params0 is not None:
         return params0.fresh_copy()
     return glorot_params(dataset.num_features, config.hidden,
@@ -136,12 +143,22 @@ class ForwardCache:
 
 
 def feature_operator(dataset: Dataset, dtype=np.float64):
-    """Features as CSR when sparse enough to pay off, dense otherwise."""
-    x = dataset.features
-    density = np.count_nonzero(x) / max(x.size, 1)
-    if density <= _SPARSE_X_DENSITY and x.size > 4096:
-        return sp.csr_matrix(x.astype(dtype))
-    return np.ascontiguousarray(x.astype(dtype))
+    """Features as CSR when sparse enough to pay off, dense otherwise.
+
+    Built once per dataset and dtype and memoized on the dataset; every
+    caller shares the one operator, which is only ever read.
+    """
+    key = np.dtype(dtype)
+    x_op = dataset._x_ops.get(key)
+    if x_op is None:
+        x = dataset.features
+        density = np.count_nonzero(x) / max(x.size, 1)
+        if density <= _SPARSE_X_DENSITY and x.size > 4096:
+            x_op = sp.csr_matrix(x.astype(dtype))
+        else:
+            x_op = np.ascontiguousarray(x.astype(dtype))
+        dataset._x_ops[key] = x_op
+    return x_op
 
 
 def _gated(x: np.ndarray, *gates) -> np.ndarray:
@@ -214,6 +231,15 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _neighbours(a: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
+    """Sorted ids of the columns stored in the given rows of CSR ``a``."""
+    picked = np.zeros(a.shape[0], dtype=bool)
+    picked[rows] = True
+    reached = np.zeros(a.shape[1], dtype=bool)
+    reached[a.indices[np.repeat(picked, np.diff(a.indptr))]] = True
+    return np.flatnonzero(reached)
+
+
 def backward(cache: ForwardCache, labels: np.ndarray,
              split: np.ndarray) -> Gradients:
     """Exact gradients of masked_loss for the forward held in ``cache``.
@@ -233,13 +259,26 @@ def backward(cache: ForwardCache, labels: np.ndarray,
     probs[np.arange(split.size), labels[split]] -= 1.0
     g2[split] = probs / split.size
 
+    # Only the split's receptive field carries gradient: g2 lives on the
+    # split, dh1/ds1 on its 1-hop set n1, dxw0 on its 2-hop set n2, and
+    # every other row is an exact zero. The restricted CSR/CSC products
+    # sum each output's stored terms in the full product's order from +0,
+    # and the terms they skip are exact zeros (for finite operands), so
+    # every gradient matches the full-graph sweep bit for bit. BLAS products that contract over
+    # nodes stay full: their sums depend on the contraction length.
     a = cache.a_eff                       # symmetric by construction
+    n1 = _neighbours(a, split)            # self-loops: split within n1
+    n2 = _neighbours(a, n1)               # and n1 within n2
     dh1w1 = a @ g2
     dw1_dense = cache.h1.T @ dh1w1
-    dh1 = dh1w1 @ cache.w1_eff.T
-    ds1 = dh1 * (cache.s1 > 0)
-    dxw0 = a @ ds1
-    dw0_dense = cache.x_op.T @ dxw0       # an ndarray for CSR and dense X
+    ds1 = (dh1w1[n1] @ cache.w1_eff.T) * (cache.s1[n1] > 0)   # rows n1
+    dxw0 = a[n2][:, n1] @ ds1                                # rows n2
+    if sp.issparse(cache.x_op):
+        dw0_dense = cache.x_op[n2].T @ dxw0
+    else:
+        dxw0_full = np.zeros((n, dxw0.shape[1]), dtype=dtype)
+        dxw0_full[n2] = dxw0
+        dw0_dense = cache.x_op.T @ dxw0_full
 
     soft, params, binary = cache.soft, cache.params, cache.binary
     d_m_edges = None
@@ -247,14 +286,19 @@ def backward(cache: ForwardCache, labels: np.ndarray,
         # Gradient of each stored edge entry (i, j), self-loops skipped:
         #   layer 2 contributes  g2[i] . h1w1[j]
         #   layer 1 contributes  ds1[i] . xw0[j]
+        # Both vanish unless row i is in n1; ds1 is read through the
+        # position of i in n1.
         norm = cache.norm
-        on_edge = np.flatnonzero(norm.edge_of_entry >= 0)
+        pos = np.full(n, -1, dtype=np.int64)
+        pos[n1] = np.arange(n1.size)
+        on_edge = np.flatnonzero((norm.edge_of_entry >= 0)
+                                 & (pos[norm.entry_row] >= 0))
         ri, ci = norm.entry_row[on_edge], norm.entry_col[on_edge]
         d_entry = np.empty(on_edge.size, dtype=dtype)
         for lo in range(0, on_edge.size, _SDDMM_BLOCK):
             r, c = ri[lo:lo + _SDDMM_BLOCK], ci[lo:lo + _SDDMM_BLOCK]
             block = np.einsum("ij,ij->i", g2[r], cache.h1w1[c])
-            block += np.einsum("ij,ij->i", ds1[r], cache.xw0[c])
+            block += np.einsum("ij,ij->i", ds1[pos[r]], cache.xw0[c])
             d_entry[lo:lo + _SDDMM_BLOCK] = block
 
         e_of = norm.edge_of_entry[on_edge]

@@ -6,6 +6,7 @@ from fastglt.baselines import (imp_rounds_needed, imp_search, random_masks,
                                run_random)
 from fastglt.config import ExperimentConfig
 from fastglt.data import generate_sbm
+from fastglt.denoise import run_fastglt
 from fastglt.masks import kept_count
 from fastglt.nn import glorot_params
 
@@ -40,6 +41,15 @@ def test_imp_config_validation():
     # the IMP checks bind IMP arms only
     ExperimentConfig(imp_p_g=0.0, imp_p_theta=0.0,
                      imp_epochs_per_round=0).validate()
+
+
+@pytest.mark.parametrize("method, arm", [
+    ("dense", run_dense), ("fastglt", run_fastglt), ("imp", run_imp),
+    ("random", run_random), ("oneshot", run_oneshot_only)])
+def test_every_arm_validates_its_config(ds, method, arm):
+    config = ExperimentConfig(method=method, hidden=8, precision="f16")
+    with pytest.raises(ValueError, match="precision must be one of"):
+        arm(ds, config)
 
 
 def test_imp_one_round_arithmetic(ds):

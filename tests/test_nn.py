@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import fastglt.nn as nn
 from fastglt.masks import BinaryMasks, init_soft_masks
@@ -9,16 +12,29 @@ from fastglt.nn import (SoftMasks, backward, evaluate_accuracy,
 from conftest import random_dataset, tiny_dataset
 
 
-def make_instance(rng, n, f=5, h=4, c=3, edge_prob=0.4):
+def make_instance(rng, n, f=5, h=4, c=3, edge_prob=0.4, dtype=np.float64):
     ds = random_dataset(rng, n, num_features=f, num_classes=c,
                         edge_prob=edge_prob)
-    params = glorot_params(f, h, c, seed=int(rng.integers(1 << 30)))
+    params = glorot_params(f, h, c, seed=int(rng.integers(1 << 30)),
+                           dtype=dtype)
     soft = init_soft_masks(ds, (f, h), (h, c),
-                           seed=int(rng.integers(1 << 30)))
+                           seed=int(rng.integers(1 << 30)), dtype=dtype)
     # stretch soft masks away from 1 so their gradients are non-trivial
     soft.edges += rng.normal(0, 0.2, soft.edges.shape)
     soft.theta0 += rng.normal(0, 0.2, soft.theta0.shape)
     soft.theta1 += rng.normal(0, 0.2, soft.theta1.shape)
+    return ds, params, soft
+
+
+def sparse_feature_instance(rng, n=200, f=64, h=8, c=3, edge_prob=0.02,
+                            dtype=np.float64):
+    """Binary bag-of-words features at about 3% density, large enough
+    (n * f > 4096) that ``feature_operator`` takes its CSR path."""
+    ds, params, soft = make_instance(rng, n, f=f, h=h, c=c,
+                                     edge_prob=edge_prob, dtype=dtype)
+    feats = (rng.random((n, f)) < 0.03).astype(np.float32)
+    ds = dataclasses.replace(ds, features=feats)
+    assert sp.issparse(nn.feature_operator(ds, dtype))
     return ds, params, soft
 
 
@@ -185,6 +201,8 @@ def test_gradients_match_finite_differences():
         ds, params, soft = make_instance(rng, n, f=4, h=3, c=3)
         split = ds.train_idx
         assert fd_check(ds, params, soft, None, split) < 1e-4
+    ds, params, soft = sparse_feature_instance(rng, h=3)
+    assert fd_check(ds, params, soft, None, ds.train_idx) < 1e-4
 
 
 def test_gradients_match_finite_differences_with_binary():
@@ -280,29 +298,52 @@ def test_forward_shape_mismatch():
         gcn_forward(params, soft, None, ds)
 
 
-def reference_m_edges(cache, labels, split):
-    """Edge-mask gradient from one einsum over every stored entry,
-    self-loops included and dropped afterwards."""
+def reference_gradients(cache, labels, split):
+    """Every ``Gradients`` field from the full-graph sweep: each product
+    over all N rows, and the edge-mask gradient from one einsum over every
+    stored entry, self-loops included and dropped afterwards."""
+    dtype = cache.logits.dtype
     n, c = cache.logits.shape
-    g2 = np.zeros((n, c))
+    g2 = np.zeros((n, c), dtype=dtype)
     probs = nn._softmax_rows(cache.logits[split])
     probs[np.arange(split.size), labels[split]] -= 1.0
     g2[split] = probs / split.size
-    dh1 = (cache.a_eff @ g2) @ cache.w1_eff.T
-    ds1 = dh1 * (cache.s1 > 0)
+    a = cache.a_eff
+    dh1w1 = a @ g2
+    dw1 = cache.h1.T @ dh1w1
+    ds1 = (dh1w1 @ cache.w1_eff.T) * (cache.s1 > 0)
+    dw0 = cache.x_op.T @ (a @ ds1)
 
-    norm = cache.norm
-    ri, ci = norm.entry_row, norm.entry_col
-    d_entry = np.einsum("ij,ij->i", g2[ri], cache.h1w1[ci])
-    d_entry += np.einsum("ij,ij->i", ds1[ri], cache.xw0[ci])
-    e_of = norm.edge_of_entry
-    on_edge = e_of >= 0
-    gate = norm.matrix.data[on_edge]
-    if cache.binary is not None:
-        gate = gate * cache.binary.edges[e_of[on_edge]]
-    want = np.zeros(cache.soft.edges.shape[0])
-    np.add.at(want, e_of[on_edge], d_entry[on_edge] * gate)
-    return want
+    soft, params, binary = cache.soft, cache.params, cache.binary
+    m_edges = None
+    if soft.edges is not None:
+        norm = cache.norm
+        ri, ci = norm.entry_row, norm.entry_col
+        d_entry = np.einsum("ij,ij->i", g2[ri], cache.h1w1[ci])
+        d_entry += np.einsum("ij,ij->i", ds1[ri], cache.xw0[ci])
+        e_of = norm.edge_of_entry
+        on_edge = e_of >= 0
+        gate = norm.matrix.data[on_edge].astype(dtype)
+        if binary is not None:
+            gate = gate * binary.edges[e_of[on_edge]]
+        m_edges = np.zeros(soft.edges.shape[0], dtype=dtype)
+        np.add.at(m_edges, e_of[on_edge], d_entry[on_edge] * gate)
+
+    def gated(x, *gates):
+        for g in gates:
+            if g is not None:
+                x = x * g
+        return x
+
+    b0, b1 = (None, None) if binary is None else (binary.theta0, binary.theta1)
+    return nn.Gradients(
+        theta0=gated(dw0, soft.theta0, b0),
+        theta1=gated(dw1, soft.theta1, b1),
+        m_theta0=None if soft.theta0 is None
+        else gated(dw0, params.theta0, b0),
+        m_theta1=None if soft.theta1 is None
+        else gated(dw1, params.theta1, b1),
+        m_edges=m_edges, theta0_dense=dw0, theta1_dense=dw1)
 
 
 @pytest.mark.parametrize("n, edge_prob, pruned", [
@@ -327,7 +368,87 @@ def test_edge_gradient_matches_all_entry_einsum(n, edge_prob, pruned):
     else:
         assert entries > 2 * block and entries % block
     got = backward(cache, ds.labels, ds.train_idx).m_edges
-    want = reference_m_edges(cache, ds.labels, ds.train_idx)
+    want = reference_gradients(cache, ds.labels, ds.train_idx).m_edges
     np.testing.assert_array_equal(got, want)
     if pruned == 1.0:
         assert not got.any()
+
+
+def components_instance(rng, dtype, parts=4, size=20):
+    """Paths with chords, one per component; the split is two nodes of
+    the first component, so its 2-hop set is a strict subset of the nodes."""
+    edges = []
+    for k in range(parts):
+        base = k * size
+        edges += [(base + i, base + i + 1) for i in range(size - 1)]
+        edges += [(base + i, base + i + 2) for i in range(0, size - 2, 5)]
+    n = parts * size
+    ds = tiny_dataset(sorted(edges), n, num_classes=3, num_features=5,
+                      labels=rng.integers(0, 3, n))
+    params = glorot_params(5, 16, 3, seed=int(rng.integers(1 << 30)),
+                           dtype=dtype)
+    soft = init_soft_masks(ds, (5, 16), (16, 3),
+                           seed=int(rng.integers(1 << 30)), dtype=dtype)
+    return ds, params, soft, np.array([12, 5])
+
+
+def receptive_field(ds, binary, split):
+    """Node counts of the split, its 1-hop set and its 2-hop set, read
+    from the kept edges plus self-loops."""
+    kept = ds.edges if binary is None else ds.edges[binary.edges]
+    n = ds.num_nodes
+    adj = sp.coo_matrix((np.ones(2 * len(kept)),
+                         (np.r_[kept[:, 0], kept[:, 1]],
+                          np.r_[kept[:, 1], kept[:, 0]])), shape=(n, n))
+    adj = (adj + sp.eye(n)).tocsr()
+    hop0 = np.zeros(n)
+    hop0[split] = 1.0
+    hop1 = (adj @ hop0) > 0
+    hop2 = (adj @ hop1) > 0
+    return split.size, int(hop1.sum()), int(hop2.sum())
+
+
+ORACLE_GRAPHS = ["random", "pruned", "sparse_x", "one_node", "components"]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("trained", ["cotrain", "denoise", "theta"])
+@pytest.mark.parametrize("kind", ORACLE_GRAPHS)
+def test_backward_matches_full_graph_reference(kind, trained, dtype):
+    """The receptive-field backward equals the full-graph sweep bit for
+    bit, on every field, whatever the soft set, precision and graph."""
+    rng = np.random.default_rng(ORACLE_GRAPHS.index(kind))
+    binary = None
+    if kind == "sparse_x":
+        ds, params, soft = sparse_feature_instance(rng, dtype=dtype)
+        split = ds.train_idx
+    elif kind == "components":
+        ds, params, soft, split = components_instance(rng, dtype)
+    else:
+        ds, params, soft = make_instance(rng, 40, h=16, edge_prob=0.1,
+                                         dtype=dtype)
+        split = ds.train_idx[:1] if kind == "one_node" else ds.train_idx
+    soft.edges += rng.normal(0, 0.2, soft.edges.shape).astype(dtype)
+    if kind in ("pruned", "sparse_x"):
+        binary = BinaryMasks(
+            edges=rng.random(ds.num_edges) < 0.7,
+            theta0=rng.random(params.theta0.shape) < 0.8,
+            theta1=rng.random(params.theta1.shape) < 0.8)
+        assert not binary.edges.all()
+    if kind == "components":
+        s, h1, h2 = receptive_field(ds, binary, split)
+        assert s < h1 < h2 < ds.num_nodes
+    soft = {"cotrain": soft, "denoise": SoftMasks(edges=soft.edges),
+            "theta": SoftMasks()}[trained]
+
+    _, cache = gcn_forward(params, soft, binary, ds)
+    got = backward(cache, ds.labels, split)
+    want = reference_gradients(cache, ds.labels, split)
+    for name in ("theta0", "theta1", "m_theta0", "m_theta1", "m_edges",
+                 "theta0_dense", "theta1_dense"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g is None) == (w is None), name
+        if w is not None:
+            assert g.dtype == w.dtype == dtype, name
+            np.testing.assert_array_equal(g, w, err_msg=name)
+            assert g.tobytes() == w.tobytes(), name   # signed zeros too

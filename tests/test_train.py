@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import fastglt.nn as nn
 import fastglt.train as train
 from fastglt.data import generate_sbm
 from fastglt.masks import BinaryMasks, SoftMasks, init_soft_masks
@@ -273,3 +277,25 @@ def test_train_matches_a_run_epoch_replay(dtype):
     np.testing.assert_array_equal(acc, want_acc)
     np.testing.assert_array_equal(params.theta0, twin_params.theta0)
 
+
+
+def test_train_loops_share_one_feature_operator_per_dtype():
+    ds = generate_sbm(2, 40, 0.3, 0.05, 64, seed=4)
+    ds = dataclasses.replace(
+        ds, features=(ds.features > 1.8).astype(np.float32))
+    assert ds.features.size > 4096 and ds.features.mean() < 0.25
+
+    def loop(dtype):
+        params = glorot_params(ds.num_features, 8, ds.num_classes, seed=0,
+                               dtype=dtype)
+        return TrainLoop(ds, params, SoftMasks())
+
+    first, second = loop(np.float64), loop(np.float64)
+    assert sp.issparse(first.x_op)
+    assert first.x_op is second.x_op
+    single = loop(np.float32)
+    assert single.x_op is not first.x_op
+    assert single.x_op.dtype == np.float32 and first.x_op.dtype == np.float64
+    # a replaced dataset starts a fresh memo
+    fresh = dataclasses.replace(ds)
+    assert nn.feature_operator(fresh) is not first.x_op
