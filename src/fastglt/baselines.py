@@ -12,8 +12,9 @@ import numpy as np
 from .analysis import ArmResult, finish_arm
 from .config import ExperimentConfig
 from .data import Dataset
-from .masks import (BinaryMasks, _bottom_k, _round_half_up, init_soft_masks,
-                    kept_count, random_bits, threshold_masks)
+from .masks import (BinaryMasks, _bottom_k_set, _round_half_up,
+                    init_soft_masks, kept_count, random_bits,
+                    threshold_masks)
 from .nn import GcnParams, arm_params, evaluate_accuracy
 from .train import train_oneshot_phase, train_theta_only
 
@@ -92,8 +93,8 @@ def imp_search(dataset: Dataset, config: ExperimentConfig,
                 if kept_e - n_drop < next_level_kept:
                     n_drop = kept_e - next_level_kept
             new_edges = binary.edges.copy()
-            new_edges[_bottom_k(np.abs(best.edges), binary.edges, n_drop,
-                                "imp edges")] = False
+            new_edges[_bottom_k_set(np.abs(best.edges), binary.edges,
+                                    n_drop, "imp edges")] = False
             for lvl in pending_levels:
                 if int(new_edges.sum()) == level_kept[lvl]:
                     level_masks[lvl] = new_edges.copy()
@@ -101,8 +102,8 @@ def imp_search(dataset: Dataset, config: ExperimentConfig,
         new_wflat = binary.weights_flat()
         if kept_w > tgt_kept_w:
             n_drop = max(_round_half_up(p_theta * kept_w), 1)
-            new_wflat[_bottom_k(np.abs(best.weights_flat()), new_wflat,
-                                n_drop, "imp weights")] = False
+            new_wflat[_bottom_k_set(np.abs(best.weights_flat()), new_wflat,
+                                    n_drop, "imp weights")] = False
 
         binary = binary.with_edges(new_edges).with_weights_flat(new_wflat)
         round_masks.append(binary)

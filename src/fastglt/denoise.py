@@ -27,6 +27,7 @@ from .masks import (BinaryMasks, SoftMasks, SparsityPlan, _bottom_k,
                     _round_half_up, init_soft_masks, kept_count,
                     threshold_masks)
 from .nn import GcnParams, arm_params, evaluate_accuracy
+from .optim import NonFiniteGradient
 from .train import TrainLoop, train_oneshot_phase
 
 
@@ -132,8 +133,8 @@ def identify_noisy(binary: BinaryMasks, soft_edges: np.ndarray,
     edge_scores = np.abs(soft_edges)
     noisy_edges = _bottom_k(edge_scores, binary.edges, q_g.n_noisy,
                             "noisy edges")
-    w_scores = np.abs(np.concatenate([params.theta0.ravel(),
-                                      params.theta1.ravel()]))
+    w_scores = np.concatenate([params.theta0.ravel(), params.theta1.ravel()])
+    np.abs(w_scores, out=w_scores)
     noisy_weights = _bottom_k(w_scores, binary.weights_flat(), q_t.n_noisy,
                               "noisy weights")
     return noisy_edges, noisy_weights
@@ -196,12 +197,12 @@ def export_swaps(swaps: list[SwapRecord], path: str | Path) -> None:
 
 def _swap_bits(mask: np.ndarray, remove: np.ndarray, add: np.ndarray,
                what: str) -> np.ndarray:
+    # An index in both sets would have to be kept and pruned at once, so
+    # the two subset checks also reject any overlap.
     if remove.size and not mask[remove].all():
         raise ValueError(f"{what}: removal set not within the kept set")
     if add.size and mask[add].any():
         raise ValueError(f"{what}: regrow set not within the pruned set")
-    if np.intersect1d(remove, add).size:
-        raise ValueError(f"{what}: removal and regrow sets overlap")
     out = mask.copy()
     out[remove] = False
     out[add] = True
@@ -214,7 +215,7 @@ def update_masks(binary: BinaryMasks, noisy: tuple[np.ndarray, np.ndarray],
     """Drop the noisy sets, regrow the potential sets; pure set algebra.
 
     Preconditions (checked): noisy within kept, potential within pruned,
-    disjoint. Optimizer/soft-mask side effects of a swap live in the
+    hence disjoint. Optimizer/soft-mask side effects of a swap live in the
     driver, which also renormalizes the adjacency afterwards.
     """
     noisy_e, noisy_w = (np.asarray(a, dtype=np.int64) for a in noisy)
@@ -286,7 +287,11 @@ def run_fastglt(dataset: Dataset, config: ExperimentConfig,
     history = list(oneshot.history)
     for mu in range(1, schedule.mu_end + 1):
         epochs = min(interval, config.denoise_epochs - (mu - 1) * interval)
-        history += loop.train(epochs, grad_acc).history
+        try:
+            history += loop.train(epochs, grad_acc).history
+        except NonFiniteGradient as exc:
+            exc.context["interval"] = mu
+            raise
         quotas = interval_quotas(mu, schedule,
                                  int(binary.edges.sum()),
                                  int(binary.weights_flat().sum()))

@@ -127,23 +127,44 @@ def intermediate_sparsity(s_tgt: float, alpha: float = 0.01,
     return s_inm
 
 
-def _bottom_k(scores: np.ndarray, eligible: np.ndarray, k: int,
-              what: str) -> np.ndarray:
-    """Indices of the k smallest-score eligible entries, ties by index."""
+def _smallest_bits(s: np.ndarray, k: int) -> np.ndarray:
+    """Bitset over ``s`` of its k smallest entries, ties at the k-th score
+    filled in index order, as the head of a stable sort would hold them.
+
+    No sort: one partition finds the k-th score and every score below it
+    is picked. NaN ranks above every number, so a NaN k-th score picks
+    every number and fills with NaNs.
+    """
+    if k == 0:
+        return np.zeros(s.size, dtype=bool)
+    kth = np.partition(s, k - 1)[k - 1]
+    if np.isnan(kth):
+        tie = np.isnan(s)
+        pick = ~tie
+    else:
+        pick, tie = s < kth, s == kth
+    pick[np.flatnonzero(tie)[:k - np.count_nonzero(pick)]] = True
+    return pick
+
+
+def _bottom_k_set(scores: np.ndarray, eligible: np.ndarray, k: int,
+                  what: str) -> np.ndarray:
+    """The eligible indices that ``_bottom_k`` picks, in index order."""
     pool = np.flatnonzero(eligible)
     if k > pool.size:
         raise ValueError(f"{what}: quota {k} exceeds pool of {pool.size}")
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    s = scores[pool]
-    # Only entries at or below the k-th smallest score can be picked. A
-    # stable sort of just those, in index order, ranks them as a stable
-    # sort of the whole pool would, at a fraction of its cost. "Not above"
-    # keeps NaN scores, which both sorts place last, when kth is NaN.
-    kth = np.partition(s, k - 1)[k - 1]
-    cand = np.flatnonzero(~(s > kth))
-    order = np.argsort(s[cand], kind="stable")
-    return pool[cand[order[:k]]]
+    return pool[np.flatnonzero(_smallest_bits(scores[pool], k))]
+
+
+def _bottom_k(scores: np.ndarray, eligible: np.ndarray, k: int,
+              what: str) -> np.ndarray:
+    """Indices of the k smallest-score eligible entries, ties by index.
+
+    The order is that of a stable sort of the pool (NaN last); callers
+    that only set mask bits use the cheaper ``_bottom_k_set``.
+    """
+    pick = _bottom_k_set(scores, eligible, k, what)
+    return pick[np.argsort(scores[pick], kind="stable")]
 
 
 def one_shot_threshold(soft: np.ndarray, s: float) -> np.ndarray:
@@ -154,11 +175,8 @@ def one_shot_threshold(soft: np.ndarray, s: float) -> np.ndarray:
     """
     if not 0.0 <= s < 1.0:
         raise ValueError(f"sparsity {s} outside [0, 1)")
-    v = np.asarray(soft, dtype=np.float64).ravel()
-    mask = np.zeros(v.size, dtype=bool)
-    mask[_bottom_k(-np.abs(v), np.ones(v.size, dtype=bool),
-                   kept_count(v.size, s), "one-shot cut")] = True
-    return mask
+    v = np.abs(np.asarray(soft, dtype=np.float64).ravel())
+    return _smallest_bits(np.negative(v, out=v), kept_count(v.size, s))
 
 
 def threshold_masks(soft: SoftMasks, s_g: float,

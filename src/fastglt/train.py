@@ -15,7 +15,7 @@ from .graph import normalize_adjacency
 from .masks import BinaryMasks, SoftMasks
 from .nn import (GcnParams, Gradients, backward, evaluate_accuracy,
                  feature_operator, gcn_forward, masked_loss)
-from .optim import AdamState, adam_step
+from .optim import AdamState, NonFiniteGradient, adam_step
 
 
 @dataclass
@@ -52,6 +52,7 @@ class TrainLoop:
         self.x_op = feature_operator(dataset, params.theta0.dtype)
         self.norm = None
         self._forward = None  # (logits, cache) of the current state
+        self.epochs_run = 0
         self.rebuild_norm()
         self.opt = {name: AdamState.for_param(tensor, lr)
                     for name, tensor in self._tensors().items()
@@ -60,6 +61,14 @@ class TrainLoop:
         self.update_soft_edges = "m_edges" in self.opt
         self.update_soft_weights = "m_theta0" in self.opt \
             or "m_theta1" in self.opt
+
+    @property
+    def phase(self) -> str:
+        """What trains: "cotrain" (weights and weight masks), "denoise"
+        (weights and the edge mask) or "theta" (weights only)."""
+        if "m_theta0" in self.opt or "m_theta1" in self.opt:
+            return "cotrain"
+        return "denoise" if "m_edges" in self.opt else "theta"
 
     def _tensors(self) -> dict:
         """The trainable tensors by gradient field; None where absent."""
@@ -102,6 +111,7 @@ class TrainLoop:
                                 ds.val_idx, logits=eval_logits)
         test = evaluate_accuracy(self.params, self.soft, self.binary, ds,
                                  ds.test_idx, logits=eval_logits)
+        self.epochs_run += 1
         return EpochStats(loss=loss, val_acc=val, test_acc=test, grads=grads)
 
     def train(self, epochs: int,
@@ -109,7 +119,9 @@ class TrainLoop:
         """Run ``epochs`` epochs; report the best-validation epoch (earliest
         on ties), the usual protocol for semi-supervised node classification.
         ``grad_acc``, a float64 buffer over the pooled weight universe, gets
-        each epoch's |dense weight gradient| added in place."""
+        each epoch's |dense weight gradient| added in place. A
+        ``NonFiniteGradient`` leaves tagged with the phase and the loop's
+        1-based epoch count."""
         if epochs < 1:
             raise ValueError("need at least one epoch")
         if grad_acc is not None:
@@ -118,10 +130,17 @@ class TrainLoop:
             acc1 = grad_acc[n0:].reshape(self.params.theta1.shape)
         out = TrainResult()
         for epoch in range(1, epochs + 1):
-            stats = self.run_epoch()
+            try:
+                stats = self.run_epoch()
+            except NonFiniteGradient as exc:
+                exc.context.update(phase=self.phase,
+                                   epoch=self.epochs_run + 1)
+                raise
             if grad_acc is not None:
-                acc0 += np.abs(stats.grads.theta0_dense)
-                acc1 += np.abs(stats.grads.theta1_dense)
+                # the dense gradients are dropped below: take |g| in place
+                g0, g1 = stats.grads.theta0_dense, stats.grads.theta1_dense
+                acc0 += np.abs(g0, out=g0)
+                acc1 += np.abs(g1, out=g1)
             stats.grads = None      # keep history light
             out.history.append(stats)
             if stats.val_acc > out.best_val_acc:

@@ -1,0 +1,126 @@
+"""Byte oracle for the lean passes around the kernels.
+
+Short desk-SBM arms run twice: once as shipped, and once with reference
+versions of the passes patched in: the textbook out-of-place Adam, the
+sorted cut (a full stable sort) wherever a cut is taken, and the swap
+with its explicit overlap check. Every artifact must be byte-identical,
+``report.json`` minus its wall-clock ``timing`` block.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import fastglt.baselines as baselines
+import fastglt.denoise as denoise
+import fastglt.masks as masks
+import fastglt.optim as optim
+import fastglt.train as train
+from fastglt.config import config_from_dict
+from fastglt.harness import run_experiment
+from fastglt.optim import NonFiniteGradient
+
+DESK_SBM = ("sbm:blocks=3,nodes_per_block=100,p_in=0.06,p_out=0.02,"
+            "feature_dim=12,seed=101,mean_scale=0.2")
+
+
+def textbook_adam(state, param, grad, binary_mask=None, name="param"):
+    if not np.isfinite(grad).all():
+        raise NonFiniteGradient(tensor=name, step=state.t + 1, bad=-1)
+    state.t += 1
+    state.m[...] = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    state.v[...] = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+    m_hat = state.m / (1.0 - state.beta1 ** state.t)
+    v_hat = state.v / (1.0 - state.beta2 ** state.t)
+    step = state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    if binary_mask is not None:
+        step = step * binary_mask
+    param -= step
+    return param
+
+
+def sorted_cut(scores, eligible, k, what):
+    pool = np.flatnonzero(eligible)
+    if k > pool.size:
+        raise ValueError(f"{what}: quota {k} exceeds pool of {pool.size}")
+    return pool[np.argsort(scores[pool], kind="stable")[:k]]
+
+
+def sorted_bits(s, k):
+    bits = np.zeros(s.size, dtype=bool)
+    bits[np.argsort(s, kind="stable")[:k]] = True
+    return bits
+
+
+def checked_swap(mask, remove, add, what):
+    if remove.size and not mask[remove].all():
+        raise ValueError(f"{what}: removal set not within the kept set")
+    if add.size and mask[add].any():
+        raise ValueError(f"{what}: regrow set not within the pruned set")
+    if np.intersect1d(remove, add).size:
+        raise ValueError(f"{what}: removal and regrow sets overlap")
+    out = mask.copy()
+    out[remove] = False
+    out[add] = True
+    return out
+
+
+def patch_references(monkeypatch):
+    monkeypatch.setattr(train, "adam_step", textbook_adam)
+    monkeypatch.setattr(masks, "_smallest_bits", sorted_bits)
+    monkeypatch.setattr(baselines, "_bottom_k_set", sorted_cut)
+    monkeypatch.setattr(denoise, "_bottom_k", sorted_cut)
+    monkeypatch.setattr(denoise, "_swap_bits", checked_swap)
+
+
+def artifacts(out):
+    files = {}
+    for path in sorted(out.iterdir()):
+        blob = path.read_bytes()
+        if path.name == "report.json":
+            report = json.loads(blob)
+            report.pop("timing")
+            blob = json.dumps(report, sort_keys=True).encode()
+        files[path.name] = blob
+    return files
+
+
+ARMS = {
+    # interval 1: a boundary after every denoise epoch
+    "fastglt-f64": dict(method="fastglt", s_g=0.3, s_theta=0.6, epochs=6,
+                        denoise_epochs=6, interval=1, tau=0.3),
+    "fastglt-f32": dict(method="fastglt", s_g=0.3, s_theta=0.6, epochs=6,
+                        denoise_epochs=6, interval=1, tau=0.3,
+                        precision="f32"),
+    "imp": dict(method="imp", s_g=0.3, s_theta=0.6, imp_p_g=0.2,
+                imp_p_theta=0.3, imp_epochs_per_round=5),
+}
+
+
+@pytest.mark.parametrize("block", ["shipped", 100])
+@pytest.mark.parametrize("arm", sorted(ARMS))
+def test_artifacts_match_reference_passes(tmp_path, monkeypatch, arm, block):
+    """``block`` 100 runs the shipped passes with Adam blocks of 100
+    entries, so the desk model's 384 + 96 weights and its edge mask span
+    several blocks with a ragged tail."""
+    config = config_from_dict(dict(dataset=DESK_SBM, hidden=32, lr=0.01,
+                                   seed=3, retrain_epochs=5, **ARMS[arm]))
+    if block != "shipped":
+        monkeypatch.setattr(optim, "_BLOCK", block)
+    run_experiment(config, tmp_path / "shipped")
+    with monkeypatch.context() as patched:
+        patch_references(patched)
+        run_experiment(config, tmp_path / "reference")
+
+    got, want = (artifacts(tmp_path / d) for d in ("shipped", "reference"))
+    assert sorted(got) == sorted(want)
+    assert {"masks_edges.gltm", "masks_theta0.gltm",
+            "report.json"} <= set(got)
+    if arm.startswith("fastglt"):
+        assert len((tmp_path / "shipped" / "swaps.jsonl")
+                   .read_text().splitlines()) == 6
+    else:
+        assert any(name.startswith("round_002") for name in got)
+    for name in got:
+        assert got[name] == want[name], name

@@ -219,6 +219,39 @@ def test_update_masks_rejects_bad_sets():
         update_masks(binary, (empty, empty), (np.array([0]), empty))
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_update_masks_rejects_every_overlap(data):
+    """An index in both the removal and the regrow set must be kept and
+    pruned at once, so every overlapping pair fails one of the two subset
+    checks, with that check's message."""
+    kind = data.draw(st.sampled_from(["edges", "weights"]))
+    n = data.draw(st.integers(1, 24))
+    kept = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                       max_size=n)))
+    idx = st.lists(st.integers(0, n - 1), unique=True, max_size=n)
+    shared = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=3))
+    remove = np.array(sorted(set(shared) | set(data.draw(idx))))
+    add = np.array(sorted(set(shared) | set(data.draw(idx))))
+    empty = np.empty(0, dtype=np.int64)
+    if kind == "edges":
+        binary = BinaryMasks(edges=kept, theta0=np.ones((1, 1), bool),
+                             theta1=np.ones((1, 1), bool))
+        noisy, potential = (remove, empty), (add, empty)
+    else:
+        binary = BinaryMasks(edges=np.ones(1, bool),
+                             theta0=kept.reshape(1, n),
+                             theta1=np.ones((0, 1), bool))
+        noisy, potential = (empty, remove), (empty, add)
+    want = (f"{kind}: removal set not within the kept set"
+            if not kept[remove].all()
+            else f"{kind}: regrow set not within the pruned set")
+    with pytest.raises(ValueError) as err:
+        update_masks(binary, noisy, potential)
+    assert str(err.value) == want
+
+
 def test_trajectory_replay_reaches_target():
     """Simulated swaps over random (s_inm, s_tgt, mu_end, universe) tuples
     land exactly on the target kept count."""
@@ -386,6 +419,35 @@ def test_regrown_entries_restart(desk_sbm, monkeypatch, seed):
     assert not pending and len(res.swaps) == 4
     assert regrown["theta0"] > 0 and regrown["theta1"] > 0
     assert regrown["edges"] > 0
+
+
+def test_non_finite_gradient_names_phase_epoch_and_interval(desk_sbm,
+                                                            monkeypatch):
+    """A NaN in the fifth backward: two one-shot epochs, then the first
+    epoch of denoise interval 2 (two epochs per interval), which is the
+    third denoise epoch and the third Adam step of the denoise loop."""
+    import fastglt.train as train
+    from fastglt.optim import NonFiniteGradient
+
+    calls = []
+    real_backward = train.backward
+
+    def backward(*args):
+        grads = real_backward(*args)
+        calls.append(1)
+        if len(calls) == 5:
+            grads.theta0[0, 0] = np.nan
+        return grads
+
+    monkeypatch.setattr(train, "backward", backward)
+    with pytest.raises(NonFiniteGradient) as err:
+        run_small(desk_sbm, epochs=2, denoise_epochs=6, interval=2)
+    assert err.value.context == {"tensor": "theta0", "step": 3, "bad": 1,
+                                 "phase": "denoise", "epoch": 3,
+                                 "interval": 2}
+    assert str(err.value) == ("1 non-finite gradient entries for 'theta0' "
+                              "at Adam step 3 (phase denoise, epoch 3, "
+                              "interval 2)")
 
 
 def test_gradient_accumulator_matches_replay(desk_sbm):

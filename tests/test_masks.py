@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastglt.masks import (BinaryMasks, SparsityPlan, init_soft_masks,
+from fastglt.masks import (BinaryMasks, SparsityPlan, _bottom_k,
+                           _bottom_k_set, init_soft_masks,
                            intermediate_sparsity, kept_count, load_mask,
                            load_soft_values, one_shot_threshold, save_mask,
                            save_soft_values, sparsity)
@@ -98,6 +99,58 @@ def test_one_shot_threshold_count_and_nesting(n, seed, s):
     assert not np.any(mask2 & ~mask)
     # achieved sparsity within one element of requested
     assert abs(sparsity(mask) - s) <= 1.0 / n + 1e-12
+
+
+def stable_sort_head(scores, eligible, k):
+    """The k first eligible indices of a stable sort by score (NaN last)."""
+    pool = np.flatnonzero(eligible)
+    return pool[np.argsort(scores[pool], kind="stable")[:k]]
+
+
+def check_order_free_cut(scores, eligible, k):
+    got = _bottom_k_set(scores, eligible, k, "x")
+    want = np.sort(stable_sort_head(scores, eligible, k))
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, np.sort(_bottom_k(scores, eligible,
+                                                         k, "x")))
+
+
+@pytest.mark.parametrize("case", ["random", "ties", "nan", "nan_kth"])
+def test_order_free_cut_picks_the_sorted_set(case):
+    """Same set as ``_bottom_k`` and a full stable sort, returned in index
+    order, for every k from 0 to the pool size."""
+    rng = np.random.default_rng(7)
+    n = 400
+    if case == "random":
+        scores = rng.normal(size=n)
+    else:       # heavy ties: eight values, signed zeros among them
+        scores = rng.choice([-2.0, -0.0, 0.0, 0.5, 0.75, 1.0, 3.0, 9.0], n)
+    if case.startswith("nan"):
+        scores[rng.random(n) < (0.2 if case == "nan" else 0.7)] = np.nan
+    eligible = rng.random(n) < 0.8
+    pool = int(eligible.sum())
+    for k in range(pool + 1):
+        check_order_free_cut(scores, eligible, k)
+    if case == "nan_kth":       # the k-th score of some k is NaN
+        finite = np.count_nonzero(~np.isnan(scores[eligible]))
+        assert finite < pool
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0, np.nan]),
+                       min_size=1, max_size=60),
+       data=st.data())
+def test_order_free_cut_property(scores, data):
+    scores = np.array(scores)
+    eligible = np.array(data.draw(st.lists(st.booleans(), min_size=len(scores),
+                                           max_size=len(scores))))
+    check_order_free_cut(scores, eligible,
+                         data.draw(st.integers(0, int(eligible.sum()))))
+
+
+def test_order_free_cut_refuses_oversized_quota():
+    with pytest.raises(ValueError, match="x: quota 3 exceeds pool of 2"):
+        _bottom_k_set(np.zeros(4), np.array([1, 0, 1, 0], bool), 3, "x")
 
 
 def test_sparsity_plan_derives_intermediates():

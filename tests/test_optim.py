@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fastglt.optim import AdamState, NonFiniteGradient, adam_step
+from fastglt.optim import _BLOCK, AdamState, NonFiniteGradient, adam_step
 
 
 def reference_adam_trace(grads, lr=0.001, b1=0.9, b2=0.999, eps=1e-8,
@@ -116,18 +116,18 @@ class OutOfPlaceAdam:
         param -= step
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("masked", [False, True])
-def test_in_place_step_matches_out_of_place_formula(dtype, masked):
+def check_against_out_of_place(shape, dtype, masked, steps=12):
+    """Run ``adam_step`` and ``OutOfPlaceAdam`` side by side over random
+    gradients spanning six decades, with a mid-trace ``reset_entries``, and
+    require equal params and moments after every step."""
     rng = np.random.default_rng(11)
-    shape = (13, 9)
     p = rng.normal(size=shape).astype(dtype)
     ref_p = p.copy()
     mask = rng.random(shape) < 0.6 if masked else None
     state = AdamState.for_param(p, lr=0.01)
     ref = OutOfPlaceAdam(ref_p, lr=0.01)
     m, v = state.m, state.v
-    for t in range(12):
+    for t in range(steps):
         scale = 10.0 ** rng.integers(-4, 2)
         g = (rng.normal(scale=scale, size=shape)
              * (rng.random(shape) < 0.8)).astype(dtype)
@@ -143,3 +143,51 @@ def test_in_place_step_matches_out_of_place_formula(dtype, masked):
         np.testing.assert_array_equal(p, ref_p)
         np.testing.assert_array_equal(state.m, ref.m)
         np.testing.assert_array_equal(state.v, ref.v)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("masked", [False, True])
+def test_in_place_step_matches_out_of_place_formula(dtype, masked):
+    check_against_out_of_place((13, 9), dtype, masked)
+
+
+@pytest.mark.parametrize("shape", [(1433, 50), (3 * _BLOCK + 7,)],
+                         ids=["2d", "1d"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("masked", [False, True])
+def test_blocked_step_matches_out_of_place_formula(shape, dtype, masked):
+    """Shapes that span several blocks and end in a ragged one."""
+    assert np.prod(shape) > 2 * _BLOCK and np.prod(shape) % _BLOCK
+    check_against_out_of_place(shape, dtype, masked, steps=8)
+
+
+def test_scratch_is_one_block():
+    big = AdamState.for_param(np.zeros((1433, 50), dtype=np.float32))
+    assert [b.shape for b in big.scratch] == [(_BLOCK,)] * 2
+    assert all(b.dtype == np.float32 for b in big.scratch)
+    small = AdamState.for_param(np.zeros((13, 9)))
+    assert [b.shape for b in small.scratch] == [(117,)] * 2
+
+
+def test_nan_in_last_block_raises_before_anything_moves():
+    rng = np.random.default_rng(5)
+    p = rng.normal(size=3 * _BLOCK + 7)
+    state = AdamState.for_param(p)
+    adam_step(state, p, rng.normal(size=p.size))
+    before = (p.copy(), state.m.copy(), state.v.copy())
+    g = rng.normal(size=p.size)
+    g[-1] = np.nan
+    g[-3] = np.inf
+    with pytest.raises(NonFiniteGradient,
+                       match=r"2 non-finite gradient entries for 'w' at "
+                             r"Adam step 2$"):
+        adam_step(state, p, g, name="w")
+    assert state.t == 1
+    for now, then in zip((p, state.m, state.v), before):
+        np.testing.assert_array_equal(now, then)
+
+
+def test_non_contiguous_param_refused():
+    p = np.zeros((4, 6))[:, ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        adam_step(AdamState.for_param(p), p, np.ones_like(p))
