@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 
 def _apply_thread_cap() -> None:
@@ -57,7 +58,7 @@ def _cmd_run(args) -> int:
             config = load_config(args.config, overrides)
         else:
             config = config_from_dict(overrides)
-    except (ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
@@ -76,7 +77,13 @@ def _cmd_run(args) -> int:
 def _cmd_suite(args) -> int:
     from .harness import run_suite
 
-    suite = json.loads(open(args.suite).read())
+    try:
+        suite = json.loads(Path(args.suite).read_text())
+        if not isinstance(suite, dict):
+            raise ValueError("expected a JSON object")
+    except (OSError, ValueError) as exc:
+        print(f"config error: {args.suite}: {exc}", file=sys.stderr)
+        return 2
     overrides = _parse_sets(args.set)
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -103,7 +110,11 @@ def _cmd_suite(args) -> int:
 def _cmd_analyze(args) -> int:
     from .harness import analyze_dir
 
-    produced = analyze_dir(args.out)
+    try:
+        produced = analyze_dir(args.out)
+    except ValueError as exc:       # e.g. reports without a dense arm
+        print(exc, file=sys.stderr)
+        return 1
     if not produced:
         print(f"no arm reports found under {args.out}", file=sys.stderr)
         return 1

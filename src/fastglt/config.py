@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -125,23 +126,23 @@ def threads_setting() -> int | None:
     return int(val) if val else None
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def _coerce(name: str, value):
-    """Parse a string override into the field's type."""
-    if name not in _FIELDS:
+    """Parse a string override by its field's annotation (``str``,
+    ``float``, ``int``, or ``int | None``, which alone takes none/null)."""
+    if name not in _TYPES:
         raise ValueError(f"unknown config key {name!r}")
     if not isinstance(value, str):
         return value
-    if name in ("dataset", "method", "precision"):
-        return value
-    if value.lower() in ("none", "null"):
-        return None
-    if name in ("epochs", "denoise_epochs", "interval", "hidden", "seed",
-                "retrain_epochs", "imp_epochs_per_round"):
-        return int(value)
-    return float(value)
+    kind = _TYPES[name]
+    optional = typing.get_args(kind)
+    if optional:
+        if value.lower() in ("none", "null"):
+            return None
+        kind, = (t for t in optional if t is not type(None))
+    return kind(value)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

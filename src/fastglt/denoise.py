@@ -238,12 +238,9 @@ def update_masks(binary: BinaryMasks, noisy: tuple[np.ndarray, np.ndarray],
 # full driver
 # ---------------------------------------------------------------------------
 
-def _zero_flat_weights(params: GcnParams, idx: np.ndarray) -> None:
-    n0 = params.theta0.size
-    lo = idx[idx < n0]
-    hi = idx[idx >= n0] - n0
-    params.theta0.reshape(-1)[lo] = 0.0
-    params.theta1.reshape(-1)[hi] = 0.0
+def _by_layer(idx: np.ndarray, n0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split pooled flat weight indices into (theta0, theta1) flat ones."""
+    return idx[idx < n0], idx[idx >= n0] - n0
 
 
 def run_fastglt(dataset: Dataset, config: ExperimentConfig,
@@ -303,12 +300,16 @@ def run_fastglt(dataset: Dataset, config: ExperimentConfig,
         assert record.n_net_edges == quotas[0].n_net
         assert record.n_net_weights == quotas[1].n_net
 
-        # regrown weights restart at zero with fresh optimizer moments
-        regrow_w = potential[1]
-        if regrow_w.size:
-            _zero_flat_weights(params, regrow_w)
-            loop.opt["theta0"].reset_entries(regrow_w[regrow_w < n0])
-            loop.opt["theta1"].reset_entries(regrow_w[regrow_w >= n0] - n0)
+        # Removed and regrown entries restart their Adam moments, so a
+        # removed one stays put (see TrainLoop); regrown weights restart at 0.
+        touched_w = np.concatenate([noisy[1], potential[1]])
+        for name, idx in zip(("theta0", "theta1"), _by_layer(touched_w, n0)):
+            loop.opt[name].reset_entries(idx)
+        for w, idx in zip((params.theta0, params.theta1),
+                          _by_layer(potential[1], n0)):
+            w.reshape(-1)[idx] = 0.0
+        loop.opt["m_edges"].reset_entries(np.concatenate([noisy[0],
+                                                          potential[0]]))
         # Regrown edges re-enter at the 25th percentile of the surviving
         # kept |m_g|: low enough that they must earn promotion before the
         # next boundary, high enough not to be re-pruned immediately.
@@ -321,7 +322,6 @@ def run_fastglt(dataset: Dataset, config: ExperimentConfig,
             fill = float(np.percentile(np.abs(soft_dn.edges[survivors]), 25)) \
                 if survivors.any() else 1.0
             soft_dn.edges[regrow_e] = fill
-            loop.opt["m_edges"].reset_entries(regrow_e)
 
         binary = new_binary
         loop.binary = binary

@@ -228,8 +228,10 @@ def run_suite(suite: dict | str | Path, out_dir: str | Path) -> SuiteOutcome:
     when absent since every comparison normalizes against it. An arm
     failure aborts the suite but completed artifacts stay on disk.
     """
-    if not isinstance(suite, dict):
+    if isinstance(suite, (str, Path)):
         suite = json.loads(Path(suite).read_text())
+    if not isinstance(suite, dict):
+        raise ValueError("a suite is a JSON object of config sections")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -1,4 +1,4 @@
-"""Adam optimizer for one parameter tensor, with mask-aware updates."""
+"""Textbook Adam for one parameter tensor, blocked and in place."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import numpy as np
 # Entries per Adam block: a block's operands (param, grad, moments, two
 # scratch rows; 256 KB each in f64) stay in L2 across the ~14 ufunc passes.
 _BLOCK = 1 << 15
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class NonFiniteGradient(FloatingPointError):
@@ -40,45 +41,36 @@ class AdamState:
     allocates nothing; ``m`` and ``v`` are updated in place.
     """
 
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
+    m: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
+    scratch: tuple[np.ndarray, np.ndarray] = field(repr=False)
     t: int = 0
-    m: np.ndarray = field(default=None, repr=False)
-    v: np.ndarray = field(default=None, repr=False)
-    scratch: tuple[np.ndarray, np.ndarray] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.scratch is None and self.m is not None:
-            n = min(self.m.size, _BLOCK)
-            self.scratch = (np.empty(n, self.m.dtype),
-                            np.empty(n, self.m.dtype))
 
     @staticmethod
-    def for_param(param: np.ndarray, lr: float = 0.001, beta1: float = 0.9,
-                  beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                         m=np.zeros_like(param), v=np.zeros_like(param))
+    def for_param(param: np.ndarray, lr: float = 0.001) -> "AdamState":
+        n = min(param.size, _BLOCK)
+        return AdamState(lr, np.zeros_like(param), np.zeros_like(param),
+                         (np.empty(n, param.dtype), np.empty(n, param.dtype)))
 
     def reset_entries(self, flat_indices: np.ndarray) -> None:
-        """Zero the moments at the given flat positions (regrown entries)."""
+        """Zero the moments at the given flat positions (swapped entries)."""
         self.m.reshape(-1)[flat_indices] = 0.0
         self.v.reshape(-1)[flat_indices] = 0.0
 
 
-def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray,
-              binary_mask: np.ndarray | None = None,
-              name: str = "param") -> np.ndarray:
-    """One in-place Adam update; only unmasked entries move when a binary
-    mask is active. Returns the updated parameter array, which must be
-    C-contiguous.
+def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray, *,
+              name: str) -> np.ndarray:
+    """One in-place Adam update of ``param``, which must be C-contiguous;
+    returns it. ``name`` labels the tensor in errors.
 
     Every product, quotient and sum runs in the order of the textbook
     expressions ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
-    ``param -= lr*m_hat / (sqrt(v_hat) + eps) * mask``, so the result is
-    the same bit for bit. The update sweeps the flat tensor in blocks of
-    ``_BLOCK`` entries; a non-finite gradient raises before anything moves.
+    ``param -= lr*m_hat / (sqrt(v_hat) + eps)``, so the result is the same
+    bit for bit. An entry with zero gradient and zero moments takes a step
+    of exactly 0: that is how a pruned entry stays put. The update sweeps
+    the flat tensor in blocks of ``_BLOCK`` entries; a non-finite gradient
+    raises before anything moves.
     """
     if not np.isfinite(grad).all():
         raise NonFiniteGradient(
@@ -87,31 +79,27 @@ def adam_step(state: AdamState, param: np.ndarray, grad: np.ndarray,
     if not param.flags.c_contiguous:
         raise ValueError(f"{name!r}: Adam updates C-contiguous tensors only")
     state.t += 1
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
-    c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    c1, c2 = 1.0 - BETA1 ** state.t, 1.0 - BETA2 ** state.t
     p_all, g_all = param.reshape(-1), grad.reshape(-1)
     m_all, v_all = state.m.reshape(-1), state.v.reshape(-1)
-    mask_all = None if binary_mask is None else binary_mask.reshape(-1)
     a_buf, b_buf = state.scratch
     for lo in range(0, p_all.size, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
         p, g, m, v = p_all[blk], g_all[blk], m_all[blk], v_all[blk]
         a, b = a_buf[:p.size], b_buf[:p.size]
-        np.multiply(m, b1, out=m)
-        np.multiply(g, 1.0 - b1, out=a)
+        np.multiply(m, BETA1, out=m)
+        np.multiply(g, 1.0 - BETA1, out=a)
         np.add(m, a, out=m)
-        np.multiply(v, b2, out=v)
-        np.multiply(g, 1.0 - b2, out=a)
+        np.multiply(v, BETA2, out=v)
+        np.multiply(g, 1.0 - BETA2, out=a)
         np.multiply(a, g, out=a)
         np.add(v, a, out=v)
         # step = lr * m_hat / (sqrt(v_hat) + eps), in a; b holds the divisor
         np.divide(m, c1, out=a)
-        np.multiply(a, lr, out=a)
+        np.multiply(a, state.lr, out=a)
         np.divide(v, c2, out=b)
         np.sqrt(b, out=b)
-        np.add(b, eps, out=b)
+        np.add(b, EPS, out=b)
         np.divide(a, b, out=a)
-        if mask_all is not None:
-            np.multiply(a, mask_all[blk], out=a)
         p -= a
     return param

@@ -31,9 +31,12 @@ class TrainLoop:
 
     The weights always train, plus exactly the soft masks that ``soft``
     holds: the one-shot phase passes all three, the denoising phase only
-    the edge mask, verification none (``SoftMasks()``). Binary masks, when
-    present, gate both the forward pass and the updates. ``opt`` maps
-    each trained tensor's gradient field name to its Adam state.
+    the edge mask, verification none (``SoftMasks()``). ``opt`` maps each
+    trained tensor's gradient field name to its Adam state.
+
+    Binary masks, when present, gate the forward pass only: a pruned entry
+    gets an exactly zero gradient, and with zero Adam moments a zero step.
+    Whoever swaps ``binary`` must zero the moments of the entries it drops.
 
     Each epoch runs one forward pass: the post-update evaluation forward of
     one epoch is kept and serves as the training forward of the next.
@@ -85,9 +88,6 @@ class TrainLoop:
         return gcn_forward(self.params, self.soft, self.binary, self.dataset,
                            norm=self.norm, x_op=self.x_op)
 
-    def _binary_or_none(self, attr: str):
-        return getattr(self.binary, attr) if self.binary is not None else None
-
     def run_epoch(self) -> EpochStats:
         """One backward/update sweep plus a post-update eval forward, which
         is kept as the next epoch's training forward."""
@@ -100,10 +100,7 @@ class TrainLoop:
 
         tensors = self._tensors()
         for name, state in self.opt.items():
-            # a soft mask is gated by the binary mask of the same slot
-            adam_step(state, tensors[name], getattr(grads, name),
-                      self._binary_or_none(name.removeprefix("m_")),
-                      name=name)
+            adam_step(state, tensors[name], getattr(grads, name), name=name)
 
         self._forward = self._run_forward()
         eval_logits = self._forward[0]

@@ -1,12 +1,15 @@
 """Byte oracle for the lean passes around the kernels.
 
 Short desk-SBM arms run twice: once as shipped, and once with reference
-versions of the passes patched in: the textbook out-of-place Adam, the
+versions of the passes patched in: the textbook out-of-place Adam with
+each step gated by its tensor's binary mask (the shipped Adam takes no
+mask: a swap zeroes the moments of the entries it removes instead), the
 sorted cut (a full stable sort) wherever a cut is taken, and the swap
 with its explicit overlap check. Every artifact must be byte-identical,
 ``report.json`` minus its wall-clock ``timing`` block.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -19,25 +22,39 @@ import fastglt.optim as optim
 import fastglt.train as train
 from fastglt.config import config_from_dict
 from fastglt.harness import run_experiment
-from fastglt.optim import NonFiniteGradient
+from fastglt.optim import BETA1, BETA2, EPS, NonFiniteGradient
 
 DESK_SBM = ("sbm:blocks=3,nodes_per_block=100,p_in=0.06,p_out=0.02,"
             "feature_dim=12,seed=101,mean_scale=0.2")
 
 
-def textbook_adam(state, param, grad, binary_mask=None, name="param"):
+def textbook_adam(binary, state, param, grad, *, name):
+    """Out-of-place Adam whose step is gated by the binary mask of the
+    tensor's slot (a soft mask ``m_x`` by the mask of ``x``)."""
     if not np.isfinite(grad).all():
         raise NonFiniteGradient(tensor=name, step=state.t + 1, bad=-1)
     state.t += 1
-    state.m[...] = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v[...] = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    step = state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    if binary_mask is not None:
-        step = step * binary_mask
+    state.m[...] = BETA1 * state.m + (1.0 - BETA1) * grad
+    state.v[...] = BETA2 * state.v + (1.0 - BETA2) * grad * grad
+    m_hat = state.m / (1.0 - BETA1 ** state.t)
+    v_hat = state.v / (1.0 - BETA2 ** state.t)
+    step = state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+    if binary is not None:
+        step = step * getattr(binary, name.removeprefix("m_"))
     param -= step
     return param
+
+
+SHIPPED_EPOCH = train.TrainLoop.run_epoch
+
+
+def gated_epoch(loop):
+    """The shipped epoch with every Adam step gated by the loop's binary
+    masks as they stand during the epoch."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(train, "adam_step",
+                        functools.partial(textbook_adam, loop.binary))
+        return SHIPPED_EPOCH(loop)
 
 
 def sorted_cut(scores, eligible, k, what):
@@ -67,7 +84,7 @@ def checked_swap(mask, remove, add, what):
 
 
 def patch_references(monkeypatch):
-    monkeypatch.setattr(train, "adam_step", textbook_adam)
+    monkeypatch.setattr(train.TrainLoop, "run_epoch", gated_epoch)
     monkeypatch.setattr(masks, "_smallest_bits", sorted_bits)
     monkeypatch.setattr(baselines, "_bottom_k_set", sorted_cut)
     monkeypatch.setattr(denoise, "_bottom_k", sorted_cut)

@@ -373,29 +373,44 @@ def test_run_fastglt_ticket_quality(desk_sbm):
     assert res.report.acc_retrained >= dense.report.acc_inplace - 0.05
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_regrown_entries_restart(desk_sbm, monkeypatch, seed):
+@pytest.mark.parametrize("seed, kw", [
+    (1, {}), (2, {}), (3, {}),
+    # a boundary after every epoch, deep weight pruning
+    (3, dict(s_theta=0.8, epochs=6, denoise_epochs=8, interval=1))],
+    ids=["1", "2", "3", "churn"])
+def test_regrown_entries_restart(desk_sbm, monkeypatch, seed, kw):
     """At every boundary each regrown weight restarts at exactly 0 with
     zeroed Adam moments in its own layer's optimizer entry, and each
     regrown edge restarts with zeroed moments at the 25th percentile of the
-    surviving kept |m_g|. Checked when the driver renormalizes, after the
-    swap and before the next epoch."""
+    surviving kept |m_g|. Removed weights and edges get zeroed moments too,
+    so every entry pruned through an interval keeps its weight or soft-edge
+    value to the next boundary. Checked when the driver renormalizes, after
+    the swap and before the next epoch, and at the next swap."""
     import fastglt.denoise as denoise
     from fastglt.train import TrainLoop
 
     pending = []
+    frozen = []
     regrown = {"theta0": 0, "theta1": 0, "edges": 0}
+    removed = {"weights": 0, "edges": 0}
     real_update, real_rebuild = denoise.update_masks, TrainLoop.rebuild_norm
 
     def update_masks(binary, noisy, potential, interval=0):
+        loop, pruned, values = frozen.pop()
+        assert pruned[0] is binary.edges
+        for mask, now, then in zip(pruned, (loop.soft.edges,
+                                            loop.params.theta0,
+                                            loop.params.theta1), values):
+            np.testing.assert_array_equal(now[~mask], then[~mask])
         survivors = binary.edges.copy()
         survivors[noisy[0]] = False
-        pending.append((survivors, *potential))
+        pending.append((survivors, noisy, potential))
         return real_update(binary, noisy, potential, interval=interval)
 
     def rebuild_norm(loop):
         if pending:
-            survivors, regrow_e, regrow_w = pending.pop()
+            survivors, (noisy_e, noisy_w), (regrow_e, regrow_w) = \
+                pending.pop()
             n0 = loop.params.theta0.size
             for name, idx in (("theta0", regrow_w[regrow_w < n0]),
                               ("theta1", regrow_w[regrow_w >= n0] - n0)):
@@ -403,22 +418,38 @@ def test_regrown_entries_restart(desk_sbm, monkeypatch, seed):
                 for values in (getattr(loop.params, name), state.m, state.v):
                     assert not values.ravel()[idx].any(), name
                 regrown[name] += idx.size
+            for name, idx in (("theta0", noisy_w[noisy_w < n0]),
+                              ("theta1", noisy_w[noisy_w >= n0] - n0)):
+                state = loop.opt[name]
+                assert not state.m.ravel()[idx].any(), name
+                assert not state.v.ravel()[idx].any(), name
+            removed["weights"] += noisy_w.size
             state = loop.opt["m_edges"]
-            assert not state.m[regrow_e].any()
-            assert not state.v[regrow_e].any()
+            for idx in (regrow_e, noisy_e):
+                assert not state.m[idx].any()
+                assert not state.v[idx].any()
             if regrow_e.size:
                 fill = np.percentile(np.abs(loop.soft.edges[survivors]), 25)
                 np.testing.assert_array_equal(loop.soft.edges[regrow_e],
                                               fill)
             regrown["edges"] += regrow_e.size
+            removed["edges"] += noisy_e.size
         real_rebuild(loop)
+        if loop.binary is not None and loop.soft.edges is not None:
+            # the denoise loop: what the next interval must leave alone
+            b = loop.binary
+            frozen[:] = [(loop, (b.edges, b.theta0, b.theta1),
+                          (loop.soft.edges.copy(), loop.params.theta0.copy(),
+                           loop.params.theta1.copy()))]
 
     monkeypatch.setattr(denoise, "update_masks", update_masks)
     monkeypatch.setattr(TrainLoop, "rebuild_norm", rebuild_norm)
-    res = run_small(desk_sbm, seed=seed, tau=0.3, retrain_epochs=1)
-    assert not pending and len(res.swaps) == 4
+    config = dict(tau=0.3, retrain_epochs=1, **kw)
+    res = run_small(desk_sbm, seed=seed, **config)
+    assert not pending and len(res.swaps) == (8 if kw else 4)
     assert regrown["theta0"] > 0 and regrown["theta1"] > 0
     assert regrown["edges"] > 0
+    assert removed["weights"] > 0 and removed["edges"] > 0
 
 
 def test_non_finite_gradient_names_phase_epoch_and_interval(desk_sbm,
@@ -478,9 +509,9 @@ def test_gradient_accumulator_matches_replay(desk_sbm):
         g = backward(cache, ds.labels, ds.train_idx)
         acc_replay += np.abs(np.concatenate([g.theta0_dense.ravel(),
                                              g.theta1_dense.ravel()]))
-        adam_step(r_t0, params_replay.theta0, g.theta0, binary.theta0)
-        adam_step(r_t1, params_replay.theta1, g.theta1, binary.theta1)
-        adam_step(r_me, soft_replay.edges, g.m_edges, binary.edges)
+        adam_step(r_t0, params_replay.theta0, g.theta0, name="theta0")
+        adam_step(r_t1, params_replay.theta1, g.theta1, name="theta1")
+        adam_step(r_me, soft_replay.edges, g.m_edges, name="m_edges")
 
         stats = loop.run_epoch()
         acc += np.abs(stats.grads.dense_flat())

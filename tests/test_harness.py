@@ -31,6 +31,36 @@ def test_config_validation_before_training():
         config_from_dict({"methd": "dense"})
 
 
+def test_every_field_round_trips_from_its_string_form():
+    """Each override is parsed by its field's annotation, so a config
+    written out as strings reads back equal, field for field; none/null
+    means None for the ``int | None`` fields alone."""
+    import dataclasses
+
+    from fastglt.config import ExperimentConfig
+    config = ExperimentConfig(
+        dataset=DESK_SBM, method="imp", s_g=0.3, s_theta=0.55, epochs=7,
+        denoise_epochs=11, interval=3, tau=0.25, kappa=1.5, alpha=0.02,
+        beta=1.1, lr=0.005, hidden=24, seed=13, precision="f32",
+        retrain_epochs=9, imp_p_g=0.1, imp_p_theta=0.35,
+        imp_epochs_per_round=4)
+    defaults = ExperimentConfig()
+    for field in dataclasses.fields(ExperimentConfig):
+        assert getattr(config, field.name) != getattr(defaults, field.name), \
+            field.name
+    for optional in (None, "null", "None"):
+        text = {k: str(v) for k, v in config.as_dict().items()}
+        if optional is not None:
+            text.update(retrain_epochs=optional, imp_epochs_per_round=optional)
+        want = config if optional is None else config.replace(
+            retrain_epochs=None, imp_epochs_per_round=None)
+        assert config_from_dict(text) == want
+    for name, value in (("s_g", "none"), ("epochs", "null"),
+                        ("seed", "None"), ("epochs", "2.5")):
+        with pytest.raises(ValueError, match=repr(value)):
+            config_from_dict({name: value})
+
+
 def test_config_digest_stability_and_sensitivity():
     a = desk_config()
     b = desk_config()
@@ -317,6 +347,50 @@ def test_cli_suite_and_analyze(tmp_path):
     proc = _glt("analyze", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert "efficiency.csv" in proc.stdout
+
+
+def test_cli_suite_refuses_a_missing_file(tmp_path):
+    missing = tmp_path / "missing.json"
+    proc = _glt("suite", "--suite", str(missing), "--out",
+                str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"config error: {missing}: ")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_suite_refuses_a_json_array(tmp_path):
+    suite_file = tmp_path / "suite.json"
+    suite_file.write_text(json.dumps([{"method": "dense"}]))
+    proc = _glt("suite", "--suite", str(suite_file), "--out",
+                str(tmp_path / "out"), "--seed", "3")
+    assert proc.returncode == 2
+    assert proc.stderr == (f"config error: {suite_file}: "
+                           f"expected a JSON object\n")
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValueError, match="JSON object"):
+        run_suite(suite_file, tmp_path / "lib")
+    with pytest.raises(ValueError, match="JSON object"):
+        run_suite([{"method": "dense"}], tmp_path / "lib")
+    assert not (tmp_path / "lib").exists()
+
+
+def test_cli_run_refuses_a_missing_config(tmp_path):
+    proc = _glt("run", "--config", str(tmp_path / "missing.json"),
+                "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ")
+    assert "missing.json" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_cli_analyze_without_a_dense_arm(tmp_path):
+    run_experiment(desk_config(method="random", s_g=0.1, s_theta=0.1,
+                               epochs=2, denoise_epochs=2),
+                   tmp_path / "arm_00_random")
+    proc = _glt("analyze", "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert proc.stderr == "timing report needs a dense baseline run\n"
+    assert not (tmp_path / "efficiency.csv").exists()
 
 
 def test_cli_precision_flag(tmp_path):

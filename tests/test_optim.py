@@ -24,14 +24,14 @@ def test_zero_gradient_is_fixed_point():
     p = np.array([1.5, -2.0])
     state = AdamState.for_param(p)
     for _ in range(5):
-        adam_step(state, p, np.zeros(2))
+        adam_step(state, p, np.zeros(2), name="p")
     np.testing.assert_array_equal(p, [1.5, -2.0])
 
 
 def test_first_step_magnitude():
     p = np.array([0.0])
     state = AdamState.for_param(p)
-    adam_step(state, p, np.array([1.0]))
+    adam_step(state, p, np.array([1.0]), name="p")
     assert p[0] == pytest.approx(-0.001, rel=1e-6)
 
 
@@ -42,7 +42,7 @@ def test_ten_step_trace_matches_reference():
     got = []
     xs = [1.0]
     for _ in range(10):
-        adam_step(state, p, np.array([xs[-1]]))
+        adam_step(state, p, np.array([xs[-1]]), name="p")
         xs.append(float(p[0]))
         got.append(float(p[0]))
 
@@ -64,20 +64,44 @@ def test_constant_gradient_trace():
     state = AdamState.for_param(p)
     got = []
     for _ in range(10):
-        adam_step(state, p, np.array([2.0]))
+        adam_step(state, p, np.array([2.0]), name="p")
         got.append(float(p[0]))
     np.testing.assert_allclose(got, reference_adam_trace([2.0] * 10, x0=0.5),
                                rtol=1e-12)
 
 
 def test_masked_update_freezes_pruned_entries():
-    p = np.array([1.0, 1.0, 1.0])
+    """A pruned entry gets an exactly zero gradient (signed zeros too, as
+    the chain rule through a binary mask gives them); with zero moments it
+    takes a step of exactly 0. Once pruned mid-trace, its stale moments
+    would still move it, until ``reset_entries`` zeroes them."""
+    p = np.array([1.0, -0.0, 1.0, 0.25])
     state = AdamState.for_param(p)
-    mask = np.array([True, False, True])
+    keep = np.array([True, False, True, True])
+    g = np.array([1.0, -3.0, -2.0, 0.5])
     for _ in range(3):
-        adam_step(state, p, np.ones(3), binary_mask=mask)
-    assert p[1] == 1.0
-    assert p[0] < 1.0 and p[2] < 1.0
+        adam_step(state, p, g * keep, name="p")
+    assert p[1] == 0.0 and np.signbit(p[1])
+    assert p[0] < 1.0 and p[2] > 1.0 and p[3] < 0.25
+    keep[3] = False                     # pruned after three steps
+    stale = p.copy()
+    adam_step(state, p, g * keep, name="p")
+    assert p[3] != stale[3]             # stale moments still move it
+    state.reset_entries(np.array([3]))
+    frozen = p.copy()
+    for _ in range(3):
+        adam_step(state, p, g * keep, name="p")
+    assert p[1] == 0.0 and np.signbit(p[1]) and p[3] == frozen[3]
+
+
+def test_mask_is_no_longer_an_argument():
+    """``name`` is keyword-only: a caller that still hands a mask over by
+    position fails instead of labelling the tensor with it."""
+    p = np.ones(3)
+    with pytest.raises(TypeError):
+        adam_step(AdamState.for_param(p), p, np.ones(3),
+                  np.array([True, False, True]))
+    assert p.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_non_finite_gradient_aborts():
@@ -90,7 +114,7 @@ def test_non_finite_gradient_aborts():
 def test_reset_entries():
     p = np.zeros((2, 2))
     state = AdamState.for_param(p)
-    adam_step(state, p, np.ones((2, 2)))
+    adam_step(state, p, np.ones((2, 2)), name="p")
     state.reset_entries(np.array([1, 2]))
     assert state.m[0, 1] == 0.0 and state.v[1, 0] == 0.0
     assert state.m[0, 0] != 0.0
@@ -98,7 +122,8 @@ def test_reset_entries():
 
 class OutOfPlaceAdam:
     """The out-of-place Adam formula, kept as the reference for the
-    in-place ``adam_step``: every step allocates fresh moments."""
+    in-place ``adam_step``: every step allocates fresh moments. A ``mask``
+    gates the step, as the engine's Adam once did."""
 
     def __init__(self, param, lr):
         self.lr, self.b1, self.b2, self.eps, self.t = lr, 0.9, 0.999, 1e-8, 0
@@ -119,7 +144,10 @@ class OutOfPlaceAdam:
 def check_against_out_of_place(shape, dtype, masked, steps=12):
     """Run ``adam_step`` and ``OutOfPlaceAdam`` side by side over random
     gradients spanning six decades, with a mid-trace ``reset_entries``, and
-    require equal params and moments after every step."""
+    require equal params and moments after every step. ``masked`` zeroes
+    the gradient off a fixed binary mask, as ``nn.backward`` hands it over,
+    and gates only the reference's step by that mask: the mask-free step
+    must match it bit for bit."""
     rng = np.random.default_rng(11)
     p = rng.normal(size=shape).astype(dtype)
     ref_p = p.copy()
@@ -131,7 +159,9 @@ def check_against_out_of_place(shape, dtype, masked, steps=12):
         scale = 10.0 ** rng.integers(-4, 2)
         g = (rng.normal(scale=scale, size=shape)
              * (rng.random(shape) < 0.8)).astype(dtype)
-        adam_step(state, p, g, binary_mask=mask)
+        if masked:
+            g = g * mask
+        adam_step(state, p, g, name="p")
         ref.step(ref_p, g, mask)
         if t == 5:      # a boundary regrows some entries mid-trace
             idx = rng.choice(p.size, 20, replace=False)
@@ -173,7 +203,7 @@ def test_nan_in_last_block_raises_before_anything_moves():
     rng = np.random.default_rng(5)
     p = rng.normal(size=3 * _BLOCK + 7)
     state = AdamState.for_param(p)
-    adam_step(state, p, rng.normal(size=p.size))
+    adam_step(state, p, rng.normal(size=p.size), name="w")
     before = (p.copy(), state.m.copy(), state.v.copy())
     g = rng.normal(size=p.size)
     g[-1] = np.nan
@@ -190,4 +220,4 @@ def test_nan_in_last_block_raises_before_anything_moves():
 def test_non_contiguous_param_refused():
     p = np.zeros((4, 6))[:, ::2]
     with pytest.raises(ValueError, match="C-contiguous"):
-        adam_step(AdamState.for_param(p), p, np.ones_like(p))
+        adam_step(AdamState.for_param(p), p, np.ones_like(p), name="p")

@@ -160,10 +160,8 @@ def test_theta_only_matches_identity_replay(masked):
     for _ in range(4):
         _, cache = gcn_forward(replay, ones, binary, ds)
         g = backward(cache, ds.labels, ds.train_idx)
-        adam_step(states[0], replay.theta0, g.theta0,
-                  binary.theta0 if masked else None)
-        adam_step(states[1], replay.theta1, g.theta1,
-                  binary.theta1 if masked else None)
+        adam_step(states[0], replay.theta0, g.theta0, name="theta0")
+        adam_step(states[1], replay.theta1, g.theta1, name="theta1")
     np.testing.assert_array_equal(params.theta0, replay.theta0)
     np.testing.assert_array_equal(params.theta1, replay.theta1)
 
@@ -203,9 +201,10 @@ def test_forward_reuse_matches_two_forward_replay():
         logits, cache = gcn_forward(replay, replay_soft, b, ds)
         loss = masked_loss(logits, ds.labels, ds.train_idx)
         g = backward(cache, ds.labels, ds.train_idx)
-        adam_step(states["theta0"], replay.theta0, g.theta0, b.theta0)
-        adam_step(states["theta1"], replay.theta1, g.theta1, b.theta1)
-        adam_step(states["m_edges"], replay_soft.edges, g.m_edges, b.edges)
+        for name, tensor in (("theta0", replay.theta0),
+                             ("theta1", replay.theta1),
+                             ("m_edges", replay_soft.edges)):
+            adam_step(states[name], tensor, getattr(g, name), name=name)
         logits, _ = gcn_forward(replay, replay_soft, b, ds)
         return (loss, evaluate_accuracy(replay, replay_soft, b, ds,
                                         ds.val_idx, logits=logits))
