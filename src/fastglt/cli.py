@@ -75,12 +75,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    from .harness import run_suite
+    from .harness import check_suite, run_suite
 
     try:
         suite = json.loads(Path(args.suite).read_text())
-        if not isinstance(suite, dict):
-            raise ValueError("expected a JSON object")
+        check_suite(suite)
     except (OSError, ValueError) as exc:
         print(f"config error: {args.suite}: {exc}", file=sys.stderr)
         return 2

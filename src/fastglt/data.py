@@ -35,7 +35,8 @@ class Dataset:
     by every mask in the package.
 
     Derived operators are memoized on the instance (the feature operator of
-    ``nn.feature_operator``, once per dtype), so a dataset's arrays must not
+    ``nn.feature_operator``, once per dtype, and the sorted adjacency entry
+    list of ``graph.normalize_adjacency``), so a dataset's arrays must not
     be mutated in place; ``dataclasses.replace`` gives a fresh memo.
     """
 
@@ -49,8 +50,8 @@ class Dataset:
     train_idx: np.ndarray   # int64 node ids, pairwise disjoint with val/test
     val_idx: np.ndarray
     test_idx: np.ndarray
-    _x_ops: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)   # dtype -> feature operator
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)    # derived operators by key
 
     @property
     def num_edges(self) -> int:

@@ -24,8 +24,8 @@ from .config import ExperimentConfig
 from .data import Dataset
 from .graph import edge_degree_scores
 from .masks import (BinaryMasks, SoftMasks, SparsityPlan, _bottom_k,
-                    _round_half_up, init_soft_masks, kept_count,
-                    threshold_masks)
+                    _bottom_k_pool, _round_half_up, init_soft_masks,
+                    kept_count, threshold_masks)
 from .nn import GcnParams, arm_params, evaluate_accuracy
 from .optim import NonFiniteGradient
 from .train import TrainLoop, train_oneshot_phase
@@ -124,19 +124,39 @@ def interval_quotas(mu: int, schedule: DenoiseSchedule, kept_edges: int,
             _quota(mu, ratio, schedule.weights, kept_weights))
 
 
+def _bottom_k_weights(bits: tuple[np.ndarray, np.ndarray],
+                      values: tuple[np.ndarray, np.ndarray], score, k: int,
+                      what: str) -> np.ndarray:
+    """``_bottom_k`` over the pooled weights whose bit is set, ranked by
+    ``score(values)``; returns pooled flat ids (theta1's offset by theta0's
+    size). Only the pool is scored: its values are gathered layer by
+    layer into one buffer, and ``score`` maps that buffer in place."""
+    i0, i1 = (np.flatnonzero(b) for b in bits)
+    scores = np.empty(i0.size + i1.size, dtype=np.result_type(*values))
+    # the ids come from flatnonzero, so "clip" never clips; it only spares
+    # the buffered copy that take's default "raise" makes of ``out``
+    np.take(values[0].reshape(-1), i0, out=scores[:i0.size], mode="clip")
+    np.take(values[1].reshape(-1), i1, out=scores[i0.size:], mode="clip")
+    score(scores, out=scores)
+    pos = _bottom_k_pool(scores, k, what)
+    ids = np.empty(pos.size, dtype=np.int64)
+    first = pos < i0.size
+    ids[first] = i0[pos[first]]
+    ids[~first] = i1[pos[~first] - i0.size] + bits[0].size
+    return ids
+
+
 def identify_noisy(binary: BinaryMasks, soft_edges: np.ndarray,
                    params: GcnParams, quotas: tuple[Quota, Quota]
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Kept elements of smallest magnitude: |m_g| for edges, |theta| for
     weights (pooled over both layers). Returns (edge_ids, flat_weight_ids)."""
     q_g, q_t = quotas
-    edge_scores = np.abs(soft_edges)
-    noisy_edges = _bottom_k(edge_scores, binary.edges, q_g.n_noisy,
+    noisy_edges = _bottom_k(np.abs(soft_edges), binary.edges, q_g.n_noisy,
                             "noisy edges")
-    w_scores = np.concatenate([params.theta0.ravel(), params.theta1.ravel()])
-    np.abs(w_scores, out=w_scores)
-    noisy_weights = _bottom_k(w_scores, binary.weights_flat(), q_t.n_noisy,
-                              "noisy weights")
+    noisy_weights = _bottom_k_weights(
+        (binary.theta0, binary.theta1), (params.theta0, params.theta1),
+        np.abs, q_t.n_noisy, "noisy weights")
     return noisy_edges, noisy_weights
 
 
@@ -148,8 +168,10 @@ def discover_potential(binary: BinaryMasks, grad_acc: np.ndarray,
     q_g, q_t = quotas
     regrow_edges = _bottom_k(edge_scores, ~binary.edges, q_g.n_potential,
                              "potential edges")
-    regrow_weights = _bottom_k(-grad_acc, ~binary.weights_flat(),
-                               q_t.n_potential, "potential weights")
+    n0 = binary.theta0.size
+    regrow_weights = _bottom_k_weights(
+        (~binary.theta0, ~binary.theta1), (grad_acc[:n0], grad_acc[n0:]),
+        np.negative, q_t.n_potential, "potential weights")
     return regrow_edges, regrow_weights
 
 
@@ -197,16 +219,17 @@ def export_swaps(swaps: list[SwapRecord], path: str | Path) -> None:
 
 def _swap_bits(mask: np.ndarray, remove: np.ndarray, add: np.ndarray,
                what: str) -> np.ndarray:
+    """Clear the ``remove`` bits and set the ``add`` bits of ``mask`` in
+    place; returns it."""
     # An index in both sets would have to be kept and pruned at once, so
     # the two subset checks also reject any overlap.
     if remove.size and not mask[remove].all():
         raise ValueError(f"{what}: removal set not within the kept set")
     if add.size and mask[add].any():
         raise ValueError(f"{what}: regrow set not within the pruned set")
-    out = mask.copy()
-    out[remove] = False
-    out[add] = True
-    return out
+    mask[remove] = False
+    mask[add] = True
+    return mask
 
 
 def update_masks(binary: BinaryMasks, noisy: tuple[np.ndarray, np.ndarray],
@@ -220,7 +243,7 @@ def update_masks(binary: BinaryMasks, noisy: tuple[np.ndarray, np.ndarray],
     """
     noisy_e, noisy_w = (np.asarray(a, dtype=np.int64) for a in noisy)
     pot_e, pot_w = (np.asarray(a, dtype=np.int64) for a in potential)
-    new_edges = _swap_bits(binary.edges, noisy_e, pot_e, "edges")
+    new_edges = _swap_bits(binary.edges.copy(), noisy_e, pot_e, "edges")
     new_wflat = _swap_bits(binary.weights_flat(), noisy_w, pot_w, "weights")
     new_masks = binary.with_edges(new_edges).with_weights_flat(new_wflat)
     record = SwapRecord(
@@ -289,9 +312,8 @@ def run_fastglt(dataset: Dataset, config: ExperimentConfig,
         except NonFiniteGradient as exc:
             exc.context["interval"] = mu
             raise
-        quotas = interval_quotas(mu, schedule,
-                                 int(binary.edges.sum()),
-                                 int(binary.weights_flat().sum()))
+        quotas = interval_quotas(mu, schedule, int(binary.edges.sum()),
+                                 binary.kept_weights)
         noisy = identify_noisy(binary, soft_dn.edges, params, quotas)
         deg = edge_degree_scores(dataset, binary.edges)
         potential = discover_potential(binary, grad_acc, deg, quotas)
@@ -317,8 +339,7 @@ def run_fastglt(dataset: Dataset, config: ExperimentConfig,
         # measurably degrades the final mask when the pruned pool is small.
         regrow_e = potential[0]
         if regrow_e.size:
-            survivors = binary.edges.copy()
-            survivors[noisy[0]] = False
+            survivors = binary.edges & new_binary.edges
             fill = float(np.percentile(np.abs(soft_dn.edges[survivors]), 25)) \
                 if survivors.any() else 1.0
             soft_dn.edges[regrow_e] = fill
@@ -330,7 +351,7 @@ def run_fastglt(dataset: Dataset, config: ExperimentConfig,
         swaps.append(record)
 
     assert int(binary.edges.sum()) == schedule.graph.kept_target
-    assert int(binary.weights_flat().sum()) == schedule.weights.kept_target
+    assert binary.kept_weights == schedule.weights.kept_target
     t_denoise = time.perf_counter()
 
     acc_inplace = evaluate_accuracy(params, soft_dn, binary, dataset,

@@ -50,40 +50,52 @@ class NormAdj:
                              shape=self.matrix.shape)
 
 
+def _entry_list(dataset: Dataset):
+    """Every entry a normalized adjacency of the dataset can store, sorted
+    by (row, col): both directions of each edge and each self-loop, as
+    (rows, cols, edge_ids) with edge id -1 on self-loops. Built once per
+    dataset and memoized on it."""
+    entries = dataset._memo.get("adjacency_entries")
+    if entries is None:
+        n, edges = dataset.num_nodes, dataset.edges.astype(np.int64)
+        ids = np.arange(edges.shape[0], dtype=np.int64)
+        loops = np.arange(n, dtype=np.int64)
+        rows = np.concatenate([edges[:, 0], edges[:, 1], loops])
+        cols = np.concatenate([edges[:, 1], edges[:, 0], loops])
+        edge_ids = np.concatenate([ids, ids, np.full(n, -1, dtype=np.int64)])
+        order = np.lexsort((cols, rows))
+        entries = rows[order], cols[order], edge_ids[order]
+        for a in entries:
+            a.setflags(write=False)
+        dataset._memo["adjacency_entries"] = entries
+    return entries
+
+
 def normalize_adjacency(dataset: Dataset,
                         edge_mask: np.ndarray | None = None) -> NormAdj:
     """Build D^-1/2 (masked A + I) D^-1/2 for the kept subgraph.
 
     Degrees are those of the masked graph plus the self-loop, so isolated
-    nodes keep a unit self-loop entry. The result is symmetric.
+    nodes keep a unit self-loop entry. The result is symmetric. Its
+    entries are those of the dataset's presorted entry list that the mask
+    keeps, so no sort runs per mask.
     """
     n = dataset.num_nodes
-    edges = dataset.edges
-    if edge_mask is None:
-        kept = np.arange(edges.shape[0], dtype=np.int64)
-    else:
+    rows, cols, edge_ids = _entry_list(dataset)
+    if edge_mask is not None:
         edge_mask = np.asarray(edge_mask, dtype=bool)
-        if edge_mask.shape != (edges.shape[0],):
+        if edge_mask.shape != (dataset.num_edges,):
             raise ValueError("edge_mask must index the undirected edge list")
-        kept = np.flatnonzero(edge_mask)
+        keep = np.append(edge_mask, True)[edge_ids]   # id -1: self-loop
+        rows, cols, edge_ids = rows[keep], cols[keep], edge_ids[keep]
 
-    ei, ej = edges[kept, 0], edges[kept, 1]
-    loops = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([ei, ej, loops])
-    cols = np.concatenate([ej, ei, loops])
-    edge_ids = np.concatenate([kept, kept,
-                               np.full(n, -1, dtype=np.int64)])
-
-    deg_hat = np.bincount(rows, minlength=n).astype(np.float64)  # incl. loop
-    inv_sqrt = 1.0 / np.sqrt(deg_hat)
+    deg_hat = np.bincount(rows, minlength=n)                   # incl. loop
+    inv_sqrt = 1.0 / np.sqrt(deg_hat.astype(np.float64))
     data = inv_sqrt[rows] * inv_sqrt[cols]
-
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    coo = sp.coo_matrix((data[order], (rows, cols)), shape=(n, n))
-    csr = coo.tocsr()
-    csr.sort_indices()
-    return NormAdj(matrix=csr, edge_of_entry=edge_ids[order],
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg_hat, out=indptr[1:])
+    csr = sp.csr_matrix((data, cols, indptr), shape=(n, n))
+    return NormAdj(matrix=csr, edge_of_entry=edge_ids,
                    entry_row=rows, entry_col=cols)
 
 

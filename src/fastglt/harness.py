@@ -220,6 +220,22 @@ def _extreme_sweep(out: Path, dataset: Dataset, config: ExperimentConfig,
             "win_delta": delta, "seeds": seeds}
 
 
+def check_suite(suite) -> None:
+    """Refuse, with a ``ValueError``, a suite whose sections have the wrong
+    shape: it must be an object, its "shared" an object and its "arms" a
+    list of objects."""
+    if not isinstance(suite, dict):
+        raise ValueError("expected a JSON object")
+    shared = suite.get("shared", {})
+    if not isinstance(shared, dict):
+        raise ValueError(f'"shared" must be an object, got '
+                         f'{type(shared).__name__}')
+    arms = suite.get("arms", [])
+    if not isinstance(arms, list) or not all(isinstance(a, dict)
+                                             for a in arms):
+        raise ValueError('"arms" must be a list of objects')
+
+
 def run_suite(suite: dict | str | Path, out_dir: str | Path) -> SuiteOutcome:
     """Run every arm against one dataset and one shared initialization.
 
@@ -230,8 +246,7 @@ def run_suite(suite: dict | str | Path, out_dir: str | Path) -> SuiteOutcome:
     """
     if isinstance(suite, (str, Path)):
         suite = json.loads(Path(suite).read_text())
-    if not isinstance(suite, dict):
-        raise ValueError("a suite is a JSON object of config sections")
+    check_suite(suite)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -52,11 +52,20 @@ class BinaryMasks:
         return BinaryMasks(edges=edges, theta0=self.theta0,
                            theta1=self.theta1)
 
+    @property
+    def kept_weights(self) -> int:
+        """Kept entries of the pooled weights, counted layer by layer."""
+        return int(np.count_nonzero(self.theta0)
+                   + np.count_nonzero(self.theta1))
+
     def graph_sparsity(self) -> float:
         return sparsity(self.edges)
 
     def weight_sparsity(self) -> float:
-        return sparsity(self.weights_flat())
+        """``sparsity(weights_flat())`` without the pooled copy."""
+        if self.weight_universe == 0:
+            raise ValueError("empty mask universe")
+        return 1.0 - float(self.kept_weights) / self.weight_universe
 
 
 @dataclass
@@ -156,6 +165,35 @@ def _bottom_k_set(scores: np.ndarray, eligible: np.ndarray, k: int,
     return pool[np.flatnonzero(_smallest_bits(scores[pool], k))]
 
 
+def _stable_order(s: np.ndarray) -> np.ndarray:
+    """``np.argsort(s, kind="stable")`` (NaN last) from unstable sorts.
+
+    One sort groups equal scores (-0 and +0 tie, as do all NaNs). Without
+    a tie it is already the stable order; otherwise a second sort orders
+    the unique keys (tie group * size + position).
+    """
+    n = s.size
+    order = np.argsort(s)
+    ranked = s[order]
+    starts = np.ones(n, dtype=bool)          # first of its tie group
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    starts[1:] &= ~np.isnan(ranked[:-1])     # NaN sorts last: NaN ties NaN
+    if starts.all():
+        return order
+    group = np.empty(n, dtype=np.int64)
+    group[order] = np.cumsum(starts) - 1
+    return np.argsort(group * n + np.arange(n))
+
+
+def _bottom_k_pool(scores: np.ndarray, k: int, what: str) -> np.ndarray:
+    """Positions of the k smallest scores, in stable-sort order (NaN last,
+    ties by position)."""
+    if k > scores.size:
+        raise ValueError(f"{what}: quota {k} exceeds pool of {scores.size}")
+    pick = np.flatnonzero(_smallest_bits(scores, k))
+    return pick[_stable_order(scores[pick])]
+
+
 def _bottom_k(scores: np.ndarray, eligible: np.ndarray, k: int,
               what: str) -> np.ndarray:
     """Indices of the k smallest-score eligible entries, ties by index.
@@ -163,8 +201,8 @@ def _bottom_k(scores: np.ndarray, eligible: np.ndarray, k: int,
     The order is that of a stable sort of the pool (NaN last); callers
     that only set mask bits use the cheaper ``_bottom_k_set``.
     """
-    pick = _bottom_k_set(scores, eligible, k, what)
-    return pick[np.argsort(scores[pick], kind="stable")]
+    pool = np.flatnonzero(eligible)
+    return pool[_bottom_k_pool(scores[pool], k, what)]
 
 
 def one_shot_threshold(soft: np.ndarray, s: float) -> np.ndarray:

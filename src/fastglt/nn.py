@@ -12,7 +12,8 @@ on its fixed support, so edge-mask gradients stay local to each edge.
 
 The loss reads only the split's logits, so ``backward`` computes on the
 split's receptive field: its cost follows the split's 2-hop set, not the
-node count, and its gradients equal the full-graph sweep bit for bit. The
+node count, and its gradients equal the full-graph sweep bit for bit. A
+forward given the split's ``rows`` is restricted the same way. The
 feature operator is built once per dataset and dtype and then shared.
 """
 
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import logsumexp
 
 from .config import ExperimentConfig
 from .data import Dataset
@@ -126,20 +126,24 @@ class Gradients:
 
 @dataclass
 class ForwardCache:
-    """Activations and operators retained for the backward pass."""
+    """Activations and operators retained for the backward pass.
+
+    ``rows`` is None for a full forward; otherwise only those rows' logits
+    are valid (see ``gcn_forward``).
+    """
 
     a_eff: sp.csr_matrix
     norm: NormAdj
     x_op: object                 # csr_matrix or ndarray, engine dtype
     w1_eff: np.ndarray
     xw0: np.ndarray
-    s1: np.ndarray
-    h1: np.ndarray
+    h1: np.ndarray               # ReLU(A @ XW0)
     h1w1: np.ndarray
     logits: np.ndarray
     params: GcnParams
     soft: SoftMasks
     binary: BinaryMasks | None
+    rows: np.ndarray | None = None
 
 
 def feature_operator(dataset: Dataset, dtype=np.float64):
@@ -148,8 +152,8 @@ def feature_operator(dataset: Dataset, dtype=np.float64):
     Built once per dataset and dtype and memoized on the dataset; every
     caller shares the one operator, which is only ever read.
     """
-    key = np.dtype(dtype)
-    x_op = dataset._x_ops.get(key)
+    key = ("x_op", np.dtype(dtype))
+    x_op = dataset._memo.get(key)
     if x_op is None:
         x = dataset.features
         density = np.count_nonzero(x) / max(x.size, 1)
@@ -157,7 +161,7 @@ def feature_operator(dataset: Dataset, dtype=np.float64):
             x_op = sp.csr_matrix(x.astype(dtype))
         else:
             x_op = np.ascontiguousarray(x.astype(dtype))
-        dataset._x_ops[key] = x_op
+        dataset._memo[key] = x_op
     return x_op
 
 
@@ -178,13 +182,23 @@ def effective_weights(params: GcnParams, soft: SoftMasks,
 
 def gcn_forward(params: GcnParams, soft: SoftMasks,
                 binary: BinaryMasks | None, dataset: Dataset,
-                norm: NormAdj | None = None,
-                x_op=None) -> tuple[np.ndarray, ForwardCache]:
+                norm: NormAdj | None = None, x_op=None,
+                rows: np.ndarray | None = None
+                ) -> tuple[np.ndarray, ForwardCache]:
     """Run the masked model; returns pre-softmax logits and the cache.
 
     ``norm`` may be passed in to avoid renormalizing every step; it must
     have been built from the same binary edge mask. ``x_op`` likewise caches
     the feature operator.
+
+    Given ``rows``, only their receptive field is computed: X@W0 on their
+    2-hop set (for a CSR X; a dense X runs in full), A@XW0 and the ReLU on
+    their 1-hop set; the other rows of ``xw0`` and ``h1`` are zero. For
+    finite activations, the rows' logits and the gradients of a loss over
+    them equal the full forward's bit for bit: the restricted products
+    are scipy CSR ones that sum each row as the full product does, and
+    the BLAS products keep their full shape. Every other logit is
+    meaningless, so such a forward serves training only.
     """
     dtype = params.theta0.dtype
     if norm is None:
@@ -202,14 +216,26 @@ def gcn_forward(params: GcnParams, soft: SoftMasks,
     a_eff = norm.effective(soft.edges, dtype=dtype)
     w0, w1 = effective_weights(params, soft, binary)
 
-    xw0 = x_op @ w0
-    s1 = a_eff @ xw0
-    h1 = np.maximum(s1, 0.0)
+    if rows is None:
+        xw0 = x_op @ w0
+        h1 = a_eff @ xw0
+        np.maximum(h1, 0.0, out=h1)
+    else:
+        rows = np.asarray(rows)
+        n1 = _neighbours(a_eff, rows)     # self-loops: rows within n1
+        n2 = _neighbours(a_eff, n1)       # and n1 within n2
+        # A BLAS product over a subset of rows may round differently
+        # from the full one, so a dense X runs in full.
+        xw0 = _row_product(x_op, n2, w0) if sp.issparse(x_op) \
+            else x_op @ w0
+        s1 = a_eff[n1] @ xw0
+        h1 = np.zeros(xw0.shape, dtype=dtype)
+        h1[n1] = np.maximum(s1, 0.0, out=s1)
     h1w1 = h1 @ w1
     logits = a_eff @ h1w1
     cache = ForwardCache(a_eff=a_eff, norm=norm, x_op=x_op, w1_eff=w1,
-                         xw0=xw0, s1=s1, h1=h1, h1w1=h1w1, logits=logits,
-                         params=params, soft=soft, binary=binary)
+                         xw0=xw0, h1=h1, h1w1=h1w1, logits=logits,
+                         params=params, soft=soft, binary=binary, rows=rows)
     return logits, cache
 
 
@@ -220,9 +246,27 @@ def masked_loss(logits: np.ndarray, labels: np.ndarray,
     if split.size == 0:
         raise ValueError("empty split")
     z = logits[split]
-    lse = logsumexp(z, axis=1)
+    lse = _logsumexp_rows(z)
     picked = z[np.arange(split.size), labels[split]]
     return float(np.mean(lse - picked))
+
+
+def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp(z, axis=1)`` for a real 2-D ``z``, bit for
+    bit: scipy 1.17's steps in its order. The entries at the row max are
+    counted (m) and the others summed as exp(z - max) (s); the result is
+    log1p(s/m) + log(m) + max, or log(sum(exp(z))) where that is not
+    finite (rows holding inf or NaN)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+        top = np.max(z, axis=1, keepdims=True)
+        at_top = z == top
+        m = np.sum(at_top.astype(z.dtype), axis=1, keepdims=True)
+        s = np.sum(np.exp(np.where(at_top, -np.inf, z) - top), axis=1,
+                   keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + top
+    return np.where(np.isfinite(out), out, direct)[:, 0]
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -231,13 +275,32 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _neighbours(a: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
-    """Sorted ids of the columns stored in the given rows of CSR ``a``."""
+def _row_bits(a: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray,
+                                                             np.ndarray]:
+    """Bitsets of the given rows of CSR ``a`` and of their stored entries."""
     picked = np.zeros(a.shape[0], dtype=bool)
     picked[rows] = True
+    return picked, np.repeat(picked, np.diff(a.indptr))
+
+
+def _neighbours(a: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
+    """Sorted ids of the columns stored in the given rows of CSR ``a``."""
     reached = np.zeros(a.shape[1], dtype=bool)
-    reached[a.indices[np.repeat(picked, np.diff(a.indptr))]] = True
+    reached[a.indices[_row_bits(a, rows)[1]]] = True
     return np.flatnonzero(reached)
+
+
+def _row_product(a: sp.csr_matrix, rows: np.ndarray,
+                 w: np.ndarray) -> np.ndarray:
+    """``a @ w`` on the given rows of CSR ``a``, zero on every other row;
+    each computed row is summed as the full product sums it."""
+    # The rows' entries under a full-length row pointer: every other row
+    # is empty, so the product leaves its (zeroed) output alone.
+    picked, entries = _row_bits(a, rows)
+    indptr = np.zeros(a.shape[0] + 1, dtype=a.indptr.dtype)
+    np.cumsum(np.diff(a.indptr) * picked, out=indptr[1:])
+    return sp.csr_matrix((a.data[entries], a.indices[entries], indptr),
+                         shape=a.shape) @ w
 
 
 def backward(cache: ForwardCache, labels: np.ndarray,
@@ -251,6 +314,8 @@ def backward(cache: ForwardCache, labels: np.ndarray,
     split = np.asarray(split)
     if split.size == 0:
         raise ValueError("empty split")
+    if cache.rows is not None and not np.isin(split, cache.rows).all():
+        raise ValueError("split reaches rows the forward did not compute")
     dtype = cache.logits.dtype
     n, c = cache.logits.shape
 
@@ -271,7 +336,7 @@ def backward(cache: ForwardCache, labels: np.ndarray,
     n2 = _neighbours(a, n1)               # and n1 within n2
     dh1w1 = a @ g2
     dw1_dense = cache.h1.T @ dh1w1
-    ds1 = (dh1w1[n1] @ cache.w1_eff.T) * (cache.s1[n1] > 0)   # rows n1
+    ds1 = (dh1w1[n1] @ cache.w1_eff.T) * (cache.h1[n1] > 0)   # rows n1
     dxw0 = a[n2][:, n1] @ ds1                                # rows n2
     if sp.issparse(cache.x_op):
         dw0_dense = cache.x_op[n2].T @ dxw0

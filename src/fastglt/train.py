@@ -43,7 +43,9 @@ class TrainLoop:
     Call :meth:`rebuild_norm` after any change to ``params``, ``soft`` or
     ``binary`` made outside :meth:`run_epoch` (a swap boundary, say): it
     renormalizes the adjacency and drops the kept forward, which would
-    otherwise describe the state before the change.
+    otherwise describe the state before the change. Without a kept forward
+    the epoch's training forward covers only the train split's receptive
+    field (``gcn_forward(..., rows=train_idx)``).
     """
 
     def __init__(self, dataset: Dataset, params: GcnParams, soft: SoftMasks,
@@ -84,15 +86,15 @@ class TrainLoop:
         self.norm = normalize_adjacency(self.dataset, mask)
         self._forward = None
 
-    def _run_forward(self):
+    def _run_forward(self, rows=None):
         return gcn_forward(self.params, self.soft, self.binary, self.dataset,
-                           norm=self.norm, x_op=self.x_op)
+                           norm=self.norm, x_op=self.x_op, rows=rows)
 
     def run_epoch(self) -> EpochStats:
         """One backward/update sweep plus a post-update eval forward, which
         is kept as the next epoch's training forward."""
         ds = self.dataset
-        logits, cache = self._forward or self._run_forward()
+        logits, cache = self._forward or self._run_forward(ds.train_idx)
         self._forward = None
         loss = masked_loss(logits, ds.labels, ds.train_idx)
         grads = backward(cache, ds.labels, ds.train_idx)

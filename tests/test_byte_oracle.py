@@ -4,9 +4,12 @@ Short desk-SBM arms run twice: once as shipped, and once with reference
 versions of the passes patched in: the textbook out-of-place Adam with
 each step gated by its tensor's binary mask (the shipped Adam takes no
 mask: a swap zeroes the moments of the entries it removes instead), the
-sorted cut (a full stable sort) wherever a cut is taken, and the swap
-with its explicit overlap check. Every artifact must be byte-identical,
-``report.json`` minus its wall-clock ``timing`` block.
+full forward at every training-segment start (the shipped loop computes
+only the train split's receptive field there), the sorted cut (a full
+stable sort) wherever a cut is taken, over the pooled weights where
+denoising picks weights, the adjacency built by a sort of its entries,
+and the swap with its explicit overlap check. Every artifact must be
+byte-identical, ``report.json`` minus its wall-clock ``timing`` block.
 """
 
 import functools
@@ -14,9 +17,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import fastglt.baselines as baselines
 import fastglt.denoise as denoise
+import fastglt.graph as graph
 import fastglt.masks as masks
 import fastglt.optim as optim
 import fastglt.train as train
@@ -57,11 +62,46 @@ def gated_epoch(loop):
         return SHIPPED_EPOCH(loop)
 
 
+SHIPPED_FORWARD = train.gcn_forward
+
+
+def full_forward(*args, rows=None, **kwargs):
+    """The forward over every node, whatever rows the caller needs."""
+    return SHIPPED_FORWARD(*args, **kwargs)
+
+
 def sorted_cut(scores, eligible, k, what):
     pool = np.flatnonzero(eligible)
     if k > pool.size:
         raise ValueError(f"{what}: quota {k} exceeds pool of {pool.size}")
     return pool[np.argsort(scores[pool], kind="stable")[:k]]
+
+
+def pooled_cut(bits, values, score, k, what):
+    """The sorted cut over the pooled weights: both layers' scores and
+    bits concatenated, then one stable sort of every eligible score."""
+    pooled = score(np.concatenate([v.ravel() for v in values]))
+    eligible = np.concatenate([b.ravel() for b in bits])
+    return sorted_cut(pooled, eligible, k, what)
+
+
+def sorted_adjacency(dataset, edge_mask=None):
+    """D^-1/2 (masked A + I) D^-1/2 from a lexsort of the kept entries and
+    a COO-to-CSR conversion."""
+    n, edges = dataset.num_nodes, dataset.edges
+    kept = np.arange(edges.shape[0]) if edge_mask is None \
+        else np.flatnonzero(edge_mask)
+    loops = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([edges[kept, 0], edges[kept, 1], loops])
+    cols = np.concatenate([edges[kept, 1], edges[kept, 0], loops])
+    edge_ids = np.concatenate([kept, kept, np.full(n, -1, dtype=np.int64)])
+    inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, minlength=n).astype(float))
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    data = inv_sqrt[rows] * inv_sqrt[cols]
+    csr = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    return graph.NormAdj(matrix=csr, edge_of_entry=edge_ids[order],
+                         entry_row=rows, entry_col=cols)
 
 
 def sorted_bits(s, k):
@@ -85,9 +125,12 @@ def checked_swap(mask, remove, add, what):
 
 def patch_references(monkeypatch):
     monkeypatch.setattr(train.TrainLoop, "run_epoch", gated_epoch)
+    monkeypatch.setattr(train, "gcn_forward", full_forward)
+    monkeypatch.setattr(train, "normalize_adjacency", sorted_adjacency)
     monkeypatch.setattr(masks, "_smallest_bits", sorted_bits)
     monkeypatch.setattr(baselines, "_bottom_k_set", sorted_cut)
     monkeypatch.setattr(denoise, "_bottom_k", sorted_cut)
+    monkeypatch.setattr(denoise, "_bottom_k_weights", pooled_cut)
     monkeypatch.setattr(denoise, "_swap_bits", checked_swap)
 
 

@@ -375,6 +375,28 @@ def test_cli_suite_refuses_a_json_array(tmp_path):
     assert not (tmp_path / "lib").exists()
 
 
+@pytest.mark.parametrize("suite, seed, why", [
+    ({"shared": [1], "arms": []}, False, '"shared" must be an object'),
+    ({"shared": [1], "arms": []}, True, '"shared" must be an object'),
+    ({"shared": {}, "arms": [3]}, False, '"arms" must be a list of objects'),
+    ({"shared": {}, "arms": {"method": "dense"}}, True,
+     '"arms" must be a list of objects'),
+])
+def test_cli_suite_checks_its_sections_first(tmp_path, suite, seed, why):
+    suite_file = tmp_path / "suite.json"
+    suite_file.write_text(json.dumps(suite))
+    out = tmp_path / "out"
+    proc = _glt("suite", "--suite", str(suite_file), "--out", str(out),
+                *(["--seed", "3"] if seed else []))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"config error: {suite_file}: {why}")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+    with pytest.raises(ValueError, match=why):
+        run_suite(suite, tmp_path / "lib")
+    assert not (tmp_path / "lib").exists()
+
+
 def test_cli_run_refuses_a_missing_config(tmp_path):
     proc = _glt("run", "--config", str(tmp_path / "missing.json"),
                 "--out", str(tmp_path / "out"))

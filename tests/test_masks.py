@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastglt.masks import (BinaryMasks, SparsityPlan, _bottom_k,
-                           _bottom_k_set, init_soft_masks,
+                           _bottom_k_set, _stable_order, init_soft_masks,
                            intermediate_sparsity, kept_count, load_mask,
                            load_soft_values, one_shot_threshold, save_mask,
                            save_soft_values, sparsity)
@@ -108,17 +108,17 @@ def stable_sort_head(scores, eligible, k):
 
 
 def check_order_free_cut(scores, eligible, k):
+    head = stable_sort_head(scores, eligible, k)
     got = _bottom_k_set(scores, eligible, k, "x")
-    want = np.sort(stable_sort_head(scores, eligible, k))
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(got, np.sort(_bottom_k(scores, eligible,
-                                                         k, "x")))
+    np.testing.assert_array_equal(got, np.sort(head))
+    np.testing.assert_array_equal(_bottom_k(scores, eligible, k, "x"), head)
 
 
 @pytest.mark.parametrize("case", ["random", "ties", "nan", "nan_kth"])
 def test_order_free_cut_picks_the_sorted_set(case):
-    """Same set as ``_bottom_k`` and a full stable sort, returned in index
-    order, for every k from 0 to the pool size."""
+    """The set of a full stable sort's head, returned in index order, and
+    ``_bottom_k`` in that sort's order, for every k from 0 to the pool
+    size."""
     rng = np.random.default_rng(7)
     n = 400
     if case == "random":
@@ -146,6 +146,25 @@ def test_order_free_cut_property(scores, data):
                                            max_size=len(scores))))
     check_order_free_cut(scores, eligible,
                          data.draw(st.integers(0, int(eligible.sum()))))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("case", ["distinct", "ties", "specials"])
+def test_stable_order_equals_a_stable_argsort(case, dtype):
+    """Unstable sorts plus tie keys give the stable permutation: signed
+    zeros tie, infinities rank at the ends, every NaN ties and sorts last."""
+    rng = np.random.default_rng(5)
+    s = rng.normal(size=3000)
+    if case != "distinct":
+        s = np.round(s, 1)                  # about 60 tie groups
+    if case == "specials":
+        s[rng.random(s.size) < 0.1] = -0.0
+        s[rng.random(s.size) < 0.05] = np.inf
+        s[rng.random(s.size) < 0.05] = -np.inf
+        s[rng.random(s.size) < 0.1] = np.nan
+    s = s.astype(dtype)
+    np.testing.assert_array_equal(_stable_order(s),
+                                  np.argsort(s, kind="stable"))
 
 
 def test_order_free_cut_refuses_oversized_quota():

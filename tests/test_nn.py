@@ -1,4 +1,6 @@
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -168,7 +170,7 @@ def fd_check(ds, params, soft, binary, split, eps=1e-5):
 
     def probe():
         lg, cc = gcn_forward(params, soft, binary, ds)
-        return masked_loss(lg, ds.labels, split), cc.s1 > 0
+        return masked_loss(lg, ds.labels, split), cc.h1 > 0
 
     checks = [
         (params.theta0, grads.theta0), (params.theta1, grads.theta1),
@@ -311,7 +313,7 @@ def reference_gradients(cache, labels, split):
     a = cache.a_eff
     dh1w1 = a @ g2
     dw1 = cache.h1.T @ dh1w1
-    ds1 = (dh1w1 @ cache.w1_eff.T) * (cache.s1 > 0)
+    ds1 = (dh1w1 @ cache.w1_eff.T) * (cache.h1 > 0)
     dw0 = cache.x_op.T @ (a @ ds1)
 
     soft, params, binary = cache.soft, cache.params, cache.binary
@@ -452,3 +454,98 @@ def test_backward_matches_full_graph_reference(kind, trained, dtype):
             assert g.dtype == w.dtype == dtype, name
             np.testing.assert_array_equal(g, w, err_msg=name)
             assert g.tobytes() == w.tobytes(), name   # signed zeros too
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("trained", ["cotrain", "denoise", "theta"])
+@pytest.mark.parametrize("x_kind", ["dense", "dense_isolated", "csr"])
+def test_train_rows_forward_matches_full_forward(x_kind, trained, dtype):
+    """A forward restricted to the split's rows computes on a strict part
+    of the graph, yet gives the full forward's split logits, loss and
+    every gradient bit for bit. ``dense_isolated`` trains on one isolated
+    node, whose one-row X@W0 a BLAS would take down a vector path."""
+    rng = np.random.default_rng(11)
+    if x_kind == "csr":
+        ds, params, soft = sparse_feature_instance(rng, dtype=dtype)
+        split = ds.train_idx[:3]
+    else:
+        ds, params, soft, split = components_instance(rng, dtype)
+        assert not sp.issparse(nn.feature_operator(ds, dtype))
+        if x_kind == "dense_isolated":      # node 0 loses its two edges
+            split = np.array([0])
+    binary = BinaryMasks(edges=rng.random(ds.num_edges) < 0.8,
+                         theta0=rng.random(params.theta0.shape) < 0.8,
+                         theta1=rng.random(params.theta1.shape) < 0.8)
+    if x_kind == "dense_isolated":
+        binary.edges[(ds.edges == 0).any(axis=1)] = False
+        assert receptive_field(ds, binary, split) == (1, 1, 1)
+    soft = {"cotrain": soft, "denoise": SoftMasks(edges=soft.edges),
+            "theta": SoftMasks()}[trained]
+
+    full_logits, full = gcn_forward(params, soft, binary, ds)
+    logits, cache = gcn_forward(params, soft, binary, ds, rows=split)
+    _, hop1, hop2 = receptive_field(ds, binary, split)
+    assert hop2 < ds.num_nodes
+    if x_kind == "csr":             # a dense X@W0 runs over every row
+        assert np.count_nonzero(cache.xw0.any(axis=1)) <= hop2
+    assert np.count_nonzero(cache.h1.any(axis=1)) <= hop1
+    assert logits[split].tobytes() == full_logits[split].tobytes()
+    assert masked_loss(logits, ds.labels, split) \
+        == masked_loss(full_logits, ds.labels, split)
+    got = backward(cache, ds.labels, split)
+    want = backward(full, ds.labels, split)
+    for name in ("theta0", "theta1", "m_theta0", "m_theta1", "m_edges",
+                 "theta0_dense", "theta1_dense"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g is None) == (w is None), name
+        if w is not None:
+            assert g.tobytes() == w.tobytes(), name   # signed zeros too
+
+
+def test_backward_refuses_a_split_beyond_the_forward_rows():
+    rng = np.random.default_rng(4)
+    ds, params, soft, split = components_instance(rng, np.float64)
+    _, cache = gcn_forward(params, soft, None, ds, rows=split[:1])
+    with pytest.raises(ValueError, match="rows the forward did not compute"):
+        backward(cache, ds.labels, split)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_logsumexp_rows_matches_scipy(dtype):
+    """scipy.special is only the reference here; the engine does not load
+    it. Random rows, rows with ties at the max, and rows with +-inf, NaN
+    and an exp overflow."""
+    from scipy.special import logsumexp
+    rng = np.random.default_rng(2)
+    z = rng.normal(0, 5, (140, 7))
+    z[::3] = np.round(z[::3] / 4)            # frequent ties, at the max too
+    z[10] = 3.0                              # the whole row tied
+    z[11, 2] = np.inf
+    z[12, :2] = np.inf
+    z[13, 4] = -np.inf
+    z[14] = -np.inf
+    z[15, 1] = np.nan
+    z[16] = np.nan
+    z[17, :2] = [np.inf, -np.inf]
+    z[18, 3] = 800.0                         # exp overflows in f64 and f32
+    z[19, [0, 5]] = 90.0                     # a tied max that overflows f32
+    z = z.astype(dtype)
+    got, want = nn._logsumexp_rows(z), logsumexp(z, axis=1)
+    assert got.dtype == want.dtype == dtype
+    np.testing.assert_array_equal(got, want)
+    finite = np.isfinite(want)
+    assert got[finite].tobytes() == want[finite].tobytes()
+
+    labels = rng.integers(0, 7, z.shape[0])
+    for i in range(20, 140):                     # the finite rows, one by one
+        assert masked_loss(z, labels, [i]) \
+            == float(logsumexp(z[i]) - z[i, labels[i]]), i
+
+
+def test_engine_does_not_load_scipy_special():
+    code = ("import sys, fastglt.harness, fastglt.denoise\n"
+            "print('scipy.special' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
