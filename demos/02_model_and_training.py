@@ -59,8 +59,10 @@ binary = BinaryMasks.all_ones(ds.num_edges, params.theta0.shape,
 binary.theta0[2, 5] = False
 _, cache = gcn_forward(params, soft, binary, ds)
 g = backward(cache, ds.labels, ds.train_idx)
-print(f"pruned weight (2,5): d_theta={g.theta0[2, 5]:.1e} (masked), "
-      f"dense-position gradient={g.theta0_dense[2, 5]:+.3e}")
+# weight-shaped gradients are pooled; params.layers views them per layer
+d_theta0, dense0 = params.layers(g.theta)[0], params.layers(g.dense)[0]
+print(f"pruned weight (2,5): d_theta={d_theta0[2, 5]:.1e} (masked), "
+      f"dense-position gradient={dense0[2, 5]:+.3e}")
 
 # --- dense training ---------------------------------------------------------
 result = train_theta_only(ds, params, None, epochs=120, lr=0.01)

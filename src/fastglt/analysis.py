@@ -124,22 +124,20 @@ def mac_count(dataset: Dataset, binary: BinaryMasks | None,
 
     Cost model per layer: N * nnz(W) for the feature transform with sparse
     weights, plus nnz(A_hat) * d_out for the aggregation, where nnz(A_hat)
-    counts kept directed edges plus the N self-loops. Dense masks reduce to
-    N*F*H + N*H*C + nnz(A_hat) * (H + C).
+    counts kept directed edges plus the N self-loops. Summed over both
+    layers that is N * (kept pooled weights) + nnz(A_hat) * (H + C); dense
+    masks keep F*H + H*C weights.
     """
     n = dataset.num_nodes
-    f = dataset.num_features
     c = dataset.num_classes
     if binary is None:
-        nnz_w0 = f * hidden
-        nnz_w1 = hidden * c
+        kept_weights = (dataset.num_features + c) * hidden
         kept_edges = dataset.num_edges
     else:
-        nnz_w0 = int(np.count_nonzero(binary.theta0))
-        nnz_w1 = int(np.count_nonzero(binary.theta1))
+        kept_weights = binary.kept_weights
         kept_edges = int(np.count_nonzero(binary.edges))
     nnz_a = 2 * kept_edges + n
-    return n * nnz_w0 + nnz_a * hidden + n * nnz_w1 + nnz_a * c
+    return n * kept_weights + nnz_a * (hidden + c)
 
 
 @dataclass
@@ -174,7 +172,7 @@ def pruned_set_stats(mask_a: BinaryMasks, mask_b: BinaryMasks,
     """
     out: dict[str, dict[str, PrunedSetStats]] = {}
     for name, masks in zip(names, (mask_a, mask_b)):
-        pruned_w = ~masks.weights_flat()
+        pruned_w = ~masks.weights
         pruned_e = ~masks.edges
         out[name] = {
             "weight_grad": PrunedSetStats.from_values(weight_grads[pruned_w]),

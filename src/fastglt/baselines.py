@@ -46,8 +46,7 @@ def imp_search(dataset: Dataset, config: ExperimentConfig,
     each round, {level: edge mask}).
     """
     config.validate()
-    shape0, shape1 = params.theta0.shape, params.theta1.shape
-    soft0 = init_soft_masks(dataset, shape0, shape1, seed=config.seed,
+    soft0 = init_soft_masks(dataset, *params.shapes, seed=config.seed,
                             dtype=config.dtype)
     p_g, p_theta = config.imp_p_g, config.imp_p_theta
     epochs, lr = config.round_budget, config.lr
@@ -58,7 +57,7 @@ def imp_search(dataset: Dataset, config: ExperimentConfig,
         raise ValueError("weight target unreachable with p_theta=0")
 
     n_edges = dataset.num_edges
-    binary = BinaryMasks.all_ones(n_edges, shape0, shape1)
+    binary = BinaryMasks.all_ones(n_edges, *params.shapes)
     w_universe = binary.weight_universe
     tgt_kept_e = kept_count(n_edges, config.s_g)
     tgt_kept_w = kept_count(w_universe, config.s_theta)
@@ -70,7 +69,7 @@ def imp_search(dataset: Dataset, config: ExperimentConfig,
     last_train = None
     while True:
         kept_e = int(binary.edges.sum())
-        kept_w = int(binary.weights_flat().sum())
+        kept_w = binary.kept_weights
         pending_levels = [lvl for lvl in levels if lvl not in level_masks]
         done = kept_e <= tgt_kept_e and kept_w <= tgt_kept_w \
             and not pending_levels
@@ -99,13 +98,15 @@ def imp_search(dataset: Dataset, config: ExperimentConfig,
                 if int(new_edges.sum()) == level_kept[lvl]:
                     level_masks[lvl] = new_edges.copy()
 
-        new_wflat = binary.weights_flat()
+        new_weights = binary.weights
         if kept_w > tgt_kept_w:
             n_drop = max(_round_half_up(p_theta * kept_w), 1)
-            new_wflat[_bottom_k_set(np.abs(best.weights_flat()), new_wflat,
-                                    n_drop, "imp weights")] = False
+            new_weights = binary.weights.copy()
+            new_weights[_bottom_k_set(np.abs(best.weights), binary.weights,
+                                      n_drop, "imp weights")] = False
 
-        binary = binary.with_edges(new_edges).with_weights_flat(new_wflat)
+        binary = BinaryMasks.pooled(new_weights, binary.shapes,
+                                    edges=new_edges)
         round_masks.append(binary)
 
     if last_train is None:     # degenerate (0, 0) targets: nothing to prune
@@ -141,8 +142,8 @@ def random_masks(dataset: Dataset, shape0, shape1, *, s_g: float,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7A17]))
     masks = BinaryMasks.all_ones(dataset.num_edges, shape0, shape1)
     edges = random_bits(rng, dataset.num_edges, s_g)
-    return masks.with_edges(edges).with_weights_flat(
-        random_bits(rng, masks.weight_universe, s_theta))
+    return BinaryMasks.pooled(random_bits(rng, masks.weight_universe,
+                                          s_theta), masks.shapes, edges=edges)
 
 
 def run_random(dataset: Dataset, config: ExperimentConfig,
@@ -151,9 +152,8 @@ def run_random(dataset: Dataset, config: ExperimentConfig,
     and then verified."""
     t_start = time.perf_counter()
     params = arm_params(dataset, params0, config)
-    binary = random_masks(dataset, params.theta0.shape, params.theta1.shape,
-                          s_g=config.s_g, s_theta=config.s_theta,
-                          seed=config.seed)
+    binary = random_masks(dataset, *params.shapes, s_g=config.s_g,
+                          s_theta=config.s_theta, seed=config.seed)
     inplace = train_theta_only(dataset, params, binary, config.epochs,
                                lr=config.lr)
     return finish_arm(
@@ -168,8 +168,8 @@ def run_oneshot_only(dataset: Dataset, config: ExperimentConfig,
     to the targets."""
     t_start = time.perf_counter()
     params = arm_params(dataset, params0, config)
-    soft = init_soft_masks(dataset, params.theta0.shape, params.theta1.shape,
-                           seed=config.seed, dtype=config.dtype)
+    soft = init_soft_masks(dataset, *params.shapes, seed=config.seed,
+                           dtype=config.dtype)
     oneshot = train_oneshot_phase(dataset, params, soft,
                                   epochs=config.epochs, lr=config.lr)
     best = oneshot.best_soft

@@ -24,8 +24,8 @@ from .config import ExperimentConfig
 from .data import Dataset
 from .graph import edge_degree_scores
 from .masks import (BinaryMasks, SoftMasks, SparsityPlan, _bottom_k,
-                    _bottom_k_pool, _round_half_up, init_soft_masks,
-                    kept_count, threshold_masks)
+                    _round_half_up, init_soft_masks, kept_count,
+                    threshold_masks, write_atomic)
 from .nn import GcnParams, arm_params, evaluate_accuracy
 from .optim import NonFiniteGradient
 from .train import TrainLoop, train_oneshot_phase
@@ -124,39 +124,16 @@ def interval_quotas(mu: int, schedule: DenoiseSchedule, kept_edges: int,
             _quota(mu, ratio, schedule.weights, kept_weights))
 
 
-def _bottom_k_weights(bits: tuple[np.ndarray, np.ndarray],
-                      values: tuple[np.ndarray, np.ndarray], score, k: int,
-                      what: str) -> np.ndarray:
-    """``_bottom_k`` over the pooled weights whose bit is set, ranked by
-    ``score(values)``; returns pooled flat ids (theta1's offset by theta0's
-    size). Only the pool is scored: its values are gathered layer by
-    layer into one buffer, and ``score`` maps that buffer in place."""
-    i0, i1 = (np.flatnonzero(b) for b in bits)
-    scores = np.empty(i0.size + i1.size, dtype=np.result_type(*values))
-    # the ids come from flatnonzero, so "clip" never clips; it only spares
-    # the buffered copy that take's default "raise" makes of ``out``
-    np.take(values[0].reshape(-1), i0, out=scores[:i0.size], mode="clip")
-    np.take(values[1].reshape(-1), i1, out=scores[i0.size:], mode="clip")
-    score(scores, out=scores)
-    pos = _bottom_k_pool(scores, k, what)
-    ids = np.empty(pos.size, dtype=np.int64)
-    first = pos < i0.size
-    ids[first] = i0[pos[first]]
-    ids[~first] = i1[pos[~first] - i0.size] + bits[0].size
-    return ids
-
-
 def identify_noisy(binary: BinaryMasks, soft_edges: np.ndarray,
                    params: GcnParams, quotas: tuple[Quota, Quota]
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Kept elements of smallest magnitude: |m_g| for edges, |theta| for
     weights (pooled over both layers). Returns (edge_ids, flat_weight_ids)."""
     q_g, q_t = quotas
-    noisy_edges = _bottom_k(np.abs(soft_edges), binary.edges, q_g.n_noisy,
-                            "noisy edges")
-    noisy_weights = _bottom_k_weights(
-        (binary.theta0, binary.theta1), (params.theta0, params.theta1),
-        np.abs, q_t.n_noisy, "noisy weights")
+    noisy_edges = _bottom_k(soft_edges, binary.edges, q_g.n_noisy,
+                            "noisy edges", score=np.abs)
+    noisy_weights = _bottom_k(params.weights, binary.weights, q_t.n_noisy,
+                              "noisy weights", score=np.abs)
     return noisy_edges, noisy_weights
 
 
@@ -168,10 +145,8 @@ def discover_potential(binary: BinaryMasks, grad_acc: np.ndarray,
     q_g, q_t = quotas
     regrow_edges = _bottom_k(edge_scores, ~binary.edges, q_g.n_potential,
                              "potential edges")
-    n0 = binary.theta0.size
-    regrow_weights = _bottom_k_weights(
-        (~binary.theta0, ~binary.theta1), (grad_acc[:n0], grad_acc[n0:]),
-        np.negative, q_t.n_potential, "potential weights")
+    regrow_weights = _bottom_k(grad_acc, ~binary.weights, q_t.n_potential,
+                               "potential weights", score=np.negative)
     return regrow_edges, regrow_weights
 
 
@@ -212,9 +187,8 @@ class SwapRecord:
 
 def export_swaps(swaps: list[SwapRecord], path: str | Path) -> None:
     """One JSON object per line, one line per interval."""
-    with open(path, "w") as fh:
-        for rec in swaps:
-            fh.write(json.dumps(rec.as_dict()) + "\n")
+    write_atomic(path, "".join(json.dumps(rec.as_dict()) + "\n"
+                               for rec in swaps).encode())
 
 
 def _swap_bits(mask: np.ndarray, remove: np.ndarray, add: np.ndarray,
@@ -244,8 +218,10 @@ def update_masks(binary: BinaryMasks, noisy: tuple[np.ndarray, np.ndarray],
     noisy_e, noisy_w = (np.asarray(a, dtype=np.int64) for a in noisy)
     pot_e, pot_w = (np.asarray(a, dtype=np.int64) for a in potential)
     new_edges = _swap_bits(binary.edges.copy(), noisy_e, pot_e, "edges")
-    new_wflat = _swap_bits(binary.weights_flat(), noisy_w, pot_w, "weights")
-    new_masks = binary.with_edges(new_edges).with_weights_flat(new_wflat)
+    new_weights = _swap_bits(binary.weights.copy(), noisy_w, pot_w,
+                             "weights")
+    new_masks = BinaryMasks.pooled(new_weights, binary.shapes,
+                                   edges=new_edges)
     record = SwapRecord(
         interval=interval,
         edges_removed=noisy_e, edges_regrown=pot_e,
@@ -261,11 +237,6 @@ def update_masks(binary: BinaryMasks, noisy: tuple[np.ndarray, np.ndarray],
 # full driver
 # ---------------------------------------------------------------------------
 
-def _by_layer(idx: np.ndarray, n0: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split pooled flat weight indices into (theta0, theta1) flat ones."""
-    return idx[idx < n0], idx[idx >= n0] - n0
-
-
 def run_fastglt(dataset: Dataset, config: ExperimentConfig,
                 params0: GcnParams | None = None) -> ArmResult:
     """One-shot co-training, thresholding to the decayed intermediate
@@ -279,8 +250,8 @@ def run_fastglt(dataset: Dataset, config: ExperimentConfig,
     t_start = time.perf_counter()
     params = arm_params(dataset, params0, config)
     dtype, lr, interval = config.dtype, config.lr, config.interval
-    soft = init_soft_masks(dataset, params.theta0.shape, params.theta1.shape,
-                           seed=config.seed, dtype=dtype)
+    soft = init_soft_masks(dataset, *params.shapes, seed=config.seed,
+                           dtype=dtype)
     plan = SparsityPlan(s_g_tgt=config.s_g, s_theta_tgt=config.s_theta,
                         alpha=config.alpha, beta=config.beta)
 
@@ -302,7 +273,6 @@ def run_fastglt(dataset: Dataset, config: ExperimentConfig,
 
     loop = TrainLoop(dataset, params, soft_dn, binary=binary, lr=lr)
     grad_acc = np.zeros(binary.weight_universe, dtype=np.float64)
-    n0 = params.theta0.size
     swaps: list[SwapRecord] = []
     history = list(oneshot.history)
     for mu in range(1, schedule.mu_end + 1):
@@ -324,12 +294,9 @@ def run_fastglt(dataset: Dataset, config: ExperimentConfig,
 
         # Removed and regrown entries restart their Adam moments, so a
         # removed one stays put (see TrainLoop); regrown weights restart at 0.
-        touched_w = np.concatenate([noisy[1], potential[1]])
-        for name, idx in zip(("theta0", "theta1"), _by_layer(touched_w, n0)):
-            loop.opt[name].reset_entries(idx)
-        for w, idx in zip((params.theta0, params.theta1),
-                          _by_layer(potential[1], n0)):
-            w.reshape(-1)[idx] = 0.0
+        loop.opt["theta"].reset_entries(np.concatenate([noisy[1],
+                                                        potential[1]]))
+        params.weights[potential[1]] = 0.0
         loop.opt["m_edges"].reset_entries(np.concatenate([noisy[0],
                                                           potential[0]]))
         # Regrown edges re-enter at the 25th percentile of the surviving

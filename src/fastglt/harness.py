@@ -20,8 +20,9 @@ from .config import ExperimentConfig, config_from_dict, threads_setting
 from .data import Dataset, parse_dataset_spec
 from .denoise import export_swaps, run_fastglt
 from .graph import edge_degree_scores
-from .masks import (init_soft_masks, load_mask, one_shot_threshold,
-                    random_bits, save_mask, save_soft_values)
+from .masks import (BinaryMasks, init_soft_masks, load_mask,
+                    one_shot_threshold, random_bits, save_mask,
+                    save_soft_values, write_atomic)
 from .nn import GcnParams, arm_params
 from .train import TrainLoop
 
@@ -59,15 +60,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
     binary = result.binary
     if binary is not None:
         save_mask(binary.edges, out / "masks_edges.gltm")
-        save_mask(binary.theta0.ravel(), out / "masks_theta0.gltm")
-        save_mask(binary.theta1.ravel(), out / "masks_theta1.gltm")
+        save_mask(binary.theta0, out / "masks_theta0.gltm")
+        save_mask(binary.theta1, out / "masks_theta1.gltm")
     if result.soft_edges is not None:
         save_soft_values(result.soft_edges, out / "soft_edges.f32")
     if result.swaps:
         export_swaps(result.swaps, out / "swaps.jsonl")
     for k, masks in enumerate(result.round_masks, start=1):
         save_mask(masks.edges, out / f"round_{k:03d}_edges.gltm")
-        save_mask(masks.weights_flat(), out / f"round_{k:03d}_weights.gltm")
+        save_mask(masks.weights, out / f"round_{k:03d}_weights.gltm")
 
     payload = result.report.as_dict()
     history = {"search_loss": [h.loss for h in result.history],
@@ -82,8 +83,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path,
         "history": history,
         "timing": payload["timing"],
     }
-    (out / "report.json").write_text(
-        json.dumps(report_dict, sort_keys=True, indent=2) + "\n")
+    write_atomic(out / "report.json", (json.dumps(
+        report_dict, sort_keys=True, indent=2) + "\n").encode())
     return result
 
 
@@ -118,10 +119,9 @@ def _fig2_artifacts(out: Path, dataset: Dataset, config: ExperimentConfig,
 
     # one co-training run gives the one-shot masks and, summed over its
     # epochs, the |dense weight gradient| the pruned-set stats rank by
-    soft = init_soft_masks(dataset, params0.theta0.shape,
-                           params0.theta1.shape, seed=config.seed,
+    soft = init_soft_masks(dataset, *params0.shapes, seed=config.seed,
                            dtype=config.dtype)
-    grads = np.zeros(params0.theta0.size + params0.theta1.size)
+    grads = np.zeros(params0.weights.size)
     oneshot = TrainLoop(dataset, params0.fresh_copy(), soft,
                         lr=config.lr).train(config.epochs, grads)
     histories: dict[str, list[np.ndarray]] = {"oneshot": [], "random": []}
@@ -149,12 +149,11 @@ def _fig2_artifacts(out: Path, dataset: Dataset, config: ExperimentConfig,
     degs = edge_degree_scores(dataset)
     save_soft_values(grads, out / "probe_weight_grads.f32")
     save_soft_values(degs, out / "edge_degrees.f32")
-    imp_w = imp_binary.weights_flat()
-    os_w = one_shot_threshold(oneshot.best_soft.weights_flat(),
-                              1.0 - imp_w.sum() / imp_w.size)
+    os_w = one_shot_threshold(oneshot.best_soft.weights,
+                              imp_binary.weight_sparsity())
     imp_masks = imp_binary.with_edges(level_masks[levels[-1]])
-    os_masks = imp_masks.with_edges(
-        histories["oneshot"][-1]).with_weights_flat(os_w)
+    os_masks = BinaryMasks.pooled(os_w, imp_binary.shapes,
+                                  edges=histories["oneshot"][-1])
     stats = pruned_set_stats(imp_masks, os_masks, grads, degs,
                              names=("imp", "oneshot"))
     (out / "fig2_right.csv").write_text(pruned_set_stats_csv(stats))

@@ -1,13 +1,16 @@
 """Binary mask lifecycle: sparsity accounting, decay-to-intermediate
 sparsity, global magnitude thresholding, and mask (de)serialization.
 
-Weight masks live per layer but all counting and thresholding pools the two
-layers into one flat universe (layer 0 entries first, then layer 1, both in
-row-major order), matching the single global weight-sparsity number.
+Every weight-shaped tensor is stored as one pooled buffer over both layers
+(``pool_weights``, ``PooledWeights``): layer 0's entries first, then layer
+1's, both row-major. All counting, thresholding and regrowth index it,
+matching the single global weight-sparsity number.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,76 +22,112 @@ from .data import Dataset
 MASK_MAGIC = b"GLTM"
 
 
-@dataclass(frozen=True)
-class BinaryMasks:
-    """Kept/pruned bitsets over undirected edges and both weight layers."""
+def pool_weights(theta0: np.ndarray, theta1: np.ndarray) -> np.ndarray:
+    """A new pooled buffer holding copies of the two layers: theta0 then
+    theta1, each row-major, so theta1 starts at ``theta0.size``."""
+    return np.concatenate((np.ravel(theta0), np.ravel(theta1)))
 
-    edges: np.ndarray    # bool (E,)
-    theta0: np.ndarray   # bool (F, H)
-    theta1: np.ndarray   # bool (H, C)
+
+def grow_pool(theta0: np.ndarray, theta1: np.ndarray) -> np.ndarray:
+    """``pool_weights`` without a second theta0-sized buffer: ``theta0``,
+    an array that owns its data and has no views, is grown in place (a
+    realloc) into the pool and returned as it."""
+    n0 = theta0.size
+    theta0.resize(n0 + theta1.size, refcheck=False)
+    theta0[n0:] = theta1.ravel()
+    return theta0
+
+
+def _layer(k: int) -> property:
+    return property(lambda self: None if self.weights is None
+                    else self.layers(self.weights)[k],
+                    doc=f"theta{k}, a view of ``weights`` (None without it)")
+
+
+class PooledWeights:
+    """Base of the containers of weight-shaped tensors: ``weights`` holds
+    both layers in one C-contiguous pooled buffer (see ``pool_weights``)
+    and ``shapes`` their shapes. ``theta0`` and ``theta1`` are read-only
+    attributes holding views of ``weights``: writing through them
+    (``theta0[...] = x``) writes the pool."""
+
+    weights: np.ndarray | None = None
+    shapes: tuple[tuple[int, int], tuple[int, int]] | None = None
+    theta0, theta1 = _layer(0), _layer(1)
+
+    def _pool(self, theta0: np.ndarray, theta1: np.ndarray) -> None:
+        self.weights = pool_weights(theta0, theta1)
+        self.shapes = (np.shape(theta0), np.shape(theta1))
+
+    @classmethod
+    def pooled(cls, weights: np.ndarray, shapes, **fields):
+        """An instance holding the pooled buffer ``weights`` as it is, with
+        ``fields`` as its other attributes (constructors pool copies)."""
+        obj = cls.__new__(cls)
+        obj.weights, obj.shapes = weights, shapes
+        vars(obj).update(fields)
+        return obj
+
+    def layers(self, pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``pool``, any buffer over this pooled universe, as two views
+        shaped like theta0 and theta1."""
+        shape0, shape1 = self.shapes
+        n0 = math.prod(shape0)
+        return pool[:n0].reshape(shape0), pool[n0:].reshape(shape1)
+
+
+class BinaryMasks(PooledWeights):
+    """Kept/pruned bitsets over undirected edges and the pooled weights;
+    the constructor pools copies of per-layer bitsets."""
+
+    def __init__(self, edges: np.ndarray, theta0: np.ndarray,
+                 theta1: np.ndarray):
+        self.edges = edges
+        self._pool(theta0, theta1)
 
     @staticmethod
     def all_ones(num_edges: int, shape0: tuple[int, int],
                  shape1: tuple[int, int]) -> "BinaryMasks":
-        return BinaryMasks(edges=np.ones(num_edges, dtype=bool),
-                           theta0=np.ones(shape0, dtype=bool),
-                           theta1=np.ones(shape1, dtype=bool))
+        return BinaryMasks.pooled(
+            np.ones(math.prod(shape0) + math.prod(shape1), dtype=bool),
+            (shape0, shape1), edges=np.ones(num_edges, dtype=bool))
 
     @property
     def weight_universe(self) -> int:
-        return self.theta0.size + self.theta1.size
-
-    def weights_flat(self) -> np.ndarray:
-        """Pooled weight bitset: theta0 then theta1, row-major."""
-        return np.concatenate([self.theta0.ravel(), self.theta1.ravel()])
-
-    def with_weights_flat(self, flat: np.ndarray) -> "BinaryMasks":
-        n0 = self.theta0.size
-        return BinaryMasks(edges=self.edges,
-                           theta0=flat[:n0].reshape(self.theta0.shape),
-                           theta1=flat[n0:].reshape(self.theta1.shape))
+        return self.weights.size
 
     def with_edges(self, edges: np.ndarray) -> "BinaryMasks":
-        return BinaryMasks(edges=edges, theta0=self.theta0,
-                           theta1=self.theta1)
+        return BinaryMasks.pooled(self.weights, self.shapes, edges=edges)
 
     @property
     def kept_weights(self) -> int:
-        """Kept entries of the pooled weights, counted layer by layer."""
-        return int(np.count_nonzero(self.theta0)
-                   + np.count_nonzero(self.theta1))
+        return int(np.count_nonzero(self.weights))
 
     def graph_sparsity(self) -> float:
         return sparsity(self.edges)
 
     def weight_sparsity(self) -> float:
-        """``sparsity(weights_flat())`` without the pooled copy."""
-        if self.weight_universe == 0:
-            raise ValueError("empty mask universe")
-        return 1.0 - float(self.kept_weights) / self.weight_universe
+        return sparsity(self.weights)
 
 
-@dataclass
-class SoftMasks:
-    """Trainable real-valued multipliers over edges and weight entries; a
-    field left None is a multiplier of 1 that no one trains."""
+class SoftMasks(PooledWeights):
+    """Trainable real-valued multipliers over edges and the pooled weight
+    entries; ``edges`` or ``weights`` left None is a multiplier of 1 that
+    no one trains. Weight soft masks come in through ``SoftMasks.pooled``."""
 
-    edges: np.ndarray | None = None    # (E,)
-    theta0: np.ndarray | None = None   # (F, H)
-    theta1: np.ndarray | None = None   # (H, C)
+    def __init__(self, edges: np.ndarray | None = None):
+        self.edges = edges
 
     @staticmethod
     def identity(num_edges: int, shape0, shape1, dtype=np.float64):
-        return SoftMasks(edges=np.ones(num_edges, dtype=dtype),
-                         theta0=np.ones(shape0, dtype=dtype),
-                         theta1=np.ones(shape1, dtype=dtype))
+        return SoftMasks.pooled(
+            np.ones(math.prod(shape0) + math.prod(shape1), dtype=dtype),
+            (shape0, shape1), edges=np.ones(num_edges, dtype=dtype))
 
     def copy(self) -> "SoftMasks":
-        return SoftMasks(*(None if m is None else m.copy()
-                           for m in (self.edges, self.theta0, self.theta1)))
-
-    def weights_flat(self) -> np.ndarray:
-        return np.concatenate([self.theta0.ravel(), self.theta1.ravel()])
+        def dup(a): return None if a is None else a.copy()
+        return SoftMasks.pooled(dup(self.weights), self.shapes,
+                                edges=dup(self.edges))
 
 
 def sparsity(mask: np.ndarray) -> float:
@@ -185,24 +224,23 @@ def _stable_order(s: np.ndarray) -> np.ndarray:
     return np.argsort(group * n + np.arange(n))
 
 
-def _bottom_k_pool(scores: np.ndarray, k: int, what: str) -> np.ndarray:
-    """Positions of the k smallest scores, in stable-sort order (NaN last,
-    ties by position)."""
-    if k > scores.size:
-        raise ValueError(f"{what}: quota {k} exceeds pool of {scores.size}")
-    pick = np.flatnonzero(_smallest_bits(scores, k))
-    return pick[_stable_order(scores[pick])]
-
-
 def _bottom_k(scores: np.ndarray, eligible: np.ndarray, k: int,
-              what: str) -> np.ndarray:
+              what: str, score=None) -> np.ndarray:
     """Indices of the k smallest-score eligible entries, ties by index.
 
     The order is that of a stable sort of the pool (NaN last); callers
-    that only set mask bits use the cheaper ``_bottom_k_set``.
+    that only set mask bits use the cheaper ``_bottom_k_set``. Given
+    ``score``, a ufunc, the pool ranks by ``score(scores)``, which is only
+    computed on the pool's own gathered copy.
     """
     pool = np.flatnonzero(eligible)
-    return pool[_bottom_k_pool(scores[pool], k, what)]
+    if k > pool.size:
+        raise ValueError(f"{what}: quota {k} exceeds pool of {pool.size}")
+    scores = scores[pool]
+    if score is not None:
+        score(scores, out=scores)
+    pick = np.flatnonzero(_smallest_bits(scores, k))
+    return pool[pick[_stable_order(scores[pick])]]
 
 
 def one_shot_threshold(soft: np.ndarray, s: float) -> np.ndarray:
@@ -221,10 +259,9 @@ def threshold_masks(soft: SoftMasks, s_g: float,
                     s_theta: float) -> BinaryMasks:
     """Binary masks keeping the largest-|value| entries of trained soft
     masks: edges at sparsity ``s_g``, the pooled weights at ``s_theta``."""
-    return BinaryMasks.all_ones(
-        soft.edges.size, soft.theta0.shape, soft.theta1.shape
-    ).with_edges(one_shot_threshold(soft.edges, s_g)).with_weights_flat(
-        one_shot_threshold(soft.weights_flat(), s_theta))
+    return BinaryMasks.pooled(one_shot_threshold(soft.weights, s_theta),
+                              soft.shapes,
+                              edges=one_shot_threshold(soft.edges, s_g))
 
 
 @dataclass(frozen=True)
@@ -251,23 +288,34 @@ def init_soft_masks(dataset: Dataset, shape0: tuple[int, int],
     """Near-identity soft masks: 1.0 plus seeded uniform noise in ±0.01."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x50F7]))
     def draw(n): return (1.0 + rng.uniform(-0.01, 0.01, n)).astype(dtype)
-    return SoftMasks(edges=draw(dataset.num_edges),
-                     theta0=draw(shape0[0] * shape0[1]).reshape(shape0),
-                     theta1=draw(shape1[0] * shape1[1]).reshape(shape1))
+    edges = draw(dataset.num_edges)     # drawn first, then the pool
+    return SoftMasks.pooled(draw(math.prod(shape0) + math.prod(shape1)),
+                            (shape0, shape1), edges=edges)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file in the same directory
+    and ``os.replace``: a reader sees the old file or the whole new one,
+    never a partial write, and a failed write leaves no temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_mask(mask: np.ndarray, path: str | Path) -> None:
     """Write a bitset: b"GLTM", u64-LE universe size, LSB-first packed bits."""
     m = np.asarray(mask, dtype=bool).ravel()
-    payload = np.packbits(m, bitorder="little").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(MASK_MAGIC)
-        fh.write(struct.pack("<Q", m.size))
-        fh.write(payload)
+    write_atomic(path, MASK_MAGIC + struct.pack("<Q", m.size)
+                 + np.packbits(m, bitorder="little").tobytes())
 
 
 def load_mask(path: str | Path) -> np.ndarray:
@@ -289,12 +337,14 @@ def load_mask(path: str | Path) -> np.ndarray:
 
 def save_soft_values(values: np.ndarray, path: str | Path) -> None:
     """Raw little-endian float32 dump, same layout as features.bin."""
-    np.asarray(values).ravel().astype("<f4").tofile(path)
+    write_atomic(path, np.asarray(values).ravel().astype("<f4").tobytes())
 
 
-def load_soft_values(path: str | Path) -> np.ndarray:
+def load_soft_values(path: str | Path, count: int) -> np.ndarray:
+    """The ``count`` float32 values of a ``save_soft_values`` file, as
+    float64; a file of any other length is refused."""
     blob = Path(path).read_bytes()
-    if len(blob) % 4:
-        raise ValueError(f"{path}: {len(blob)} bytes is not a whole number "
-                         f"of float32 values")
+    if len(blob) != 4 * count:
+        raise ValueError(f"{path}: {len(blob)} bytes, expected {4 * count} "
+                         f"for {count} float32 values")
     return np.frombuffer(blob, dtype="<f4").astype(np.float64)

@@ -19,7 +19,7 @@ feature operator is built once per dataset and dtype and then shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,7 +27,8 @@ import scipy.sparse as sp
 from .config import ExperimentConfig
 from .data import Dataset
 from .graph import NormAdj, normalize_adjacency
-from .masks import BinaryMasks, SoftMasks
+from .masks import (BinaryMasks, PooledWeights, SoftMasks, grow_pool,
+                    pool_weights)
 
 # Feature matrices at or below this density run through scipy CSR; the
 # planetoid bag-of-words matrices sit around 1% and dominate the epoch cost
@@ -40,38 +41,29 @@ _SPARSE_X_DENSITY = 0.25
 _SDDMM_BLOCK = 128
 
 
-@dataclass
-class GcnParams:
-    """Two weight matrices plus a frozen copy of their initialization."""
+class GcnParams(PooledWeights):
+    """Two weight matrices, theta0 (F, H) and theta1 (H, C), pooled in
+    ``weights``, plus ``init``, a frozen copy of their initialization in
+    the same layout. The constructor pools copies of the layers and
+    takes its ``init`` from them."""
 
-    theta0: np.ndarray           # (F, H)
-    theta1: np.ndarray           # (H, C)
-    theta0_init: np.ndarray = field(repr=False, default=None)
-    theta1_init: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.theta0_init is None:
-            self.theta0_init = self.theta0.copy()
-        if self.theta1_init is None:
-            self.theta1_init = self.theta1.copy()
-        self.theta0_init.setflags(write=False)
-        self.theta1_init.setflags(write=False)
+    def __init__(self, theta0: np.ndarray, theta1: np.ndarray):
+        self._pool(theta0, theta1)
+        self.init = self.weights.copy()
+        self.init.setflags(write=False)
 
     @property
     def hidden(self) -> int:
-        return self.theta0.shape[1]
+        return self.shapes[0][1]
 
     def rewind(self) -> None:
-        """Reset trainable weights to the recorded initialization."""
-        self.theta0 = self.theta0_init.copy()
-        self.theta1 = self.theta1_init.copy()
+        """Reset trainable weights to the recorded initialization, in place:
+        views of ``weights`` stay valid."""
+        np.copyto(self.weights, self.init)
 
     def fresh_copy(self) -> "GcnParams":
         """New params starting from the same initialization."""
-        return GcnParams(theta0=self.theta0_init.copy(),
-                         theta1=self.theta1_init.copy(),
-                         theta0_init=self.theta0_init,
-                         theta1_init=self.theta1_init)
+        return GcnParams.pooled(self.init.copy(), self.shapes, init=self.init)
 
 
 def glorot_params(num_features: int, hidden: int, num_classes: int,
@@ -83,8 +75,10 @@ def glorot_params(num_features: int, hidden: int, num_classes: int,
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, (fan_in, fan_out)).astype(dtype)
 
-    return GcnParams(theta0=glorot(num_features, hidden),
-                     theta1=glorot(hidden, num_classes))
+    shapes = ((num_features, hidden), (hidden, num_classes))
+    init = pool_weights(*(glorot(*shape) for shape in shapes))
+    init.setflags(write=False)
+    return GcnParams.pooled(init.copy(), shapes, init=init)
 
 
 def arm_params(dataset: Dataset, params0: GcnParams | None,
@@ -103,25 +97,22 @@ def arm_params(dataset: Dataset, params0: GcnParams | None,
 
 @dataclass
 class Gradients:
-    """Loss gradients for weights, soft masks, and dense weight positions.
+    """Loss gradients for the weights, the soft masks, and the dense weight
+    positions; every weight-shaped field is a pooled buffer.
 
-    ``theta*_dense`` is the gradient with respect to the effective (post
-    mask) weight slot, defined on every entry including pruned ones; it is
-    what the denoiser accumulates to rank regrowth candidates. ``m_*`` is
-    None where the forward pass had no soft mask.
+    ``dense`` is the gradient with respect to the effective (post mask)
+    weight slot, defined on every entry including pruned ones; it is what
+    the denoiser accumulates to rank regrowth candidates. ``m_*`` is None
+    where the forward pass had no soft mask.
     """
 
-    theta0: np.ndarray
-    theta1: np.ndarray
-    m_theta0: np.ndarray | None
-    m_theta1: np.ndarray | None
+    theta: np.ndarray
+    m_theta: np.ndarray | None
     m_edges: np.ndarray | None
-    theta0_dense: np.ndarray
-    theta1_dense: np.ndarray
+    dense: np.ndarray
 
     def dense_flat(self) -> np.ndarray:
-        return np.concatenate([self.theta0_dense.ravel(),
-                               self.theta1_dense.ravel()])
+        return self.dense
 
 
 @dataclass
@@ -173,13 +164,6 @@ def _gated(x: np.ndarray, *gates) -> np.ndarray:
     return x
 
 
-def effective_weights(params: GcnParams, soft: SoftMasks,
-                      binary: BinaryMasks | None):
-    b0, b1 = (None, None) if binary is None else (binary.theta0, binary.theta1)
-    return (_gated(params.theta0, soft.theta0, b0),
-            _gated(params.theta1, soft.theta1, b1))
-
-
 def gcn_forward(params: GcnParams, soft: SoftMasks,
                 binary: BinaryMasks | None, dataset: Dataset,
                 norm: NormAdj | None = None, x_op=None,
@@ -200,21 +184,23 @@ def gcn_forward(params: GcnParams, soft: SoftMasks,
     the BLAS products keep their full shape. Every other logit is
     meaningless, so such a forward serves training only.
     """
-    dtype = params.theta0.dtype
+    dtype = params.weights.dtype
     if norm is None:
         norm = normalize_adjacency(
             dataset, binary.edges if binary is not None else None)
     if x_op is None:
         x_op = feature_operator(dataset, dtype)
 
-    if any(m is not None and m.shape != w.shape for m, w in
-           ((soft.theta0, params.theta0), (soft.theta1, params.theta1))):
+    if soft.weights is not None and soft.shapes != params.shapes:
         raise ValueError("soft mask shapes do not match the weights")
     if soft.edges is not None and soft.edges.shape != (dataset.num_edges,):
         raise ValueError("soft edge mask does not index the edge list")
 
     a_eff = norm.effective(soft.edges, dtype=dtype)
-    w0, w1 = effective_weights(params, soft, binary)
+    w0, w1 = params.layers(_gated(
+        params.weights, soft.weights,
+        None if binary is None else binary.weights))
+    w1 = w1.copy()      # the cache keeps W1: let the gated pool go with W0
 
     if rows is None:
         xw0 = x_op @ w0
@@ -336,7 +322,11 @@ def backward(cache: ForwardCache, labels: np.ndarray,
     n2 = _neighbours(a, n1)               # and n1 within n2
     dh1w1 = a @ g2
     dw1_dense = cache.h1.T @ dh1w1
-    ds1 = (dh1w1[n1] @ cache.w1_eff.T) * (cache.h1[n1] > 0)   # rows n1
+    # A one-row product takes numpy's vector path, which rounds unlike a
+    # row of the full product; so a lone n1 row is cut from the full one.
+    ds1 = dh1w1[n1] @ cache.w1_eff.T if n1.size > 1 \
+        else (dh1w1 @ cache.w1_eff.T)[n1]
+    ds1 *= cache.h1[n1] > 0                                  # rows n1
     dxw0 = a[n2][:, n1] @ ds1                                # rows n2
     if sp.issparse(cache.x_op):
         dw0_dense = cache.x_op[n2].T @ dxw0
@@ -344,6 +334,7 @@ def backward(cache: ForwardCache, labels: np.ndarray,
         dxw0_full = np.zeros((n, dxw0.shape[1]), dtype=dtype)
         dxw0_full[n2] = dxw0
         dw0_dense = cache.x_op.T @ dxw0_full
+    dense = grow_pool(dw0_dense, dw1_dense)    # dw0_dense is fresh
 
     soft, params, binary = cache.soft, cache.params, cache.binary
     d_m_edges = None
@@ -371,17 +362,13 @@ def backward(cache: ForwardCache, labels: np.ndarray,
         d_m_edges = np.zeros(soft.edges.shape[0], dtype=dtype)
         np.add.at(d_m_edges, e_of, d_entry * gate)
 
-    b0, b1 = (None, None) if binary is None else (binary.theta0, binary.theta1)
+    b = None if binary is None else binary.weights
     return Gradients(
-        theta0=_gated(dw0_dense, soft.theta0, b0),
-        theta1=_gated(dw1_dense, soft.theta1, b1),
-        m_theta0=None if soft.theta0 is None
-        else _gated(dw0_dense, params.theta0, b0),
-        m_theta1=None if soft.theta1 is None
-        else _gated(dw1_dense, params.theta1, b1),
+        theta=_gated(dense, soft.weights, b),
+        m_theta=None if soft.weights is None
+        else _gated(dense, params.weights, b),
         m_edges=d_m_edges,
-        theta0_dense=dw0_dense,
-        theta1_dense=dw1_dense,
+        dense=dense,
     )
 
 

@@ -54,7 +54,7 @@ class TrainLoop:
         self.params = params
         self.soft = soft
         self.binary = binary
-        self.x_op = feature_operator(dataset, params.theta0.dtype)
+        self.x_op = feature_operator(dataset, params.weights.dtype)
         self.norm = None
         self._forward = None  # (logits, cache) of the current state
         self.epochs_run = 0
@@ -64,22 +64,20 @@ class TrainLoop:
                     if tensor is not None}
         # what trains, for callers that label epochs by phase
         self.update_soft_edges = "m_edges" in self.opt
-        self.update_soft_weights = "m_theta0" in self.opt \
-            or "m_theta1" in self.opt
+        self.update_soft_weights = "m_theta" in self.opt
 
     @property
     def phase(self) -> str:
         """What trains: "cotrain" (weights and weight masks), "denoise"
         (weights and the edge mask) or "theta" (weights only)."""
-        if "m_theta0" in self.opt or "m_theta1" in self.opt:
+        if "m_theta" in self.opt:
             return "cotrain"
         return "denoise" if "m_edges" in self.opt else "theta"
 
     def _tensors(self) -> dict:
         """The trainable tensors by gradient field; None where absent."""
-        p, s = self.params, self.soft
-        return {"theta0": p.theta0, "theta1": p.theta1, "m_edges": s.edges,
-                "m_theta0": s.theta0, "m_theta1": s.theta1}
+        return {"theta": self.params.weights, "m_edges": self.soft.edges,
+                "m_theta": self.soft.weights}
 
     def rebuild_norm(self) -> None:
         mask = self.binary.edges if self.binary is not None else None
@@ -123,10 +121,6 @@ class TrainLoop:
         1-based epoch count."""
         if epochs < 1:
             raise ValueError("need at least one epoch")
-        if grad_acc is not None:
-            n0 = self.params.theta0.size
-            acc0 = grad_acc[:n0].reshape(self.params.theta0.shape)
-            acc1 = grad_acc[n0:].reshape(self.params.theta1.shape)
         out = TrainResult()
         for epoch in range(1, epochs + 1):
             try:
@@ -136,10 +130,9 @@ class TrainLoop:
                                    epoch=self.epochs_run + 1)
                 raise
             if grad_acc is not None:
-                # the dense gradients are dropped below: take |g| in place
-                g0, g1 = stats.grads.theta0_dense, stats.grads.theta1_dense
-                acc0 += np.abs(g0, out=g0)
-                acc1 += np.abs(g1, out=g1)
+                # the dense gradient is dropped below: take |g| in place
+                dense = stats.grads.dense
+                grad_acc += np.abs(dense, out=dense)
             stats.grads = None      # keep history light
             out.history.append(stats)
             if stats.val_acc > out.best_val_acc:

@@ -347,7 +347,7 @@ def test_criterion_9_swap_set_algebra(sbm, sbm_inits):
         SBM_CFG.interval, SBM_CFG.denoise_epochs, SBM_CFG.tau, 1.0,
         sbm.num_edges, res.binary.weight_universe, plan)
     edges = res.initial_binary.edges.copy()
-    wflat = res.initial_binary.weights_flat().copy()
+    wflat = res.initial_binary.weights.copy()
     assert len(res.swaps) == schedule.mu_end
     for rec in res.swaps:
         for mask, removed, regrown, n_net in (
@@ -364,7 +364,7 @@ def test_criterion_9_swap_set_algebra(sbm, sbm_inits):
             mask[removed] = False
             mask[regrown] = True
     np.testing.assert_array_equal(edges, res.binary.edges)
-    np.testing.assert_array_equal(wflat, res.binary.weights_flat())
+    np.testing.assert_array_equal(wflat, res.binary.weights)
     assert int(edges.sum()) == kept_count(sbm.num_edges, 0.35)
     assert int(wflat.sum()) == kept_count(wflat.size, 0.6)
     _pass(9, f"all {len(res.swaps)} swap records satisfied the set algebra "

@@ -1,9 +1,10 @@
 """The bench's tracer (bench/tracer.py) reads library names by string: every
 traced function and the ``TrainLoop`` attributes that label an epoch's
 phase. Its output checks (bench/checks.py) replay the swap log and digest
-every artifact. These tests catch a library change that would break
-``bench/run.py --trace 1`` or fail a bench check. They read bench/ and do
-not modify it."""
+every artifact, and its inference timer (bench/run.py) rebuilds a ticket
+from the mask files. These tests catch a library change that would break
+``bench/run.py`` at either trace setting or fail a bench check. They read
+bench/ and do not modify it."""
 
 import importlib.util
 from pathlib import Path
@@ -22,6 +23,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def _load(name: str):
+    """Import bench/<name>.py under a private module name."""
     spec = importlib.util.spec_from_file_location(
         f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
@@ -46,8 +48,8 @@ def test_tracer_installs_and_uninstalls(tracer_module):
     assert (fastglt.train.TrainLoop.run_epoch, fastglt.nn.backward) == before
     assert fastglt.train.backward is before[1]
     names = {span["name"] for span in tracer.dump()}
-    assert {"train.run_epoch.theta", "nn.backward", "optim.adam_step.theta0",
-            "optim.adam_step.theta1"} <= names
+    assert {"train.run_epoch.theta", "nn.backward",
+            "optim.adam_step.theta"} <= names
 
 
 def test_span_names_read_the_trained_set(tracer_module):
@@ -130,3 +132,27 @@ def test_tracer_sees_every_arm_of_a_suite(tracer_module, tmp_path):
     assert sorted(verify_parents) == [
         "baselines.run_imp", "baselines.run_oneshot_only",
         "baselines.run_random", "denoise.run_fastglt"]
+
+
+def test_inference_timer_runs_on_a_fastglt_arm(tmp_path, monkeypatch):
+    """The path ``bench/run.py --trace 0`` gates on: after each job it
+    rebuilds the ticket from the arm's per-layer mask files and times
+    ``gcn_forward`` under it and under no masks."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = _load("run")
+    setup = run.Setup(run.WORKLOADS["cora-shape-arm"], 1, tmp_path)
+    setup.import_library()
+    cfg = config_from_dict({
+        "dataset": "sbm:blocks=2,nodes_per_block=20,p_in=0.3,p_out=0.05,"
+                   "feature_dim=6,seed=4",
+        "method": "fastglt", "s_g": 0.3, "s_theta": 0.6, "epochs": 3,
+        "denoise_epochs": 2, "interval": 1, "hidden": 8, "lr": 0.01,
+        "seed": 2, "retrain_epochs": 1})
+    setup.dataset = parse_dataset_spec(cfg.dataset)
+    setup.params0 = run.harness.make_params0(setup.dataset, cfg)
+    run_experiment(cfg, tmp_path / "arm", dataset=setup.dataset,
+                   params0=setup.params0)
+    monkeypatch.setattr(run, "INFER_SECONDS", 0.01)
+    times = run.inference_samples(setup, tmp_path / "arm")
+    assert sorted(times) == ["dense", "ticket"]
+    assert all(len(samples) >= 8 for samples in times.values())

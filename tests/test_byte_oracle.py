@@ -35,7 +35,8 @@ DESK_SBM = ("sbm:blocks=3,nodes_per_block=100,p_in=0.06,p_out=0.02,"
 
 def textbook_adam(binary, state, param, grad, *, name):
     """Out-of-place Adam whose step is gated by the binary mask of the
-    tensor's slot (a soft mask ``m_x`` by the mask of ``x``)."""
+    tensor's slot (a soft mask ``m_x`` by the mask of ``x``; the pooled
+    weights ``theta`` by the pooled weight mask)."""
     if not np.isfinite(grad).all():
         raise NonFiniteGradient(tensor=name, step=state.t + 1, bad=-1)
     state.t += 1
@@ -45,7 +46,8 @@ def textbook_adam(binary, state, param, grad, *, name):
     v_hat = state.v / (1.0 - BETA2 ** state.t)
     step = state.lr * m_hat / (np.sqrt(v_hat) + EPS)
     if binary is not None:
-        step = step * getattr(binary, name.removeprefix("m_"))
+        slot = name.removeprefix("m_")
+        step = step * (binary.edges if slot == "edges" else binary.weights)
     param -= step
     return param
 
@@ -70,19 +72,15 @@ def full_forward(*args, rows=None, **kwargs):
     return SHIPPED_FORWARD(*args, **kwargs)
 
 
-def sorted_cut(scores, eligible, k, what):
+def sorted_cut(scores, eligible, k, what, score=None):
+    """The sorted cut: ``score`` applied to every entry, then one stable
+    sort of every eligible score."""
+    if score is not None:
+        scores = score(scores)
     pool = np.flatnonzero(eligible)
     if k > pool.size:
         raise ValueError(f"{what}: quota {k} exceeds pool of {pool.size}")
     return pool[np.argsort(scores[pool], kind="stable")[:k]]
-
-
-def pooled_cut(bits, values, score, k, what):
-    """The sorted cut over the pooled weights: both layers' scores and
-    bits concatenated, then one stable sort of every eligible score."""
-    pooled = score(np.concatenate([v.ravel() for v in values]))
-    eligible = np.concatenate([b.ravel() for b in bits])
-    return sorted_cut(pooled, eligible, k, what)
 
 
 def sorted_adjacency(dataset, edge_mask=None):
@@ -130,7 +128,6 @@ def patch_references(monkeypatch):
     monkeypatch.setattr(masks, "_smallest_bits", sorted_bits)
     monkeypatch.setattr(baselines, "_bottom_k_set", sorted_cut)
     monkeypatch.setattr(denoise, "_bottom_k", sorted_cut)
-    monkeypatch.setattr(denoise, "_bottom_k_weights", pooled_cut)
     monkeypatch.setattr(denoise, "_swap_bits", checked_swap)
 
 

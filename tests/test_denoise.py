@@ -187,6 +187,46 @@ def test_discover_potential_quota_exceeds_pruned():
                            (Quota(1, 1, 0), Quota(0, 0, 0)))
 
 
+def test_discover_potential_zero_scores_regrow_last_by_pooled_id():
+    """A hidden unit whose W1 row is fully pruned gives W0's column a dense
+    gradient of exactly 0, and a unit whose W0 column is fully pruned gives
+    its W1 row one. Such zero-score pruned weights are picked after every
+    positive-score one, in ascending pooled id, across the theta0/theta1
+    boundary."""
+    from fastglt.nn import SoftMasks, glorot_params
+    from fastglt.train import TrainLoop
+
+    ds = generate_sbm(2, 12, 0.4, 0.1, 5, seed=8)
+    params = glorot_params(ds.num_features, 6, ds.num_classes, seed=4)
+    rng = np.random.default_rng(3)
+    binary = BinaryMasks(edges=np.ones(ds.num_edges, dtype=bool),
+                         theta0=rng.random(params.theta0.shape) < 0.6,
+                         theta1=rng.random(params.theta1.shape) < 0.6)
+    binary.theta1[[2, 4]] = False       # units 2 and 4 reach no logit
+    binary.theta0[:, 4] = False         # and unit 4 is dead
+    grad_acc = np.zeros(binary.weight_universe)
+    TrainLoop(ds, params, SoftMasks(edges=np.ones(ds.num_edges)),
+              binary=binary, lr=0.01).train(2, grad_acc)
+
+    n0 = params.theta0.size
+    pruned = ~binary.weights
+    zero = np.flatnonzero(pruned & (grad_acc == 0.0))
+    positive = np.flatnonzero(pruned & (grad_acc > 0.0))
+    assert positive.size + zero.size == np.count_nonzero(pruned)
+    acc0, acc1 = params.layers(grad_acc)
+    assert not acc0[:, [2, 4]].any() and not acc1[4].any()
+    zero0 = np.count_nonzero(zero < n0)
+    assert zero0 > 0 and zero.size - zero0 == ds.num_classes
+
+    k = positive.size + zero0 + 1       # one zero-score pick in theta1
+    _, got = discover_potential(binary, grad_acc, np.zeros(ds.num_edges),
+                                (Quota(0, 0, 0), Quota(k, k, 0)))
+    want = sorted(positive.tolist(), key=lambda i: (-grad_acc[i], i))
+    np.testing.assert_array_equal(got[:positive.size], want)
+    np.testing.assert_array_equal(got[positive.size:], zero[:zero0 + 1])
+    assert got[-2] < n0 <= got[-1]
+
+
 def test_update_masks_identity():
     binary = BinaryMasks.all_ones(5, (2, 2), (2, 2))
     empty = np.empty(0, dtype=np.int64)
@@ -314,7 +354,7 @@ def test_run_fastglt_lands_on_targets(desk_sbm):
     e = desk_sbm.num_edges
     w = res.binary.weight_universe
     assert int(res.binary.edges.sum()) == kept_count(e, 0.3)
-    assert int(res.binary.weights_flat().sum()) == kept_count(w, 0.5)
+    assert res.binary.kept_weights == kept_count(w, 0.5)
     assert abs(res.report.s_g - 0.3) <= 1.0 / e + 1e-12
     assert abs(res.report.s_theta - 0.5) <= 1.0 / w + 1e-12
 
@@ -344,8 +384,7 @@ def test_run_fastglt_deterministic(desk_sbm):
     a = run_small(desk_sbm, seed=5)
     b = run_small(desk_sbm, seed=5)
     np.testing.assert_array_equal(a.binary.edges, b.binary.edges)
-    np.testing.assert_array_equal(a.binary.weights_flat(),
-                                  b.binary.weights_flat())
+    np.testing.assert_array_equal(a.binary.weights, b.binary.weights)
     assert len(a.swaps) == len(b.swaps)
     for ra, rb in zip(a.swaps, rbs := b.swaps):
         np.testing.assert_array_equal(ra.edges_removed, rb.edges_removed)
@@ -380,7 +419,7 @@ def test_run_fastglt_ticket_quality(desk_sbm):
     ids=["1", "2", "3", "churn"])
 def test_regrown_entries_restart(desk_sbm, monkeypatch, seed, kw):
     """At every boundary each regrown weight restarts at exactly 0 with
-    zeroed Adam moments in its own layer's optimizer entry, and each
+    zeroed Adam moments at its pooled id, and each
     regrown edge restarts with zeroed moments at the 25th percentile of the
     surviving kept |m_g|. Removed weights and edges get zeroed moments too,
     so every entry pruned through an interval keeps its weight or soft-edge
@@ -412,17 +451,13 @@ def test_regrown_entries_restart(desk_sbm, monkeypatch, seed, kw):
             survivors, (noisy_e, noisy_w), (regrow_e, regrow_w) = \
                 pending.pop()
             n0 = loop.params.theta0.size
-            for name, idx in (("theta0", regrow_w[regrow_w < n0]),
-                              ("theta1", regrow_w[regrow_w >= n0] - n0)):
-                state = loop.opt[name]
-                for values in (getattr(loop.params, name), state.m, state.v):
-                    assert not values.ravel()[idx].any(), name
-                regrown[name] += idx.size
-            for name, idx in (("theta0", noisy_w[noisy_w < n0]),
-                              ("theta1", noisy_w[noisy_w >= n0] - n0)):
-                state = loop.opt[name]
-                assert not state.m.ravel()[idx].any(), name
-                assert not state.v.ravel()[idx].any(), name
+            state = loop.opt["theta"]
+            for values in (loop.params.weights, state.m, state.v):
+                assert not values[regrow_w].any()
+            for values in (state.m, state.v):
+                assert not values[noisy_w].any()
+            regrown["theta0"] += np.count_nonzero(regrow_w < n0)
+            regrown["theta1"] += np.count_nonzero(regrow_w >= n0)
             removed["weights"] += noisy_w.size
             state = loop.opt["m_edges"]
             for idx in (regrow_e, noisy_e):
@@ -467,16 +502,16 @@ def test_non_finite_gradient_names_phase_epoch_and_interval(desk_sbm,
         grads = real_backward(*args)
         calls.append(1)
         if len(calls) == 5:
-            grads.theta0[0, 0] = np.nan
+            grads.theta[0] = np.nan
         return grads
 
     monkeypatch.setattr(train, "backward", backward)
     with pytest.raises(NonFiniteGradient) as err:
         run_small(desk_sbm, epochs=2, denoise_epochs=6, interval=2)
-    assert err.value.context == {"tensor": "theta0", "step": 3, "bad": 1,
+    assert err.value.context == {"tensor": "theta", "step": 3, "bad": 1,
                                  "phase": "denoise", "epoch": 3,
                                  "interval": 2}
-    assert str(err.value) == ("1 non-finite gradient entries for 'theta0' "
+    assert str(err.value) == ("1 non-finite gradient entries for 'theta' "
                               "at Adam step 3 (phase denoise, epoch 3, "
                               "interval 2)")
 
@@ -500,17 +535,14 @@ def test_gradient_accumulator_matches_replay(desk_sbm):
     acc = np.zeros(binary.weight_universe)
     acc_replay = np.zeros_like(acc)
     from fastglt.optim import AdamState, adam_step
-    r_t0 = AdamState.for_param(params_replay.theta0, 0.01)
-    r_t1 = AdamState.for_param(params_replay.theta1, 0.01)
+    r_t = AdamState.for_param(params_replay.weights, 0.01)
     r_me = AdamState.for_param(soft.edges.copy(), 0.01)
     soft_replay = SoftMasks.identity(ds.num_edges, shape0, shape1)
     for _ in range(3):
         logits, cache = gcn_forward(params_replay, soft_replay, binary, ds)
         g = backward(cache, ds.labels, ds.train_idx)
-        acc_replay += np.abs(np.concatenate([g.theta0_dense.ravel(),
-                                             g.theta1_dense.ravel()]))
-        adam_step(r_t0, params_replay.theta0, g.theta0, name="theta0")
-        adam_step(r_t1, params_replay.theta1, g.theta1, name="theta1")
+        acc_replay += np.abs(g.dense)
+        adam_step(r_t, params_replay.weights, g.theta, name="theta")
         adam_step(r_me, soft_replay.edges, g.m_edges, name="m_edges")
 
         stats = loop.run_epoch()
@@ -564,7 +596,7 @@ def test_run_fastglt_swap_walk_property(epochs_denoise, interval, tau, s_g,
         interval, epochs_denoise, tau, 1.0, ds.num_edges,
         start.weight_universe, SparsityPlan(s_g_tgt=s_g, s_theta_tgt=s_theta))
     walk = {"edges": (start.edges.copy(), schedule.graph),
-            "weights": (start.weights_flat(), schedule.weights)}
+            "weights": (start.weights.copy(), schedule.weights)}
     for kind, (kept, plan) in walk.items():
         assert int(kept.sum()) == plan.kept_start
         for rec in res.swaps:
@@ -581,5 +613,4 @@ def test_run_fastglt_swap_walk_property(epochs_denoise, interval, tau, s_g,
             assert before - int(kept.sum()) == plan.n_net[rec.interval - 1]
         assert int(kept.sum()) == plan.kept_target
     np.testing.assert_array_equal(walk["edges"][0], res.binary.edges)
-    np.testing.assert_array_equal(walk["weights"][0],
-                                  res.binary.weights_flat())
+    np.testing.assert_array_equal(walk["weights"][0], res.binary.weights)

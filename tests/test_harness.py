@@ -456,7 +456,7 @@ def test_fig2_one_shot_artifacts_replay_one_cotraining_run(tmp_path):
             best_val, best_edges = stats.val_acc, soft.edges.copy()
 
     np.testing.assert_array_equal(
-        load_soft_values(tmp_path / "probe_weight_grads.f32"),
+        load_soft_values(tmp_path / "probe_weight_grads.f32", grads.size),
         grads.astype(np.float32).astype(np.float64))
     for lvl in levels:
         name = f"oneshot_s{int(round(lvl * 100)):03d}.gltm"

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,16 +193,25 @@ def test_init_soft_masks_bounds_and_determinism():
 
 
 def test_binary_masks_flat_round_trip():
+    """Per-layer construction pools copies, theta0 then theta1 row-major;
+    the layers are views of the pool, and a pooled mask is held as is."""
     rng = np.random.default_rng(0)
-    masks = BinaryMasks(edges=rng.random(7) < 0.5,
-                        theta0=rng.random((3, 4)) < 0.5,
-                        theta1=rng.random((4, 2)) < 0.5)
-    flat = masks.weights_flat()
-    assert flat.size == masks.weight_universe == 20
-    back = masks.with_weights_flat(flat)
-    np.testing.assert_array_equal(back.theta0, masks.theta0)
+    theta0, theta1 = rng.random((3, 4)) < 0.5, rng.random((4, 2)) < 0.5
+    masks = BinaryMasks(edges=rng.random(7) < 0.5, theta0=theta0,
+                        theta1=theta1)
+    flat = masks.weights
+    assert flat.shape == (masks.weight_universe,) == (20,)
+    np.testing.assert_array_equal(flat, np.r_[theta0.ravel(), theta1.ravel()])
+    assert not np.shares_memory(flat, theta0)
+    masks.theta1[0, 0] ^= True
+    assert flat[12] != theta1[0, 0]
+    back = BinaryMasks.pooled(flat, masks.shapes, edges=masks.edges)
+    assert back.weights is flat
+    for layer in (back.theta0, back.theta1):
+        assert np.shares_memory(layer, flat)
     np.testing.assert_array_equal(back.theta1, masks.theta1)
     assert masks.weight_sparsity() == sparsity(flat)
+    assert masks.kept_weights == np.count_nonzero(flat)
 
 
 def test_mask_file_round_trip_and_layout(tmp_path):
@@ -250,12 +261,35 @@ def test_mask_file_nonzero_pad_bits(tmp_path):
 def test_soft_values_round_trip(tmp_path):
     vals = np.array([1.25, -0.5, 3.0])
     save_soft_values(vals, tmp_path / "s.f32")
-    np.testing.assert_allclose(load_soft_values(tmp_path / "s.f32"), vals)
+    np.testing.assert_allclose(load_soft_values(tmp_path / "s.f32", 3), vals)
 
 
 def test_soft_values_reject_trailing_bytes(tmp_path):
     path = tmp_path / "cut.f32"
     save_soft_values(np.array([1.0, 2.0]), path)
+    with pytest.raises(ValueError, match="8 bytes, expected 12"):
+        load_soft_values(path, 3)
     path.write_bytes(path.read_bytes() + b"\x00\x01")    # 10 bytes
     with pytest.raises(ValueError, match="cut.f32"):
-        load_soft_values(path)
+        load_soft_values(path, 2)
+
+
+def test_artifact_writes_are_atomic(tmp_path, monkeypatch):
+    """Each writer replaces its file whole through a temp file in the same
+    directory; a failed write keeps the old file and leaves no temp file."""
+    import fastglt.masks as masks
+    path = tmp_path / "m.gltm"
+    save_mask(np.ones(10, dtype=bool), path)
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        assert Path(src).parent == Path(dst).parent == tmp_path
+        raise OSError("disk full")
+
+    monkeypatch.setattr(masks.os, "replace", failing_replace)
+    for write in (lambda: save_mask(np.zeros(10, dtype=bool), path),
+                  lambda: save_soft_values(np.ones(3), tmp_path / "s.f32")):
+        with pytest.raises(OSError, match="disk full"):
+            write()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.gltm"]

@@ -23,8 +23,8 @@ def make_instance(rng, n, f=5, h=4, c=3, edge_prob=0.4, dtype=np.float64):
                            seed=int(rng.integers(1 << 30)), dtype=dtype)
     # stretch soft masks away from 1 so their gradients are non-trivial
     soft.edges += rng.normal(0, 0.2, soft.edges.shape)
-    soft.theta0 += rng.normal(0, 0.2, soft.theta0.shape)
-    soft.theta1 += rng.normal(0, 0.2, soft.theta1.shape)
+    soft.theta0[...] += rng.normal(0, 0.2, soft.theta0.shape)
+    soft.theta1[...] += rng.normal(0, 0.2, soft.theta1.shape)
     return ds, params, soft
 
 
@@ -172,11 +172,8 @@ def fd_check(ds, params, soft, binary, split, eps=1e-5):
         lg, cc = gcn_forward(params, soft, binary, ds)
         return masked_loss(lg, ds.labels, split), cc.h1 > 0
 
-    checks = [
-        (params.theta0, grads.theta0), (params.theta1, grads.theta1),
-        (soft.theta0, grads.m_theta0), (soft.theta1, grads.m_theta1),
-        (soft.edges, grads.m_edges),
-    ]
+    checks = [(params.weights, grads.theta), (soft.weights, grads.m_theta),
+              (soft.edges, grads.m_edges)]
     worst = 0.0
     for tensor, grad in checks:
         flat = tensor.reshape(-1)
@@ -241,8 +238,8 @@ def test_pruned_weight_dense_gradient_survives():
     binary.theta0[1, 2] = False
     logits, cache = gcn_forward(params, soft, binary, ds)
     grads = backward(cache, ds.labels, ds.train_idx)
-    assert grads.theta0[1, 2] == 0.0
-    assert grads.theta0_dense[1, 2] != 0.0
+    assert params.layers(grads.theta)[0][1, 2] == 0.0
+    assert params.layers(grads.dense)[0][1, 2] != 0.0
 
 
 def test_masking_consistency_loss_independent_of_pruned_weight():
@@ -268,7 +265,7 @@ def test_dense_gradient_equals_masked_gradient_relation():
     _, cache = gcn_forward(params, soft, binary, ds)
     grads = backward(cache, ds.labels, ds.train_idx)
     np.testing.assert_allclose(
-        grads.theta0, grads.theta0_dense * soft.theta0 * binary.theta0)
+        grads.theta, grads.dense * soft.weights * binary.weights)
 
 
 def test_evaluate_accuracy_one_hot_and_ties():
@@ -337,15 +334,17 @@ def reference_gradients(cache, labels, split):
                 x = x * g
         return x
 
+    def pooled(x0, x1):
+        return None if x0 is None else np.concatenate([x0.ravel(),
+                                                       x1.ravel()])
+
     b0, b1 = (None, None) if binary is None else (binary.theta0, binary.theta1)
     return nn.Gradients(
-        theta0=gated(dw0, soft.theta0, b0),
-        theta1=gated(dw1, soft.theta1, b1),
-        m_theta0=None if soft.theta0 is None
-        else gated(dw0, params.theta0, b0),
-        m_theta1=None if soft.theta1 is None
-        else gated(dw1, params.theta1, b1),
-        m_edges=m_edges, theta0_dense=dw0, theta1_dense=dw1)
+        theta=pooled(gated(dw0, soft.theta0, b0), gated(dw1, soft.theta1, b1)),
+        m_theta=None if soft.theta0 is None
+        else pooled(gated(dw0, params.theta0, b0),
+                    gated(dw1, params.theta1, b1)),
+        m_edges=m_edges, dense=pooled(dw0, dw1))
 
 
 @pytest.mark.parametrize("n, edge_prob, pruned", [
@@ -410,7 +409,8 @@ def receptive_field(ds, binary, split):
     return split.size, int(hop1.sum()), int(hop2.sum())
 
 
-ORACLE_GRAPHS = ["random", "pruned", "sparse_x", "one_node", "components"]
+ORACLE_GRAPHS = ["random", "pruned", "sparse_x", "one_node", "components",
+                 "isolated_node"]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -424,7 +424,7 @@ def test_backward_matches_full_graph_reference(kind, trained, dtype):
     if kind == "sparse_x":
         ds, params, soft = sparse_feature_instance(rng, dtype=dtype)
         split = ds.train_idx
-    elif kind == "components":
+    elif kind in ("components", "isolated_node"):
         ds, params, soft, split = components_instance(rng, dtype)
     else:
         ds, params, soft = make_instance(rng, 40, h=16, edge_prob=0.1,
@@ -437,6 +437,12 @@ def test_backward_matches_full_graph_reference(kind, trained, dtype):
             theta0=rng.random(params.theta0.shape) < 0.8,
             theta1=rng.random(params.theta1.shape) < 0.8)
         assert not binary.edges.all()
+    if kind == "isolated_node":     # node 0 loses its edges: n1 is one node
+        split = np.array([0])
+        binary = BinaryMasks.all_ones(ds.num_edges, params.theta0.shape,
+                                      params.theta1.shape)
+        binary.edges[(ds.edges == 0).any(axis=1)] = False
+        assert receptive_field(ds, binary, split) == (1, 1, 1)
     if kind == "components":
         s, h1, h2 = receptive_field(ds, binary, split)
         assert s < h1 < h2 < ds.num_nodes
@@ -446,8 +452,7 @@ def test_backward_matches_full_graph_reference(kind, trained, dtype):
     _, cache = gcn_forward(params, soft, binary, ds)
     got = backward(cache, ds.labels, split)
     want = reference_gradients(cache, ds.labels, split)
-    for name in ("theta0", "theta1", "m_theta0", "m_theta1", "m_edges",
-                 "theta0_dense", "theta1_dense"):
+    for name in ("theta", "m_theta", "m_edges", "dense"):
         g, w = getattr(got, name), getattr(want, name)
         assert (g is None) == (w is None), name
         if w is not None:
@@ -494,8 +499,7 @@ def test_train_rows_forward_matches_full_forward(x_kind, trained, dtype):
         == masked_loss(full_logits, ds.labels, split)
     got = backward(cache, ds.labels, split)
     want = backward(full, ds.labels, split)
-    for name in ("theta0", "theta1", "m_theta0", "m_theta1", "m_edges",
-                 "theta0_dense", "theta1_dense"):
+    for name in ("theta", "m_theta", "m_edges", "dense"):
         g, w = getattr(got, name), getattr(want, name)
         assert (g is None) == (w is None), name
         if w is not None:

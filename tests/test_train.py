@@ -98,12 +98,22 @@ def test_verify_matches_direct_retrain_from_init():
 
 
 def test_rewind_restores_initialization():
+    """``rewind`` copies the initialization into the pooled buffer, so
+    ``theta0``/``theta1`` stay views of it before and after."""
     ds, params, _ = build()
-    init0 = params.theta0_init.copy()
+    init = params.init.copy()
+    pool = params.weights
     train_theta_only(ds, params, None, epochs=3)
-    assert not np.array_equal(params.theta0, init0)
-    params.rewind()
-    np.testing.assert_array_equal(params.theta0, init0)
+    assert not np.array_equal(params.weights, init)
+    for _ in range(2):
+        assert params.weights is pool and pool.flags.c_contiguous
+        for layer in (params.theta0, params.theta1):
+            assert np.shares_memory(layer, pool)
+        np.testing.assert_array_equal(
+            np.concatenate([params.theta0.ravel(), params.theta1.ravel()]),
+            pool)
+        params.rewind()
+    np.testing.assert_array_equal(params.weights, init)
 
 
 def pruned_binary(ds, params):
@@ -116,11 +126,10 @@ def pruned_binary(ds, params):
 
 # What each phase trains: the weights plus exactly the soft masks it holds.
 PHASES = {
-    "cotrain": (lambda soft: soft,
-                ["theta0", "theta1", "m_edges", "m_theta0", "m_theta1"]),
+    "cotrain": (lambda soft: soft, ["theta", "m_edges", "m_theta"]),
     "denoise": (lambda soft: SoftMasks(edges=soft.edges),
-                ["theta0", "theta1", "m_edges"]),
-    "theta": (lambda soft: SoftMasks(), ["theta0", "theta1"]),
+                ["theta", "m_edges"]),
+    "theta": (lambda soft: SoftMasks(), ["theta"]),
 }
 
 
@@ -140,7 +149,7 @@ def test_each_phase_steps_exactly_its_tensors(phase, monkeypatch):
     for _ in range(2):
         grads = loop.run_epoch().grads
     assert steps == trained * 2
-    for field in ("m_edges", "m_theta0", "m_theta1"):
+    for field in ("m_edges", "m_theta"):
         assert (getattr(grads, field) is None) == (field not in trained)
 
 
@@ -155,15 +164,12 @@ def test_theta_only_matches_identity_replay(masked):
 
     ones = SoftMasks.identity(ds.num_edges, replay.theta0.shape,
                               replay.theta1.shape)
-    states = [AdamState.for_param(replay.theta0, 0.01),
-              AdamState.for_param(replay.theta1, 0.01)]
+    state = AdamState.for_param(replay.weights, 0.01)
     for _ in range(4):
         _, cache = gcn_forward(replay, ones, binary, ds)
         g = backward(cache, ds.labels, ds.train_idx)
-        adam_step(states[0], replay.theta0, g.theta0, name="theta0")
-        adam_step(states[1], replay.theta1, g.theta1, name="theta1")
-    np.testing.assert_array_equal(params.theta0, replay.theta0)
-    np.testing.assert_array_equal(params.theta1, replay.theta1)
+        adam_step(state, replay.weights, g.theta, name="theta")
+    np.testing.assert_array_equal(params.weights, replay.weights)
 
 
 def test_one_forward_per_epoch(monkeypatch):
@@ -194,15 +200,13 @@ def test_forward_reuse_matches_two_forward_replay():
     lr = 0.01
     loop = TrainLoop(ds, params, soft_dn, binary=binary, lr=lr)
     states = {name: AdamState.for_param(t, lr) for name, t in
-              (("theta0", replay.theta0), ("theta1", replay.theta1),
-               ("m_edges", replay_soft.edges))}
+              (("theta", replay.weights), ("m_edges", replay_soft.edges))}
 
     def replay_epoch(b):
         logits, cache = gcn_forward(replay, replay_soft, b, ds)
         loss = masked_loss(logits, ds.labels, ds.train_idx)
         g = backward(cache, ds.labels, ds.train_idx)
-        for name, tensor in (("theta0", replay.theta0),
-                             ("theta1", replay.theta1),
+        for name, tensor in (("theta", replay.weights),
                              ("m_edges", replay_soft.edges)):
             adam_step(states[name], tensor, getattr(g, name), name=name)
         logits, _ = gcn_forward(replay, replay_soft, b, ds)
@@ -231,8 +235,7 @@ def test_forward_reuse_matches_two_forward_replay():
         want.append(replay_epoch(swapped))
 
     assert got == want
-    np.testing.assert_array_equal(params.theta0, replay.theta0)
-    np.testing.assert_array_equal(params.theta1, replay.theta1)
+    np.testing.assert_array_equal(params.weights, replay.weights)
     np.testing.assert_array_equal(soft_dn.edges, replay_soft.edges)
 
 
