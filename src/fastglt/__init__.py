@@ -7,6 +7,15 @@ plus the measurement tooling used to compare them.
 """
 
 import importlib
+import os
+
+# After a BLAS call the idle OpenBLAS worker busy-waits for 2^28 cycles
+# (about 128 ms at 2.1 GHz) on a core that the engine's own workers
+# (``fastglt.workers``) could use; 2^4 cycles parks it at once. OpenBLAS
+# reads the variable when it loads, so it is set before any numerical
+# import, and a value the user has set is kept. The BLAS pool keeps its
+# size, so no product changes its bits.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 # Public names resolve on first access (PEP 562): ``import fastglt.cli``
 # must load no numerical library before the CLI exports its thread caps.

@@ -176,28 +176,33 @@ def load_bundle(path: str | Path) -> Dataset:
 
 
 def save_bundle(dataset: Dataset, path: str | Path) -> Path:
-    """Write ``dataset`` as a bundle directory; inverse of load_bundle."""
+    """Write ``dataset`` as a bundle directory; inverse of load_bundle.
+    Each file is replaced whole (``masks.write_atomic``)."""
+    from .masks import write_atomic     # masks imports this module
+
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     meta = {"name": dataset.name, "num_nodes": dataset.num_nodes,
             "num_features": dataset.num_features,
             "num_classes": dataset.num_classes}
-    (root / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    write_atomic(root / "meta.json",
+                 (json.dumps(meta, indent=2) + "\n").encode())
 
     lines = ["src,dst"]
     lines += [f"{i},{j}" for i, j in dataset.edges.tolist()]
-    (root / "edges.csv").write_text("\n".join(lines) + "\n")
+    write_atomic(root / "edges.csv", ("\n".join(lines) + "\n").encode())
 
-    dataset.features.astype("<f4").tofile(root / "features.bin")
+    write_atomic(root / "features.bin",
+                 dataset.features.astype("<f4").tobytes())
 
     lines = ["node,label"]
     lines += [f"{i},{int(y)}" for i, y in enumerate(dataset.labels.tolist())]
-    (root / "labels.csv").write_text("\n".join(lines) + "\n")
+    write_atomic(root / "labels.csv", ("\n".join(lines) + "\n").encode())
 
     splits = {"train": dataset.train_idx.tolist(),
               "val": dataset.val_idx.tolist(),
               "test": dataset.test_idx.tolist()}
-    (root / "splits.json").write_text(json.dumps(splits) + "\n")
+    write_atomic(root / "splits.json", (json.dumps(splits) + "\n").encode())
     return root
 
 

@@ -8,7 +8,7 @@ accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,13 +25,17 @@ class NormAdj:
     ``edge_of_entry`` maps each stored nonzero to its undirected edge index,
     -1 for self-loop entries; ``entry_row``/``entry_col`` are the matching
     COO coordinates. These let callers scale the kept-edge entries by a soft
-    mask without touching the self-loops.
+    mask without touching the self-loops. What follows from the stored
+    entries alone (a split's receptive field, say) is memoized on the
+    instance, so its arrays must not be mutated in place.
     """
 
     matrix: sp.csr_matrix
     edge_of_entry: np.ndarray   # (nnz,) int64, -1 on self-loops
     entry_row: np.ndarray       # (nnz,) int64
     entry_col: np.ndarray       # (nnz,) int64
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)    # derived structure by key
 
     @property
     def num_nodes(self) -> int:

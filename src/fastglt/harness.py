@@ -142,7 +142,7 @@ def _fig2_artifacts(out: Path, dataset: Dataset, config: ExperimentConfig,
                       f"{method}_s{int(round(lvl * 100)):03d}.gltm")
 
     rows = distance_curve(histories, reference)
-    (out / "fig2_left.csv").write_text(distance_curve_csv(rows))
+    write_atomic(out / "fig2_left.csv", distance_curve_csv(rows).encode())
 
     # pruned-set comparison: edges at the top matched level, weights at the
     # iterative arm's achieved weight sparsity
@@ -156,7 +156,8 @@ def _fig2_artifacts(out: Path, dataset: Dataset, config: ExperimentConfig,
                                   edges=histories["oneshot"][-1])
     stats = pruned_set_stats(imp_masks, os_masks, grads, degs,
                              names=("imp", "oneshot"))
-    (out / "fig2_right.csv").write_text(pruned_set_stats_csv(stats))
+    write_atomic(out / "fig2_right.csv",
+                 pruned_set_stats_csv(stats).encode())
 
 
 def _extreme_sweep(out: Path, dataset: Dataset, config: ExperimentConfig,
@@ -214,7 +215,8 @@ def _extreme_sweep(out: Path, dataset: Dataset, config: ExperimentConfig,
               f"{int(r['win'])}" for r in rows]
     lines += [f"{m},extreme,{'' if v is None else f'{v:.4f}'},"
               for m, v in extreme.items()]
-    (out / "extreme_sparsity.csv").write_text("\n".join(lines) + "\n")
+    write_atomic(out / "extreme_sparsity.csv",
+                 ("\n".join(lines) + "\n").encode())
     return {"levels": rows, "extreme": extreme, "dense_acc": dense_acc,
             "win_delta": delta, "seeds": seeds}
 
@@ -276,7 +278,7 @@ def run_suite(suite: dict | str | Path, out_dir: str | Path) -> SuiteOutcome:
             dense_acc = run.report.acc_retrained
 
     rows = timing_report(outcome.reports)
-    (out / "efficiency.csv").write_text(efficiency_csv(rows))
+    write_atomic(out / "efficiency.csv", efficiency_csv(rows).encode())
 
     if "fig2" in suite:
         _fig2_artifacts(out, dataset, base, params0,
@@ -301,8 +303,8 @@ def _write_summary(out: Path, outcome: SuiteOutcome) -> None:
         if outcome.extreme else None,
         "failed_arm": outcome.failed_arm,
     }
-    (out / "suite_summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    write_atomic(out / "suite_summary.json", (json.dumps(
+        summary, sort_keys=True, indent=2) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +329,7 @@ def analyze_dir(out_dir: str | Path) -> dict:
     produced = {}
     if reports:
         rows = timing_report(reports)
-        (out / "efficiency.csv").write_text(efficiency_csv(rows))
+        write_atomic(out / "efficiency.csv", efficiency_csv(rows).encode())
         produced["efficiency.csv"] = len(rows)
 
     mask_dir = out / "fig2_masks"
@@ -342,6 +344,7 @@ def analyze_dir(out_dir: str | Path) -> dict:
             histories = {m: [d[lvl] for lvl in levels]
                          for m, d in by_method.items()}
             rows = distance_curve(histories, [ref[lvl] for lvl in levels])
-            (out / "fig2_left.csv").write_text(distance_curve_csv(rows))
+            write_atomic(out / "fig2_left.csv",
+                         distance_curve_csv(rows).encode())
             produced["fig2_left.csv"] = len(rows)
     return produced

@@ -15,6 +15,10 @@ split's receptive field: its cost follows the split's 2-hop set, not the
 node count, and its gradients equal the full-graph sweep bit for bit. A
 forward given the split's ``rows`` is restricted the same way. The
 feature operator is built once per dataset and dtype and then shared.
+
+The wide sparse products (X@W0, A@XW0 and their backward terms) split
+their rows across the engine's workers (``fastglt.workers``); every row is
+summed as scipy's own product sums it, so no bit depends on the count.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
+from . import workers
 from .config import ExperimentConfig
 from .data import Dataset
 from .graph import NormAdj, normalize_adjacency
@@ -39,6 +45,12 @@ _SPARSE_X_DENSITY = 0.25
 # gathered (block, H) operands of a block, 1 MB in f64 at H=512, stay in L2
 # instead of spanning nnz; larger blocks measured slower on the Cora shape.
 _SDDMM_BLOCK = 128
+
+# Least multiply-adds per part of a split sparse product: about 0.3 ms of
+# X@W0 work on the Cora shape, ten times the ~30 us it costs to hand a
+# part to a worker and wait for it. A smaller product runs whole on the
+# calling thread.
+_PART_MIN_WORK = 1 << 19
 
 
 class GcnParams(PooledWeights):
@@ -203,18 +215,17 @@ def gcn_forward(params: GcnParams, soft: SoftMasks,
     w1 = w1.copy()      # the cache keeps W1: let the gated pool go with W0
 
     if rows is None:
-        xw0 = x_op @ w0
-        h1 = a_eff @ xw0
+        xw0 = _csr_product(x_op, w0) if sp.issparse(x_op) else x_op @ w0
+        h1 = _csr_product(a_eff, xw0)
         np.maximum(h1, 0.0, out=h1)
     else:
         rows = np.asarray(rows)
-        n1 = _neighbours(a_eff, rows)     # self-loops: rows within n1
-        n2 = _neighbours(a_eff, n1)       # and n1 within n2
+        n1, n2 = _receptive_field(norm, rows)
         # A BLAS product over a subset of rows may round differently
         # from the full one, so a dense X runs in full.
         xw0 = _row_product(x_op, n2, w0) if sp.issparse(x_op) \
             else x_op @ w0
-        s1 = a_eff[n1] @ xw0
+        s1 = _csr_product(a_eff[n1], xw0)
         h1 = np.zeros(xw0.shape, dtype=dtype)
         h1[n1] = np.maximum(s1, 0.0, out=s1)
     h1w1 = h1 @ w1
@@ -276,6 +287,57 @@ def _neighbours(a: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(reached)
 
 
+def _memoized(norm: NormAdj, key: tuple, build):
+    """``build()``, run once per key and normalized adjacency: what it
+    builds follows the stored entries, which only a new binary edge mask
+    changes."""
+    hit = norm._memo.get(key)
+    if hit is None:
+        hit = norm._memo[key] = build()
+    return hit
+
+
+def _receptive_field(norm: NormAdj,
+                     rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-hop set n1 and the 2-hop set n2 of ``rows`` (sorted ids);
+    self-loops put ``rows`` within n1 and n1 within n2."""
+    def build():
+        n1 = _neighbours(norm.matrix, rows)
+        return n1, _neighbours(norm.matrix, n1)
+    return _memoized(norm, ("field", rows.dtype.str, rows.tobytes()), build)
+
+
+def _csr_product(a: sp.csr_matrix, w: np.ndarray) -> np.ndarray:
+    """``a @ w`` for CSR ``a`` and a 2-D array ``w``, bit for bit, with
+    the rows split across the engine's workers.
+
+    Each part is a contiguous row range holding about the same number of
+    stored entries. It runs ``csr_matvecs``, the scipy kernel that
+    ``a @ w`` runs, on its rows of one zeroed output, so every row is
+    summed in scipy's order. The parts allocate nothing. There are at
+    most as many parts as workers, and each gets ``_PART_MIN_WORK``
+    multiply-adds or more.
+    """
+    dtype = np.result_type(a.dtype, w.dtype)
+    data = a.data.astype(dtype, copy=False)
+    w_flat = np.ascontiguousarray(w, dtype=dtype).reshape(-1)
+    (n_rows, n_cols), width = a.shape, w.shape[1]
+    out = np.zeros((n_rows, width), dtype=dtype)
+    indptr, nnz = a.indptr, int(a.indptr[-1])
+    k = max(min(workers.count(), nnz * width // _PART_MIN_WORK), 1)
+    cuts = np.searchsorted(indptr, nnz * np.arange(1, k) / k).tolist()
+    bounds = [0, *cuts, n_rows]
+
+    def part(lo, hi):
+        _sparsetools.csr_matvecs(hi - lo, n_cols, width, indptr[lo:hi + 1],
+                                 a.indices, data, w_flat,
+                                 out[lo:hi].reshape(-1))
+
+    workers.run(part, [(lo, hi) for lo, hi in zip(bounds, bounds[1:])
+                       if hi > lo])
+    return out
+
+
 def _row_product(a: sp.csr_matrix, rows: np.ndarray,
                  w: np.ndarray) -> np.ndarray:
     """``a @ w`` on the given rows of CSR ``a``, zero on every other row;
@@ -285,8 +347,8 @@ def _row_product(a: sp.csr_matrix, rows: np.ndarray,
     picked, entries = _row_bits(a, rows)
     indptr = np.zeros(a.shape[0] + 1, dtype=a.indptr.dtype)
     np.cumsum(np.diff(a.indptr) * picked, out=indptr[1:])
-    return sp.csr_matrix((a.data[entries], a.indices[entries], indptr),
-                         shape=a.shape) @ w
+    return _csr_product(sp.csr_matrix(
+        (a.data[entries], a.indices[entries], indptr), shape=a.shape), w)
 
 
 def backward(cache: ForwardCache, labels: np.ndarray,
@@ -317,9 +379,8 @@ def backward(cache: ForwardCache, labels: np.ndarray,
     # and the terms they skip are exact zeros (for finite operands), so
     # every gradient matches the full-graph sweep bit for bit. BLAS products that contract over
     # nodes stay full: their sums depend on the contraction length.
-    a = cache.a_eff                       # symmetric by construction
-    n1 = _neighbours(a, split)            # self-loops: split within n1
-    n2 = _neighbours(a, n1)               # and n1 within n2
+    a, norm = cache.a_eff, cache.norm     # a is symmetric by construction
+    n1, n2 = _receptive_field(norm, split)
     dh1w1 = a @ g2
     dw1_dense = cache.h1.T @ dh1w1
     # A one-row product takes numpy's vector path, which rounds unlike a
@@ -327,9 +388,16 @@ def backward(cache: ForwardCache, labels: np.ndarray,
     ds1 = dh1w1[n1] @ cache.w1_eff.T if n1.size > 1 \
         else (dh1w1 @ cache.w1_eff.T)[n1]
     ds1 *= cache.h1[n1] > 0                                  # rows n1
-    dxw0 = a[n2][:, n1] @ ds1                                # rows n2
+    dxw0 = _csr_product(a[n2][:, n1], ds1)                   # rows n2
     if sp.issparse(cache.x_op):
-        dw0_dense = cache.x_op[n2].T @ dxw0
+        # X[n2]^T as a CSR with sorted indices sums each of its rows in
+        # the column order of the CSC X[n2].T, so the row-split product
+        # matches X[n2].T @ dxw0 bit for bit.
+        x_op = cache.x_op
+        _, x_t = _memoized(
+            norm, ("x_t", id(x_op), split.dtype.str, split.tobytes()),
+            lambda: (x_op, x_op[n2].T.tocsr()))
+        dw0_dense = _csr_product(x_t, dxw0)
     else:
         dxw0_full = np.zeros((n, dxw0.shape[1]), dtype=dtype)
         dxw0_full[n2] = dxw0
@@ -344,7 +412,6 @@ def backward(cache: ForwardCache, labels: np.ndarray,
         #   layer 1 contributes  ds1[i] . xw0[j]
         # Both vanish unless row i is in n1; ds1 is read through the
         # position of i in n1.
-        norm = cache.norm
         pos = np.full(n, -1, dtype=np.int64)
         pos[n1] = np.arange(n1.size)
         on_edge = np.flatnonzero((norm.edge_of_entry >= 0)

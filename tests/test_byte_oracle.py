@@ -10,10 +10,15 @@ stable sort) wherever a cut is taken, over the pooled weights where
 denoising picks weights, the adjacency built by a sort of its entries,
 and the swap with its explicit overlap check. Every artifact must be
 byte-identical, ``report.json`` minus its wall-clock ``timing`` block.
+
+A short Cora-shaped arm, run with one engine worker and with two, must
+write the same bytes too.
 """
 
 import functools
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ import fastglt.graph as graph
 import fastglt.masks as masks
 import fastglt.optim as optim
 import fastglt.train as train
+import fastglt.workers as workers
 from fastglt.config import config_from_dict
 from fastglt.harness import run_experiment
 from fastglt.optim import BETA1, BETA2, EPS, NonFiniteGradient
@@ -181,3 +187,41 @@ def test_artifacts_match_reference_passes(tmp_path, monkeypatch, arm, block):
         assert any(name.startswith("round_002") for name in got)
     for name in got:
         assert got[name] == want[name], name
+
+
+def cora_shaped(seed):
+    """The bench's Cora-shaped graph (bench/inputs.py, read only)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.cora_shaped(seed)
+
+
+def test_artifacts_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    """A fastglt arm on the Cora shape (CSR features, H=128, so every
+    sparse product and the weight Adam split at their shipped thresholds)
+    writes the same bytes with one engine worker and with two. The BLAS
+    pool is left as it is."""
+    dataset = cora_shaped(1)
+    config = config_from_dict(dict(
+        dataset="cora-shape", method="fastglt", hidden=128, lr=0.01, seed=1,
+        s_g=0.2, s_theta=0.3, epochs=3, denoise_epochs=4, interval=2,
+        tau=0.1, retrain_epochs=3))
+    split_calls, run = [], workers.run
+
+    def spy(task, parts):
+        split_calls.append(len(parts) > 1)
+        return run(task, parts)
+
+    monkeypatch.setattr(workers, "run", spy)
+    for count in (1, 2):
+        monkeypatch.setattr(workers, "count", lambda: count)
+        split_calls.clear()
+        run_experiment(config, tmp_path / str(count), dataset=dataset)
+        assert any(split_calls) == (count > 1)
+    one, two = (artifacts(tmp_path / d) for d in ("1", "2"))
+    assert sorted(one) == sorted(two)
+    assert {"masks_edges.gltm", "swaps.jsonl", "report.json"} <= set(one)
+    for name in one:
+        assert one[name] == two[name], name

@@ -316,6 +316,23 @@ def test_cli_exports_thread_cap_before_numpy_loads():
     assert proc.stdout.split() == ["[]", "1"]
 
 
+@pytest.mark.parametrize("user_value", [None, "28"])
+def test_import_parks_the_idle_blas_worker(user_value):
+    """``import fastglt`` before numpy sets OPENBLAS_THREAD_TIMEOUT, which
+    OpenBLAS reads when numpy loads it, unless the user has set it."""
+    code = ("import os, sys, fastglt\n"
+            "print(sorted({'numpy', 'scipy'} & set(sys.modules)),"
+            " os.environ['OPENBLAS_THREAD_TIMEOUT'])")
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_THREAD_TIMEOUT"}
+    if user_value is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = user_value
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", user_value or "4"]
+
+
 def test_cli_convert_and_run_on_bundle(tmp_path):
     # reuse the planetoid fixture writer from the data tests
     from test_data import _write_planetoid_fixture

@@ -276,8 +276,16 @@ def test_soft_values_reject_trailing_bytes(tmp_path):
 
 def test_artifact_writes_are_atomic(tmp_path, monkeypatch):
     """Each writer replaces its file whole through a temp file in the same
-    directory; a failed write keeps the old file and leaves no temp file."""
+    directory; a failed write keeps the old file and leaves no temp file.
+    A suite (its arms, ``suite_summary.json`` and the suite-level CSVs),
+    ``analyze_dir`` and ``save_bundle`` write every file that way."""
+    import os
+
     import fastglt.masks as masks
+    from fastglt.data import save_bundle
+    from fastglt.harness import analyze_dir, run_suite
+
+    real_replace = os.replace
     path = tmp_path / "m.gltm"
     save_mask(np.ones(10, dtype=bool), path)
     before = path.read_bytes()
@@ -293,3 +301,33 @@ def test_artifact_writes_are_atomic(tmp_path, monkeypatch):
             write()
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.gltm"]
+
+    replaced = set()
+
+    def recording_replace(src, dst):
+        replaced.add(Path(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(masks.os, "replace", recording_replace)
+    sbm = ("sbm:blocks=3,nodes_per_block=20,p_in=0.3,p_out=0.05,"
+           "feature_dim=8,seed=2")
+    suite = {"shared": {"dataset": sbm, "epochs": 3, "denoise_epochs": 4,
+                        "interval": 2, "hidden": 8, "lr": 0.01, "seed": 1,
+                        "imp_p_g": 0.2, "imp_p_theta": 0.3},
+             "arms": [{"method": "dense"},
+                      {"method": "fastglt", "s_g": 0.2, "s_theta": 0.3}],
+             "sweep": {"vary": "s_g", "methods": ["random"], "start": 0.1,
+                       "step": 0.1, "stop": 0.2, "win_delta": 1.0},
+             "fig2": {"levels": [0.2], "weight_level": 0.3}}
+    out = tmp_path / "suite"
+    run_suite(suite, out)
+    written = {f for f in out.rglob("*") if f.is_file()}
+    assert {"suite_summary.json", "efficiency.csv", "extreme_sparsity.csv",
+            "fig2_left.csv", "fig2_right.csv"} <= {f.name for f in written}
+    assert written <= replaced
+    replaced.clear()
+    assert set(analyze_dir(out)) == {"efficiency.csv", "fig2_left.csv"}
+    assert replaced == {out / "efficiency.csv", out / "fig2_left.csv"}
+    bundle = save_bundle(tiny_dataset([(0, 1), (1, 2)], 3), tmp_path / "b")
+    written = set(bundle.iterdir())
+    assert len(written) == 5 and written <= replaced

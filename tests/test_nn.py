@@ -553,3 +553,100 @@ def test_engine_does_not_load_scipy_special():
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def stored_csr(rng, shape, density, dtype, index):
+    """Random CSR with values over sixteen decades, so that any change in
+    summation order shows in the last bits; every third row is empty.
+    Its index arrays have the given dtype."""
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, shape)
+    values[rng.random(shape) >= density] = 0.0
+    values[::3] = 0.0
+    a = sp.csr_matrix(values.astype(dtype))
+    a.indices, a.indptr = a.indices.astype(index), a.indptr.astype(index)
+    return a
+
+
+@pytest.mark.parametrize("index", [np.int32, np.int64])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("shape, density", [
+    ((60, 40), 0.2),        # empty rows among full ones
+    ((1, 40), 0.5),         # one row
+    ((25, 40), 0.0),        # no stored entries
+    ((2, 40), 0.5),         # fewer rows than parts
+])
+def test_split_product_matches_scipy(monkeypatch, shape, density, parts,
+                                     dtype, index):
+    """The row-split product equals scipy's ``a @ w`` bit for bit, in the
+    same dtype, whatever the part count."""
+    rng = np.random.default_rng(shape[0])
+    a = stored_csr(rng, shape, density, dtype, index)
+    assert a.indptr.dtype == a.indices.dtype == index
+    assert not np.diff(a.indptr)[::3].any()
+    w = (rng.normal(size=(shape[1], 17))
+         * 10.0 ** rng.integers(-8, 8, (shape[1], 1))).astype(dtype)
+    monkeypatch.setattr(nn, "_PART_MIN_WORK", 1)
+    monkeypatch.setattr(nn.workers, "count", lambda: parts)
+    got, want = nn._csr_product(a, w), a @ w
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_split_product_balances_stored_entries(monkeypatch):
+    """Parts are contiguous row ranges with about equal stored entries;
+    a product with less work than two parts stays whole."""
+    rng = np.random.default_rng(2)
+    a = stored_csr(rng, (90, 50), 0.2, np.float64, np.int32)
+    w = rng.normal(size=(50, 8))
+    seen = []
+    run = nn.workers.run
+
+    def spy(task, parts):
+        seen.append(parts)
+        return run(task, parts)
+
+    monkeypatch.setattr(nn.workers, "run", spy)
+    monkeypatch.setattr(nn.workers, "count", lambda: 3)
+    nn._csr_product(a, w)           # far below one part's work
+    monkeypatch.setattr(nn, "_PART_MIN_WORK", 1)
+    nn._csr_product(a, w)
+    monkeypatch.setattr(nn, "_PART_MIN_WORK", a.nnz * w.shape[1] // 2)
+    nn._csr_product(a, w)               # work for two parts, not three
+    whole, split, two = seen
+    assert whole == [(0, 90)] and len(two) == 2
+    assert [lo for lo, _ in split[1:]] == [hi for _, hi in split[:-1]]
+    assert split[0][0] == 0 and split[-1][1] == 90 and len(split) == 3
+    per_part = [a.indptr[hi] - a.indptr[lo] for lo, hi in split]
+    assert max(per_part) - min(per_part) <= 2 * np.diff(a.indptr).max()
+
+
+@pytest.mark.parametrize("trained", ["cotrain", "theta"])
+def test_split_forward_and_backward_match_one_worker(monkeypatch, trained):
+    """Every product split three ways (the least work per part patched to
+    1): the full and the train-rows forward and every gradient are the
+    one-worker bits, and the backward's X[n2]^T is built once per
+    adjacency."""
+    rng = np.random.default_rng(7)
+    ds, params, soft = sparse_feature_instance(rng)
+    binary = BinaryMasks(edges=rng.random(ds.num_edges) < 0.8,
+                         theta0=rng.random(params.theta0.shape) < 0.8,
+                         theta1=rng.random(params.theta1.shape) < 0.8)
+    soft = soft if trained == "cotrain" else SoftMasks()
+    norm = nn.normalize_adjacency(ds, binary.edges)
+    monkeypatch.setattr(nn, "_PART_MIN_WORK", 1)
+    runs = {}
+    for count in (1, 3):
+        monkeypatch.setattr(nn.workers, "count", lambda: count)
+        norm._memo.clear()
+        out = []
+        for rows in (None, ds.train_idx):
+            logits, cache = gcn_forward(params, soft, binary, ds, norm=norm,
+                                        rows=rows)
+            grads = backward(cache, ds.labels, ds.train_idx)
+            out += [logits, cache.xw0, cache.h1, grads.theta, grads.dense]
+            out += [] if grads.m_edges is None else [grads.m_edges]
+        runs[count] = out
+        assert sum(key[0] == "x_t" for key in norm._memo) == 1
+    for split, serial in zip(runs[3], runs[1]):
+        assert split.tobytes() == serial.tobytes()

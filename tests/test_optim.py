@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fastglt.workers as workers
 from fastglt.optim import _BLOCK, AdamState, NonFiniteGradient, adam_step
 
 
@@ -191,15 +192,62 @@ def test_blocked_step_matches_out_of_place_formula(shape, dtype, masked):
     check_against_out_of_place(shape, dtype, masked, steps=8)
 
 
-def test_scratch_is_one_block():
+def test_scratch_is_one_block(monkeypatch):
+    """One pair of one-block buffers per worker that can take a share of
+    the blocks: no more pairs than workers or blocks."""
+    def shapes(state):
+        return [[b.shape for b in pair] for pair in state.scratch]
+
+    monkeypatch.setattr(workers, "count", lambda: 2)
     big = AdamState.for_param(np.zeros((1433, 50), dtype=np.float32))
-    assert [b.shape for b in big.scratch] == [(_BLOCK,)] * 2
-    assert all(b.dtype == np.float32 for b in big.scratch)
+    assert shapes(big) == [[(_BLOCK,)] * 2] * 2
+    assert all(b.dtype == np.float32 for pair in big.scratch for b in pair)
     small = AdamState.for_param(np.zeros((13, 9)))
-    assert [b.shape for b in small.scratch] == [(117,)] * 2
+    assert shapes(small) == [[(117,)] * 2]
+    monkeypatch.setattr(workers, "count", lambda: 5)
+    assert shapes(AdamState.for_param(np.zeros((1433, 50)))) \
+        == [[(_BLOCK,)] * 2] * 3            # 1433 * 50 spans three blocks
+    monkeypatch.setattr(workers, "count", lambda: 1)
+    assert shapes(AdamState.for_param(np.zeros((1433, 50)))) \
+        == [[(_BLOCK,)] * 2]
 
 
-def test_nan_in_last_block_raises_before_anything_moves():
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("size", [3 * _BLOCK + 7, 2 * _BLOCK - 1,
+                                  4 * _BLOCK, _BLOCK - 5])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_split_step_matches_serial(monkeypatch, count, size, dtype):
+    """Adam split across workers leaves params and moments bit for bit
+    where the serial sweep does, ragged last block or not; a tensor
+    smaller than one block stays on the calling thread."""
+    rng = np.random.default_rng(size)
+    p0 = rng.normal(size=size).astype(dtype)
+    grads = [(rng.normal(scale=10.0 ** rng.integers(-4, 2), size=size)
+              * (rng.random(size) < 0.8)).astype(dtype) for _ in range(5)]
+    runs, calls, run = {}, [], workers.run
+
+    def spy(task, parts):
+        calls.append(len(parts))
+        return run(task, parts)
+
+    monkeypatch.setattr(workers, "run", spy)
+    for workers_now in (1, count):
+        monkeypatch.setattr(workers, "count", lambda: workers_now)
+        calls.clear()
+        p = p0.copy()
+        state = AdamState.for_param(p, lr=0.01)
+        for g in grads:
+            adam_step(state, p, g, name="p")
+        blocks = -(-size // _BLOCK)
+        assert calls == [min(workers_now, blocks)] * len(grads)
+        runs[workers_now] = (p, state.m, state.v)
+    for split, serial in zip(runs[count], runs[1]):
+        assert split.tobytes() == serial.tobytes()
+
+
+def test_nan_in_last_block_raises_before_anything_moves(monkeypatch):
+    """The check runs before the blocks are handed to the workers."""
+    monkeypatch.setattr(workers, "count", lambda: 3)
     rng = np.random.default_rng(5)
     p = rng.normal(size=3 * _BLOCK + 7)
     state = AdamState.for_param(p)
