@@ -1,43 +1,41 @@
 """Command-line entry points: convert raw data, run one arm, run a suite,
-regenerate analysis CSVs.
-
-GLT_THREADS caps the linear-algebra thread pools; it must take effect
-before the numeric libraries initialize, so the heavy imports happen
-inside the handlers.
-"""
+regenerate analysis CSVs."""
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
-
-def _apply_thread_cap() -> None:
-    from .config import threads_setting
-    cap = threads_setting()
-    if cap is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, str(cap))
+from .config import config_from_dict, load_config
+from .data import convert_planetoid
+from .harness import analyze_dir, check_suite, run_experiment, run_suite
+from .workers import threads_setting
 
 
-def _parse_sets(items: list[str]) -> dict:
+def _overrides(args) -> dict:
+    """The ``--set key=value`` pairs, then ``--seed`` and ``--precision``,
+    as config overrides."""
     out = {}
-    for item in items or []:
+    for item in args.set or []:
         key, sep, val = item.partition("=")
         if not sep:
             raise SystemExit(f"--set expects key=value, got {item!r}")
         out[key.strip()] = val.strip()
+    if args.seed is not None:
+        out["seed"] = args.seed
+    if args.precision:
+        out["precision"] = args.precision
     return out
 
 
 def _cmd_convert(args) -> int:
-    from .data import convert_planetoid
-    ds = convert_planetoid(args.raw, args.name, args.out)
+    try:
+        ds = convert_planetoid(args.raw, args.name, args.out)
+    except Exception as exc:  # noqa: BLE001 - unpickling raises many kinds
+        print(f"convert failed: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote bundle {args.out}: {ds.num_nodes} nodes, "
           f"{ds.num_edges} undirected edges, {ds.num_features} features, "
           f"{ds.num_classes} classes")
@@ -45,14 +43,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from .config import config_from_dict, load_config
-    from .harness import run_experiment
-
-    overrides = _parse_sets(args.set)
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.precision:
-        overrides["precision"] = args.precision
+    overrides = _overrides(args)
     try:
         if args.config:
             config = load_config(args.config, overrides)
@@ -75,19 +66,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    from .harness import check_suite, run_suite
-
     try:
         suite = json.loads(Path(args.suite).read_text())
         check_suite(suite)
     except (OSError, ValueError) as exc:
         print(f"config error: {args.suite}: {exc}", file=sys.stderr)
         return 2
-    overrides = _parse_sets(args.set)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.precision:
-        overrides["precision"] = args.precision
+    overrides = _overrides(args)
     if overrides:
         suite.setdefault("shared", {}).update(overrides)
     try:
@@ -107,8 +92,6 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from .harness import analyze_dir
-
     try:
         produced = analyze_dir(args.out)
     except ValueError as exc:       # e.g. reports without a dense arm
@@ -166,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        _apply_thread_cap()
+        threads_setting()
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -5,10 +5,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import typing
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 METHODS = ("dense", "fastglt", "imp", "random", "oneshot")
 PRECISIONS = {"f32": "float32", "f64": "float64"}
@@ -43,7 +44,6 @@ class ExperimentConfig:
 
     @property
     def dtype(self):
-        import numpy as np   # not at module level: see fastglt.cli
         return np.dtype(PRECISIONS[self.precision])
 
     @property
@@ -114,16 +114,6 @@ class ExperimentConfig:
 
     def replace(self, **kw) -> "ExperimentConfig":
         return dataclasses.replace(self, **kw)
-
-
-def threads_setting() -> int | None:
-    """The GLT_THREADS thread cap, or None when it is unset. Anything but a
-    positive integer is rejected with an error that names the variable."""
-    val = os.environ.get("GLT_THREADS")
-    if val and (not val.strip().isdecimal() or int(val) < 1):
-        raise ValueError(f"GLT_THREADS must be a positive integer, "
-                         f"got {val!r}")
-    return int(val) if val else None
 
 
 _TYPES = typing.get_type_hints(ExperimentConfig)

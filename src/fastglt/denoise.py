@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -173,16 +173,10 @@ class SwapRecord:
         return self.weights_removed.size - self.weights_regrown.size
 
     def as_dict(self) -> dict:
-        return {
-            "interval": self.interval,
-            "edges_removed": self.edges_removed.tolist(),
-            "edges_regrown": self.edges_regrown.tolist(),
-            "weights_removed": self.weights_removed.tolist(),
-            "weights_regrown": self.weights_regrown.tolist(),
-            "s_g_before": self.s_g_before, "s_g_after": self.s_g_after,
-            "s_theta_before": self.s_theta_before,
-            "s_theta_after": self.s_theta_after,
-        }
+        """Every field in declaration order, arrays as lists."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v
+                for k, v in values.items()}
 
 
 def export_swaps(swaps: list[SwapRecord], path: str | Path) -> None:

@@ -16,7 +16,7 @@ from .analysis import (ArmResult, TicketReport, distance_curve,
                        pruned_set_stats_csv, timing_report)
 from .baselines import (imp_search, run_dense, run_imp, run_oneshot_only,
                         run_random)
-from .config import ExperimentConfig, config_from_dict, threads_setting
+from .config import ExperimentConfig, config_from_dict
 from .data import Dataset, parse_dataset_spec
 from .denoise import export_swaps, run_fastglt
 from .graph import edge_degree_scores
@@ -25,6 +25,7 @@ from .masks import (BinaryMasks, init_soft_masks, load_mask,
                     save_soft_values, write_atomic)
 from .nn import GcnParams, arm_params
 from .train import TrainLoop
+from .workers import threads_setting
 
 SCHEMA_VERSION = 1
 

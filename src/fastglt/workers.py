@@ -12,6 +12,10 @@ The worker count is the GLT_THREADS cap when it is set, else the usable
 cores. The calling thread runs the first part itself, so one part starts
 no thread. The pool is made on first use, not on import, and lives for the
 process; a forked child makes its own.
+
+The same cap sizes the BLAS and OpenMP pools through
+:func:`export_thread_env`, which ``import fastglt`` calls before any
+numerical import; so this module imports nothing numerical.
 """
 
 from __future__ import annotations
@@ -20,11 +24,40 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
-from .config import threads_setting
-
 _lock = threading.Lock()
 _pool: ThreadPoolExecutor | None = None
 _pool_pid = -1
+
+
+def threads_setting() -> int | None:
+    """The GLT_THREADS thread cap, or None when it is unset. Anything but a
+    positive integer is rejected with an error that names the variable."""
+    val = os.environ.get("GLT_THREADS")
+    if val and (not val.strip().isdecimal() or int(val) < 1):
+        raise ValueError(f"GLT_THREADS must be a positive integer, "
+                         f"got {val!r}")
+    return int(val) if val else None
+
+
+def export_thread_env() -> None:
+    """Set the thread variables that the numerical libraries read once,
+    when numpy loads; a value the user has set is kept.
+
+    After a BLAS call the idle OpenBLAS worker busy-waits for 2^28 cycles
+    (about 128 ms at 2.1 GHz) on a core that the engine's workers could
+    use; OPENBLAS_THREAD_TIMEOUT=4 (2^4 cycles) parks it at once and
+    changes no bit. A valid GLT_THREADS caps the BLAS and OpenMP pools; an
+    invalid one exports no cap here and is refused where it is read.
+    """
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+    try:
+        cap = threads_setting()
+    except ValueError:
+        return
+    if cap is not None:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            os.environ.setdefault(var, str(cap))
 
 
 def count() -> int:

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -300,39 +299,6 @@ def test_bad_thread_cap_rejected_before_training(tmp_path, monkeypatch,
     assert not out.exists()
 
 
-def test_cli_exports_thread_cap_before_numpy_loads():
-    """The BLAS pools read their thread variables once, when numpy loads,
-    so ``glt`` must export the GLT_THREADS cap before anything imports
-    numpy."""
-    code = ("import os, sys, fastglt.cli\n"
-            "fastglt.cli._apply_thread_cap()\n"
-            "print(sorted({'numpy', 'scipy'} & set(sys.modules)),"
-            " os.environ['OPENBLAS_NUM_THREADS'])")
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**env, "GLT_THREADS": "1"})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]", "1"]
-
-
-@pytest.mark.parametrize("user_value", [None, "28"])
-def test_import_parks_the_idle_blas_worker(user_value):
-    """``import fastglt`` before numpy sets OPENBLAS_THREAD_TIMEOUT, which
-    OpenBLAS reads when numpy loads it, unless the user has set it."""
-    code = ("import os, sys, fastglt\n"
-            "print(sorted({'numpy', 'scipy'} & set(sys.modules)),"
-            " os.environ['OPENBLAS_THREAD_TIMEOUT'])")
-    env = {k: v for k, v in os.environ.items()
-           if k != "OPENBLAS_THREAD_TIMEOUT"}
-    if user_value is not None:
-        env["OPENBLAS_THREAD_TIMEOUT"] = user_value
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]", user_value or "4"]
-
-
 def test_cli_convert_and_run_on_bundle(tmp_path):
     # reuse the planetoid fixture writer from the data tests
     from test_data import _write_planetoid_fixture
@@ -348,6 +314,25 @@ def test_cli_convert_and_run_on_bundle(tmp_path):
                 "--set", "epochs=2", "--set", "denoise_epochs=2",
                 "--set", "hidden=4", "--set", "lr=0.01")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("damage", ["missing", "malformed"])
+def test_cli_convert_reports_bad_raw_files(tmp_path, damage):
+    from test_data import _write_planetoid_fixture
+    _write_planetoid_fixture(tmp_path, name="toy")
+    raw = tmp_path / "ind.toy.graph"
+    if damage == "missing":
+        raw.unlink()
+    else:
+        raw.write_bytes(b"not a pickle")
+    bundle = tmp_path / "bundle"
+    proc = _glt("convert", "--raw", str(tmp_path), "--name", "toy",
+                "--out", str(bundle))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("convert failed: ")
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert not bundle.exists()
 
 
 def test_cli_suite_and_analyze(tmp_path):

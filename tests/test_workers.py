@@ -1,4 +1,6 @@
+import json
 import os
+import subprocess
 import sys
 import threading
 
@@ -19,6 +21,59 @@ def test_count_is_the_thread_cap_else_the_usable_cores(monkeypatch):
     monkeypatch.setenv("GLT_THREADS", "two")
     with pytest.raises(ValueError, match="GLT_THREADS"):
         workers.count()
+
+
+_THREAD_VARS = ("OPENBLAS_THREAD_TIMEOUT", "OMP_NUM_THREADS",
+                "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
+
+# Records the thread variables at the moment numpy is first imported: the
+# BLAS and OpenMP pools read them then and never again.
+_SPY = """
+import json, os, sys
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append({{v: os.environ.get(v) for v in {names!r}}})
+        return None
+sys.meta_path.insert(0, Spy())
+import {module}
+import numpy
+print(json.dumps(seen[0] if seen else None))
+"""
+
+
+def _caps(n):
+    return dict.fromkeys(_THREAD_VARS[1:], n)
+
+
+@pytest.mark.parametrize("module, user, expected", [
+    pytest.param("fastglt", {"GLT_THREADS": "1"},
+                 {"OPENBLAS_THREAD_TIMEOUT": "4", **_caps("1")},
+                 id="library-cap"),
+    pytest.param("fastglt.cli", {"GLT_THREADS": "1"},
+                 {"OPENBLAS_THREAD_TIMEOUT": "4", **_caps("1")},
+                 id="cli-cap"),
+    pytest.param("fastglt", {"GLT_THREADS": "1", "OPENBLAS_NUM_THREADS": "3"},
+                 {"OPENBLAS_THREAD_TIMEOUT": "4", **_caps("1"),
+                  "OPENBLAS_NUM_THREADS": "3"},
+                 id="user-pool-size-kept"),
+    pytest.param("fastglt", {"OPENBLAS_THREAD_TIMEOUT": "28"},
+                 {"OPENBLAS_THREAD_TIMEOUT": "28", **_caps(None)},
+                 id="user-timeout-kept"),
+    pytest.param("fastglt", {"GLT_THREADS": "two"},
+                 {"OPENBLAS_THREAD_TIMEOUT": "4", **_caps(None)},
+                 id="bad-cap-exports-none"),
+])
+def test_thread_variables_are_set_when_numpy_loads(module, user, expected):
+    env = {k: v for k, v in os.environ.items()
+           if k not in _THREAD_VARS + ("GLT_THREADS",)}
+    code = _SPY.format(names=_THREAD_VARS, module=module)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**env, **user}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == expected
 
 
 def test_run_raises_a_part_error_once_every_part_stopped(monkeypatch):
