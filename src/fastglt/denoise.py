@@ -40,10 +40,6 @@ class TypePlan:
     kept_target: int
     n_net: tuple[int, ...]      # net removals per interval
 
-    @property
-    def total_shrink(self) -> int:
-        return self.kept_start - self.kept_target
-
 
 def _plan(universe: int, s_inm: float, s_tgt: float,
           mu_end: int) -> TypePlan:
@@ -259,7 +255,7 @@ def run_fastglt(dataset: Dataset, config: ExperimentConfig,
 
     # Denoising trains the weights and the graph soft mask; the weight soft
     # mask is absorbed into the binary mask and dropped.
-    soft_dn = SoftMasks(edges=best.edges.astype(dtype).copy())
+    soft_dn = SoftMasks(edges=best.edges.copy())
     schedule = DenoiseSchedule.build(
         delta_t=interval, total_epochs=config.denoise_epochs, tau=config.tau,
         kappa=config.kappa, edge_universe=dataset.num_edges,

@@ -26,8 +26,9 @@ class NormAdj:
     -1 for self-loop entries; ``entry_row``/``entry_col`` are the matching
     COO coordinates. These let callers scale the kept-edge entries by a soft
     mask without touching the self-loops. What follows from the stored
-    entries alone (a split's receptive field, say) is memoized on the
-    instance, so its arrays must not be mutated in place.
+    entries alone (a split's receptive field, see ``nn``) is memoized on
+    the instance and freed with it, so its arrays must not be mutated in
+    place.
     """
 
     matrix: sp.csr_matrix

@@ -14,7 +14,9 @@ The loss reads only the split's logits, so ``backward`` computes on the
 split's receptive field: its cost follows the split's 2-hop set, not the
 node count, and its gradients equal the full-graph sweep bit for bit. A
 forward given the split's ``rows`` is restricted the same way. The
-feature operator is built once per dataset and dtype and then shared.
+feature operator is built once per dataset and dtype and then shared;
+what a split's loss reads of one mask (its receptive field, X's rows
+there, the edge entries in its 1-hop rows) is built once per mask.
 
 The wide sparse products (X@W0, A@XW0 and their backward terms) split
 their rows across the engine's workers (``fastglt.workers``); every row is
@@ -219,15 +221,14 @@ def gcn_forward(params: GcnParams, soft: SoftMasks,
         h1 = _csr_product(a_eff, xw0)
         np.maximum(h1, 0.0, out=h1)
     else:
-        rows = np.asarray(rows)
-        n1, n2 = _receptive_field(norm, rows)
+        field = _receptive_field(norm, x_op, np.asarray(rows))
         # A BLAS product over a subset of rows may round differently
         # from the full one, so a dense X runs in full.
-        xw0 = _row_product(x_op, n2, w0) if sp.issparse(x_op) \
-            else x_op @ w0
-        s1 = _csr_product(a_eff[n1], xw0)
+        xw0 = x_op @ w0 if field.x_rows is None \
+            else _csr_product(field.x_rows, w0)
+        s1 = _csr_product(a_eff[field.n1], xw0)
         h1 = np.zeros(xw0.shape, dtype=dtype)
-        h1[n1] = np.maximum(s1, 0.0, out=s1)
+        h1[field.n1] = np.maximum(s1, 0.0, out=s1)
     h1w1 = h1 @ w1
     logits = a_eff @ h1w1
     cache = ForwardCache(a_eff=a_eff, norm=norm, x_op=x_op, w1_eff=w1,
@@ -272,39 +273,46 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _row_bits(a: sp.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray,
-                                                             np.ndarray]:
-    """Bitsets of the given rows of CSR ``a`` and of their stored entries."""
-    picked = np.zeros(a.shape[0], dtype=bool)
-    picked[rows] = True
-    return picked, np.repeat(picked, np.diff(a.indptr))
+@dataclass(frozen=True)
+class _Field:
+    """What a loss over some rows reads of one adjacency and feature
+    operator: the rows' sorted 1-hop and 2-hop sets ``n1`` and ``n2``
+    (self-loops put the rows within n1 and n1 within n2), the stored edge
+    entries in n1 rows, and for a CSR X (else None) X's n2 rows under the
+    full row pointer and X[n2]^T as a CSR with sorted indices."""
+
+    x_op: object    # held so that its id in the memo key stays its own
+    n1: np.ndarray
+    n2: np.ndarray
+    edges: np.ndarray
+    x_rows: sp.csr_matrix | None
+    x_t: sp.csr_matrix | None
 
 
-def _neighbours(a: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
-    """Sorted ids of the columns stored in the given rows of CSR ``a``."""
-    reached = np.zeros(a.shape[1], dtype=bool)
-    reached[a.indices[_row_bits(a, rows)[1]]] = True
-    return np.flatnonzero(reached)
-
-
-def _memoized(norm: NormAdj, key: tuple, build):
-    """``build()``, run once per key and normalized adjacency: what it
-    builds follows the stored entries, which only a new binary edge mask
-    changes."""
-    hit = norm._memo.get(key)
-    if hit is None:
-        hit = norm._memo[key] = build()
-    return hit
-
-
-def _receptive_field(norm: NormAdj,
-                     rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 1-hop set n1 and the 2-hop set n2 of ``rows`` (sorted ids);
-    self-loops put ``rows`` within n1 and n1 within n2."""
-    def build():
-        n1 = _neighbours(norm.matrix, rows)
-        return n1, _neighbours(norm.matrix, n1)
-    return _memoized(norm, ("field", rows.dtype.str, rows.tobytes()), build)
+def _receptive_field(norm: NormAdj, x_op, rows: np.ndarray) -> _Field:
+    """The ``_Field`` of ``rows``, built once per (rows, operator) and
+    memoized on ``norm``: it follows the stored entries, which only a new
+    binary edge mask changes, and is freed with the adjacency."""
+    key = (id(x_op), rows.dtype.str, rows.tobytes())
+    field = norm._memo.get(key)
+    if field is None:
+        a = norm.matrix
+        n1 = np.unique(a[rows].indices)
+        n2 = np.unique(a[n1].indices)
+        edges = np.flatnonzero((norm.edge_of_entry >= 0)
+                               & np.isin(norm.entry_row, n1))
+        x_rows = x_t = None
+        if sp.issparse(x_op):
+            # Every row outside n2 is empty, so a product over x_rows
+            # leaves its zeroed output rows alone.
+            x_n2 = x_op[n2]
+            indptr = x_n2.indptr[np.searchsorted(
+                n2, np.arange(x_op.shape[0] + 1))]
+            x_rows = sp.csr_matrix((x_n2.data, x_n2.indices, indptr),
+                                   shape=x_op.shape)
+            x_t = x_n2.T.tocsr()
+        field = norm._memo[key] = _Field(x_op, n1, n2, edges, x_rows, x_t)
+    return field
 
 
 def _csr_product(a: sp.csr_matrix, w: np.ndarray) -> np.ndarray:
@@ -338,19 +346,6 @@ def _csr_product(a: sp.csr_matrix, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_product(a: sp.csr_matrix, rows: np.ndarray,
-                 w: np.ndarray) -> np.ndarray:
-    """``a @ w`` on the given rows of CSR ``a``, zero on every other row;
-    each computed row is summed as the full product sums it."""
-    # The rows' entries under a full-length row pointer: every other row
-    # is empty, so the product leaves its (zeroed) output alone.
-    picked, entries = _row_bits(a, rows)
-    indptr = np.zeros(a.shape[0] + 1, dtype=a.indptr.dtype)
-    np.cumsum(np.diff(a.indptr) * picked, out=indptr[1:])
-    return _csr_product(sp.csr_matrix(
-        (a.data[entries], a.indices[entries], indptr), shape=a.shape), w)
-
-
 def backward(cache: ForwardCache, labels: np.ndarray,
              split: np.ndarray) -> Gradients:
     """Exact gradients of masked_loss for the forward held in ``cache``.
@@ -377,10 +372,12 @@ def backward(cache: ForwardCache, labels: np.ndarray,
     # every other row is an exact zero. The restricted CSR/CSC products
     # sum each output's stored terms in the full product's order from +0,
     # and the terms they skip are exact zeros (for finite operands), so
-    # every gradient matches the full-graph sweep bit for bit. BLAS products that contract over
-    # nodes stay full: their sums depend on the contraction length.
+    # every gradient matches the full-graph sweep bit for bit. BLAS
+    # products that contract over nodes stay full: their sums depend on
+    # the contraction length.
     a, norm = cache.a_eff, cache.norm     # a is symmetric by construction
-    n1, n2 = _receptive_field(norm, split)
+    field = _receptive_field(norm, cache.x_op, split)
+    n1, n2 = field.n1, field.n2
     dh1w1 = a @ g2
     dw1_dense = cache.h1.T @ dh1w1
     # A one-row product takes numpy's vector path, which rounds unlike a
@@ -389,15 +386,11 @@ def backward(cache: ForwardCache, labels: np.ndarray,
         else (dh1w1 @ cache.w1_eff.T)[n1]
     ds1 *= cache.h1[n1] > 0                                  # rows n1
     dxw0 = _csr_product(a[n2][:, n1], ds1)                   # rows n2
-    if sp.issparse(cache.x_op):
-        # X[n2]^T as a CSR with sorted indices sums each of its rows in
-        # the column order of the CSC X[n2].T, so the row-split product
-        # matches X[n2].T @ dxw0 bit for bit.
-        x_op = cache.x_op
-        _, x_t = _memoized(
-            norm, ("x_t", id(x_op), split.dtype.str, split.tobytes()),
-            lambda: (x_op, x_op[n2].T.tocsr()))
-        dw0_dense = _csr_product(x_t, dxw0)
+    if field.x_t is not None:
+        # The CSR X[n2]^T has sorted indices, so it sums each of its rows
+        # in the column order of the CSC X[n2].T, and the row-split
+        # product matches X[n2].T @ dxw0 bit for bit.
+        dw0_dense = _csr_product(field.x_t, dxw0)
     else:
         dxw0_full = np.zeros((n, dxw0.shape[1]), dtype=dtype)
         dxw0_full[n2] = dxw0
@@ -412,16 +405,14 @@ def backward(cache: ForwardCache, labels: np.ndarray,
         #   layer 1 contributes  ds1[i] . xw0[j]
         # Both vanish unless row i is in n1; ds1 is read through the
         # position of i in n1.
-        pos = np.full(n, -1, dtype=np.int64)
-        pos[n1] = np.arange(n1.size)
-        on_edge = np.flatnonzero((norm.edge_of_entry >= 0)
-                                 & (pos[norm.entry_row] >= 0))
+        on_edge = field.edges
         ri, ci = norm.entry_row[on_edge], norm.entry_col[on_edge]
+        at = np.searchsorted(n1, ri)
         d_entry = np.empty(on_edge.size, dtype=dtype)
         for lo in range(0, on_edge.size, _SDDMM_BLOCK):
-            r, c = ri[lo:lo + _SDDMM_BLOCK], ci[lo:lo + _SDDMM_BLOCK]
+            r, c, p = (v[lo:lo + _SDDMM_BLOCK] for v in (ri, ci, at))
             block = np.einsum("ij,ij->i", g2[r], cache.h1w1[c])
-            block += np.einsum("ij,ij->i", ds1[pos[r]], cache.xw0[c])
+            block += np.einsum("ij,ij->i", ds1[p], cache.xw0[c])
             d_entry[lo:lo + _SDDMM_BLOCK] = block
 
         e_of = norm.edge_of_entry[on_edge]

@@ -1,7 +1,18 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fastglt.data import Dataset, generate_sbm
+
+# pytest puts src/ on this process's path (pyproject's ``pythonpath``);
+# the tests that start a Python subprocess (the CLI, import probes, the
+# demos) find the package through PYTHONPATH, so run from a checkout
+# without installing it.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def tiny_dataset(edges, num_nodes, num_classes=2, num_features=3, seed=0,

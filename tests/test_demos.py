@@ -2,7 +2,6 @@
 the public API (arms, configs, schedules), so an API change that leaves a
 demo behind fails here."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,10 +14,6 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos")
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(script, tmp_path):
-    src = str(script.parent.parent / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
-                           if p)
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -46,10 +46,6 @@ def test_ratio_out_of_range():
 
 def test_plan_even_trajectory():
     # 1000 edges, 0.35 -> 0.40 over 10 intervals: 5 removals per interval
-    plan = SparsityPlan(s_g_tgt=0.40, s_theta_tgt=0.40, alpha=1e-9, beta=1.0)
-    sched = DenoiseSchedule.build(10, 100, 0.2, 1.0, 1000, 1000, plan)
-    object.__setattr__(sched, "graph", sched.graph)  # no-op, keep frozen
-    # override: construct directly at (0.35, 0.40)
     from fastglt.denoise import _plan
     tp = _plan(1000, 0.35, 0.40, 10)
     assert tp.kept_start == 650 and tp.kept_target == 600
@@ -59,7 +55,7 @@ def test_plan_even_trajectory():
 def test_plan_residue_lands_in_final_interval():
     from fastglt.denoise import _plan
     tp = _plan(997, 0.10, 0.37, 7)
-    assert sum(tp.n_net) == tp.total_shrink
+    assert sum(tp.n_net) == tp.kept_start - tp.kept_target
     assert len(set(tp.n_net[:-1])) == 1
     assert tp.kept_start - sum(tp.n_net) == tp.kept_target
 
@@ -292,27 +288,37 @@ def test_update_masks_rejects_every_overlap(data):
     assert str(err.value) == want
 
 
-def test_trajectory_replay_reaches_target():
-    """Simulated swaps over random (s_inm, s_tgt, mu_end, universe) tuples
-    land exactly on the target kept count."""
-    rng = np.random.default_rng(2)
-    for _ in range(60):
-        universe = int(rng.integers(10, 2000))
-        s_tgt = float(rng.uniform(0.0, 0.95))
-        s_inm = float(rng.uniform(0.0, s_tgt)) if s_tgt > 0 else 0.0
-        mu_end = int(rng.integers(1, 12))
-        from fastglt.denoise import _plan, _quota
-        tp = _plan(universe, s_inm, s_tgt, mu_end)
-        kept = tp.kept_start
-        tau = float(rng.uniform(0.0, 0.4))
-        for mu in range(1, mu_end + 1):
-            ratio = tau * (1 - mu / mu_end)
-            q = _quota(mu, ratio, tp, kept)
-            assert q.n_noisy <= kept
-            assert q.n_potential <= universe - kept
-            kept = kept - q.n_noisy + q.n_potential
-        assert kept == tp.kept_target
-        assert abs((1 - kept / universe) - s_tgt) <= 1.0 / universe + 1e-12
+@settings(max_examples=300, deadline=None)
+@given(edges=st.integers(1, 3000), weights=st.integers(1, 20000),
+       s_g=st.floats(0.0, 0.95), s_theta=st.floats(0.0, 0.99),
+       total=st.integers(1, 60), delta_t=st.integers(1, 20),
+       tau=st.floats(0.0, 1.0), kappa=st.floats(0.05, 4.0),
+       alpha=st.floats(1e-6, 1.0), beta=st.floats(1.0, 2.0))
+def test_trajectory_replay_reaches_target(edges, weights, s_g, s_theta,
+                                          total, delta_t, tau, kappa,
+                                          alpha, beta):
+    """Walking the schedule's quotas from the one-shot kept counts, every
+    interval drops only kept elements, regrows only pruned ones and
+    shrinks by its planned net; the last interval regrows nothing, and
+    the walk lands exactly on the target kept counts. alpha up to 1 puts
+    the one-shot sparsity anywhere in [0, target]."""
+    plan = SparsityPlan(s_g_tgt=s_g, s_theta_tgt=s_theta, alpha=alpha,
+                        beta=beta)
+    sched = DenoiseSchedule.build(delta_t, total, tau, kappa, edges,
+                                  weights, plan)
+    kept = [sched.graph.kept_start, sched.weights.kept_start]
+    for mu in range(1, sched.mu_end + 1):
+        quotas = interval_quotas(mu, sched, *kept)
+        for k, (q, tp) in enumerate(zip(quotas, (sched.graph,
+                                                 sched.weights))):
+            assert 0 <= q.n_potential <= tp.universe - kept[k]
+            assert q.n_noisy <= kept[k]
+            assert q.n_noisy - q.n_potential == q.n_net == tp.n_net[mu - 1]
+            if mu == sched.mu_end:
+                assert q.n_potential == 0
+            kept[k] += q.n_potential - q.n_noisy
+    assert kept == [sched.graph.kept_target, sched.weights.kept_target]
+    assert kept == [kept_count(edges, s_g), kept_count(weights, s_theta)]
 
 
 def test_export_swaps_jsonl(tmp_path):

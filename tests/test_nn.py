@@ -625,8 +625,9 @@ def test_split_product_balances_stored_entries(monkeypatch):
 def test_split_forward_and_backward_match_one_worker(monkeypatch, trained):
     """Every product split three ways (the least work per part patched to
     1): the full and the train-rows forward and every gradient are the
-    one-worker bits, and the backward's X[n2]^T is built once per
-    adjacency."""
+    one-worker bits. The adjacency holds one receptive-field record for
+    the train rows, which the train-rows forward builds and the backward
+    reuses; a new mask's adjacency builds its own."""
     rng = np.random.default_rng(7)
     ds, params, soft = sparse_feature_instance(rng)
     binary = BinaryMasks(edges=rng.random(ds.num_edges) < 0.8,
@@ -639,14 +640,88 @@ def test_split_forward_and_backward_match_one_worker(monkeypatch, trained):
     for count in (1, 3):
         monkeypatch.setattr(nn.workers, "count", lambda: count)
         norm._memo.clear()
-        out = []
-        for rows in (None, ds.train_idx):
+        out, seen = [], []
+        for rows in (ds.train_idx, None):
             logits, cache = gcn_forward(params, soft, binary, ds, norm=norm,
                                         rows=rows)
+            seen.append(list(norm._memo.values()))
             grads = backward(cache, ds.labels, ds.train_idx)
+            seen.append(list(norm._memo.values()))
             out += [logits, cache.xw0, cache.h1, grads.theta, grads.dense]
             out += [] if grads.m_edges is None else [grads.m_edges]
         runs[count] = out
-        assert sum(key[0] == "x_t" for key in norm._memo) == 1
+        record = seen[0][0]
+        assert all(len(s) == 1 and s[0] is record for s in seen)
     for split, serial in zip(runs[3], runs[1]):
         assert split.tobytes() == serial.tobytes()
+
+    remasked = BinaryMasks(edges=~binary.edges, theta0=binary.theta0,
+                           theta1=binary.theta1)
+    other = nn.normalize_adjacency(ds, remasked.edges)
+    _, cache = gcn_forward(params, soft, remasked, ds, norm=other,
+                           rows=ds.train_idx)
+    backward(cache, ds.labels, ds.train_idx)
+    (fresh,) = other._memo.values()
+    assert fresh is not record and list(norm._memo.values()) == [record]
+
+
+@pytest.mark.parametrize("isolated", [False, True])
+@pytest.mark.parametrize("x_kind", ["dense", "csr"])
+@pytest.mark.parametrize("seed", range(3))
+def test_receptive_field_record_matches_brute_force(seed, x_kind, isolated):
+    """The record's 1-hop and 2-hop sets, edge entries and X rows equal
+    their definitions read off the dense masked adjacency, on random
+    graphs and masks; ``isolated`` trains on one node whose edges are all
+    masked. A second lookup with equal rows returns the same record."""
+    rng = np.random.default_rng(seed)
+    if x_kind == "csr":
+        ds, _, _ = sparse_feature_instance(rng)
+    else:
+        ds, _, _ = make_instance(rng, 40, edge_prob=0.1)
+    mask = rng.random(ds.num_edges) < 0.7
+    rows = ds.train_idx
+    if isolated:
+        rows = rows[:1]
+        mask[(ds.edges == rows[0]).any(axis=1)] = False
+    norm = nn.normalize_adjacency(ds, mask)
+    x_op = nn.feature_operator(ds, np.float64)
+    assert sp.issparse(x_op) == (x_kind == "csr")
+    field = nn._receptive_field(norm, x_op, rows)
+
+    n = ds.num_nodes
+    adj = np.eye(n, dtype=bool)
+    kept = ds.edges[mask]
+    adj[kept[:, 0], kept[:, 1]] = adj[kept[:, 1], kept[:, 0]] = True
+    hop1 = adj[rows].any(axis=0)
+    hop2 = adj[hop1].any(axis=0)
+    np.testing.assert_array_equal(field.n1, np.flatnonzero(hop1))
+    np.testing.assert_array_equal(field.n2, np.flatnonzero(hop2))
+    if isolated:
+        assert field.n1.tolist() == field.n2.tolist() == rows.tolist()
+    else:
+        assert hop2.sum() > hop1.sum() > rows.size
+
+    # Edge entries: each kept (i, j), i != j, with i in n1, in stored order.
+    want = sorted((i, j) for i, j in zip(*np.nonzero(adj))
+                  if i != j and hop1[i])
+    got = list(zip(norm.entry_row[field.edges].tolist(),
+                   norm.entry_col[field.edges].tolist()))
+    assert got == want and bool(want) != isolated
+    assert (np.diff(field.edges) > 0).all()
+    ends = np.sort(ds.edges[norm.edge_of_entry[field.edges]], axis=1)
+    np.testing.assert_array_equal(ends, np.sort(np.array(want).reshape(-1, 2),
+                                                axis=1))
+
+    if x_kind == "csr":
+        x = ds.features.astype(np.float64)
+        assert field.x_rows.shape == x.shape
+        assert not np.diff(field.x_rows.indptr)[~hop2].any()
+        np.testing.assert_array_equal(field.x_rows.toarray(),
+                                      np.where(hop2[:, None], x, 0.0))
+        assert field.x_t.has_sorted_indices
+        np.testing.assert_array_equal(field.x_t.toarray(), x[hop2].T)
+    else:
+        assert field.x_rows is None and field.x_t is None
+    assert field.x_op is x_op
+    assert nn._receptive_field(norm, x_op, rows.copy()) is field
+    assert len(norm._memo) == 1
