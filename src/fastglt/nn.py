@@ -16,11 +16,16 @@ node count, and its gradients equal the full-graph sweep bit for bit. A
 forward given the split's ``rows`` is restricted the same way. The
 feature operator is built once per dataset and dtype and then shared;
 what a split's loss reads of one mask (its receptive field, X's rows
-there, the edge entries in its 1-hop rows) is built once per mask.
+there, the edge entries in its 1-hop rows, the structure of the
+adjacency slices its products run on) is built once per mask.
 
-The wide sparse products (X@W0, A@XW0 and their backward terms) split
-their rows across the engine's workers (``fastglt.workers``); every row is
-summed as scipy's own product sums it, so no bit depends on the count.
+The layer-1 chain runs in tiles of hidden units, spread over the engine's
+workers (``fastglt.workers``). A tile gates its columns of W0, runs X@W0
+and A@XW0 on them and writes its columns of ReLU(A@XW0); in the backward
+it runs A@dS1 and X^T@dXW0 and writes its columns of the W0 gradient.
+Each sparse product is scipy's own kernel on the tile's columns, which
+sums every output entry as the whole product sums it, so no bit depends
+on the tile width or the worker count.
 """
 
 from __future__ import annotations
@@ -48,11 +53,13 @@ _SPARSE_X_DENSITY = 0.25
 # instead of spanning nnz; larger blocks measured slower on the Cora shape.
 _SDDMM_BLOCK = 128
 
-# Least multiply-adds per part of a split sparse product: about 0.3 ms of
-# X@W0 work on the Cora shape, ten times the ~30 us it costs to hand a
-# part to a worker and wait for it. A smaller product runs whole on the
-# calling thread.
-_PART_MIN_WORK = 1 << 19
+# Bytes of one row of a hidden-unit tile of the layer-1 chain: 128 units
+# in f64, 256 in f32. A tile of gated W0 (F x 128 in f64, 1.5 MB on the
+# Cora shape) stays in a core's 2 MB L2 while X@W0 reads one of its rows
+# per stored X entry, where the whole 5.9 MB W0 does not. On that shape
+# (H=512, two workers) the full forward took 12.3 ms at 1024 B, against
+# 13.4 ms at 512 B and 13.0 ms at 2048 B.
+_TILE_BYTES = 1024
 
 
 class GcnParams(PooledWeights):
@@ -134,14 +141,16 @@ class ForwardCache:
     """Activations and operators retained for the backward pass.
 
     ``rows`` is None for a full forward; otherwise only those rows' logits
-    are valid (see ``gcn_forward``).
+    are valid (see ``gcn_forward``). XW0 is kept tile-major, as the tiles
+    of ``_tiling`` wrote it: ``xw0_tiles[j]`` holds hidden units j*t to
+    j*t + t - 1 of every node, and the last tile's columns past H are zero.
     """
 
     a_eff: sp.csr_matrix
     norm: NormAdj
     x_op: object                 # csr_matrix or ndarray, engine dtype
     w1_eff: np.ndarray
-    xw0: np.ndarray
+    xw0_tiles: np.ndarray        # (k, N, t)
     h1: np.ndarray               # ReLU(A @ XW0)
     h1w1: np.ndarray
     logits: np.ndarray
@@ -149,6 +158,20 @@ class ForwardCache:
     soft: SoftMasks
     binary: BinaryMasks | None
     rows: np.ndarray | None = None
+
+    def xw0_rows(self, nodes: np.ndarray) -> np.ndarray:
+        """XW0's rows ``nodes``, gathered from the tiles into one
+        C-contiguous (nodes, H) array."""
+        k, _, t = self.xw0_tiles.shape
+        out = self.xw0_tiles[np.arange(k), nodes[:, None]]
+        out = out.reshape(nodes.size, k * t)
+        h = self.h1.shape[1]
+        return out if k * t == h else np.ascontiguousarray(out[:, :h])
+
+    @property
+    def xw0(self) -> np.ndarray:
+        """XW0 as one row-major (N, H) array, assembled on each read."""
+        return self.xw0_rows(np.arange(self.h1.shape[0]))
 
 
 def feature_operator(dataset: Dataset, dtype=np.float64):
@@ -170,12 +193,52 @@ def feature_operator(dataset: Dataset, dtype=np.float64):
     return x_op
 
 
-def _gated(x: np.ndarray, *gates) -> np.ndarray:
-    """x times each gate in turn; an absent (None) gate is a factor of 1."""
+def _gated(x: np.ndarray, *gates, out: np.ndarray | None = None
+           ) -> np.ndarray:
+    """x times each gate in turn; an absent (None) gate is a factor of 1.
+    The products go to ``out``, else to one fresh buffer, or are x itself
+    when no gate is present."""
     for gate in gates:
         if gate is not None:
-            x = x * gate
-    return x
+            x = out = np.multiply(x, gate, out=out)
+    if out is None:
+        return x
+    if out is not x:
+        np.copyto(out, x)
+    return out
+
+
+def _tiling(h: int, dtype) -> tuple[int, int]:
+    """(k, t): ``h`` hidden units as k tiles of t units each, the last one
+    padded by fewer than k unused columns."""
+    k = max(-(-h // max(_TILE_BYTES // np.dtype(dtype).itemsize, 1)), 1)
+    return k, -(-h // k)
+
+
+def _each_tile(k: int, task) -> None:
+    """Run ``task(tiles)`` on the engine's workers, each taking an even
+    share of the tiles 0..k-1 (tile j goes to worker j mod the workers),
+    so that a task keeps its scratch across its tiles."""
+    parts = max(min(workers.count(), k), 1)
+    workers.run(task, [(range(w, k, parts),) for w in range(parts)])
+
+
+def _matvecs(a: tuple, x: np.ndarray, out: np.ndarray) -> None:
+    """``out += A @ x`` for a CSR ``A`` given as (indptr, indices, data,
+    columns) and C-contiguous ``x`` and ``out``, whose shapes are checked
+    before the kernel writes through them. It runs ``csr_matvecs``, the
+    scipy kernel that ``A @ x`` runs, so every row of ``out`` is summed in
+    scipy's order, whatever the width of ``x``."""
+    indptr, indices, data, n_cols = a
+    if (x.shape[0] != n_cols or out.shape != (indptr.size - 1, x.shape[1])
+            or not (x.flags.c_contiguous and out.flags.c_contiguous)):
+        raise ValueError("operands do not fit a C-contiguous product")
+    _sparsetools.csr_matvecs(indptr.size - 1, n_cols, x.shape[1], indptr,
+                             indices, data, x.reshape(-1), out.reshape(-1))
+
+
+def _csr_parts(a: sp.csr_matrix) -> tuple:
+    return a.indptr, a.indices, a.data, a.shape[1]
 
 
 def gcn_forward(params: GcnParams, soft: SoftMasks,
@@ -211,28 +274,55 @@ def gcn_forward(params: GcnParams, soft: SoftMasks,
         raise ValueError("soft edge mask does not index the edge list")
 
     a_eff = norm.effective(soft.edges, dtype=dtype)
-    w0, w1 = params.layers(_gated(
-        params.weights, soft.weights,
-        None if binary is None else binary.weights))
-    w1 = w1.copy()      # the cache keeps W1: let the gated pool go with W0
+    theta0, theta1 = params.theta0, params.theta1
+    b0, b1 = (None, None) if binary is None else (binary.theta0,
+                                                   binary.theta1)
+    gates0 = [g for g in (soft.theta0, b0) if g is not None]
+    w1 = _gated(theta1, soft.theta1, b1,
+                out=np.empty(theta1.shape, dtype=dtype))
 
+    (n_feat, h), n = theta0.shape, dataset.num_nodes
+    k, t = _tiling(h, dtype)
+    xw0 = np.zeros((k, n, t), dtype=dtype)
     if rows is None:
-        xw0 = _csr_product(x_op, w0) if sp.issparse(x_op) else x_op @ w0
-        h1 = _csr_product(a_eff, xw0)
-        np.maximum(h1, 0.0, out=h1)
+        a_op, n1 = _csr_parts(a_eff), None
+        h1 = np.empty((n, h), dtype=dtype)
     else:
         field = _receptive_field(norm, x_op, np.asarray(rows))
-        # A BLAS product over a subset of rows may round differently
-        # from the full one, so a dense X runs in full.
-        xw0 = x_op @ w0 if field.x_rows is None \
-            else _csr_product(field.x_rows, w0)
-        s1 = _csr_product(a_eff[field.n1], xw0)
-        h1 = np.zeros(xw0.shape, dtype=dtype)
-        h1[field.n1] = np.maximum(s1, 0.0, out=s1)
+        a_op, n1 = field.a_n1(a_eff), field.n1
+        h1 = np.zeros((n, h), dtype=dtype)
+    sparse_x = sp.issparse(x_op)
+    if sparse_x:
+        x_csr = _csr_parts(x_op if rows is None else field.x_rows)
+    else:
+        # A BLAS product over a subset of rows or columns may round
+        # differently from the whole one, so a dense X@W0 runs whole.
+        xw0_dense = x_op @ _gated(theta0, *gates0)
+
+    def layer1(tiles):
+        s1 = np.empty((a_op[0].size - 1, t), dtype=dtype)
+        w0 = np.empty((n_feat, t), dtype=dtype) if sparse_x else None
+        for j in tiles:
+            lo, hi = j * t, min(j * t + t, h)
+            if sparse_x:
+                _gated(theta0[:, lo:hi], *(g[:, lo:hi] for g in gates0),
+                       out=w0[:, :hi - lo])
+                w0[:, hi - lo:] = 0.0
+                _matvecs(x_csr, w0, xw0[j])
+            else:
+                xw0[j, :, :hi - lo] = xw0_dense[:, lo:hi]
+            s1.fill(0)
+            _matvecs(a_op, xw0[j], s1)
+            if n1 is None:
+                np.maximum(s1[:, :hi - lo], 0.0, out=h1[:, lo:hi])
+            else:
+                h1[n1, lo:hi] = np.maximum(s1[:, :hi - lo], 0.0)
+
+    _each_tile(k, layer1)
     h1w1 = h1 @ w1
     logits = a_eff @ h1w1
     cache = ForwardCache(a_eff=a_eff, norm=norm, x_op=x_op, w1_eff=w1,
-                         xw0=xw0, h1=h1, h1w1=h1w1, logits=logits,
+                         xw0_tiles=xw0, h1=h1, h1w1=h1w1, logits=logits,
                          params=params, soft=soft, binary=binary, rows=rows)
     return logits, cache
 
@@ -278,15 +368,32 @@ class _Field:
     """What a loss over some rows reads of one adjacency and feature
     operator: the rows' sorted 1-hop and 2-hop sets ``n1`` and ``n2``
     (self-loops put the rows within n1 and n1 within n2), the stored edge
-    entries in n1 rows, and for a CSR X (else None) X's n2 rows under the
-    full row pointer and X[n2]^T as a CSR with sorted indices."""
+    entries in n1 rows, the structure of A[n1] (``a1``) and of
+    A[n2][:, n1] with columns renumbered to positions in n1 (``a21``),
+    and for a CSR X (else None) X's n2 rows under the full row pointer
+    and X[n2]^T as a CSR with sorted indices. ``a1`` and ``a21`` each hold
+    a row pointer, column indices and every entry's position in A's data,
+    in the order scipy's ``a[n1]`` and ``a[n2][:, n1]`` store them."""
 
     x_op: object    # held so that its id in the memo key stays its own
     n1: np.ndarray
     n2: np.ndarray
     edges: np.ndarray
+    a1: tuple
+    a21: tuple
     x_rows: sp.csr_matrix | None
     x_t: sp.csr_matrix | None
+
+    def a_n1(self, a: sp.csr_matrix) -> tuple:
+        """A[n1] of an adjacency ``a`` over the record's stored entries, as
+        ``_matvecs`` takes it."""
+        indptr, indices, at = self.a1
+        return indptr, indices, a.data[at], a.shape[1]
+
+    def a_n2_n1(self, a: sp.csr_matrix) -> tuple:
+        """A[n2][:, n1], likewise."""
+        indptr, indices, at = self.a21
+        return indptr, indices, a.data[at], self.n1.size
 
 
 def _receptive_field(norm: NormAdj, x_op, rows: np.ndarray) -> _Field:
@@ -299,8 +406,13 @@ def _receptive_field(norm: NormAdj, x_op, rows: np.ndarray) -> _Field:
         a = norm.matrix
         n1 = np.unique(a[rows].indices)
         n2 = np.unique(a[n1].indices)
-        edges = np.flatnonzero((norm.edge_of_entry >= 0)
-                               & np.isin(norm.entry_row, n1))
+        in1, in2 = np.zeros((2, a.shape[0]), dtype=bool)
+        in1[n1] = in2[n2] = True
+        at1 = np.flatnonzero(in1[norm.entry_row])
+        at21 = np.flatnonzero(in2[norm.entry_row] & in1[norm.entry_col])
+        edges = at1[norm.edge_of_entry[at1] >= 0]
+        a1 = _sub_csr(a, n1, at1, a.indices[at1])
+        a21 = _sub_csr(a, n2, at21, np.searchsorted(n1, a.indices[at21]))
         x_rows = x_t = None
         if sp.issparse(x_op):
             # Every row outside n2 is empty, so a product over x_rows
@@ -311,39 +423,19 @@ def _receptive_field(norm: NormAdj, x_op, rows: np.ndarray) -> _Field:
             x_rows = sp.csr_matrix((x_n2.data, x_n2.indices, indptr),
                                    shape=x_op.shape)
             x_t = x_n2.T.tocsr()
-        field = norm._memo[key] = _Field(x_op, n1, n2, edges, x_rows, x_t)
+        field = norm._memo[key] = _Field(x_op, n1, n2, edges, a1, a21,
+                                         x_rows, x_t)
     return field
 
 
-def _csr_product(a: sp.csr_matrix, w: np.ndarray) -> np.ndarray:
-    """``a @ w`` for CSR ``a`` and a 2-D array ``w``, bit for bit, with
-    the rows split across the engine's workers.
-
-    Each part is a contiguous row range holding about the same number of
-    stored entries. It runs ``csr_matvecs``, the scipy kernel that
-    ``a @ w`` runs, on its rows of one zeroed output, so every row is
-    summed in scipy's order. The parts allocate nothing. There are at
-    most as many parts as workers, and each gets ``_PART_MIN_WORK``
-    multiply-adds or more.
-    """
-    dtype = np.result_type(a.dtype, w.dtype)
-    data = a.data.astype(dtype, copy=False)
-    w_flat = np.ascontiguousarray(w, dtype=dtype).reshape(-1)
-    (n_rows, n_cols), width = a.shape, w.shape[1]
-    out = np.zeros((n_rows, width), dtype=dtype)
-    indptr, nnz = a.indptr, int(a.indptr[-1])
-    k = max(min(workers.count(), nnz * width // _PART_MIN_WORK), 1)
-    cuts = np.searchsorted(indptr, nnz * np.arange(1, k) / k).tolist()
-    bounds = [0, *cuts, n_rows]
-
-    def part(lo, hi):
-        _sparsetools.csr_matvecs(hi - lo, n_cols, width, indptr[lo:hi + 1],
-                                 a.indices, data, w_flat,
-                                 out[lo:hi].reshape(-1))
-
-    workers.run(part, [(lo, hi) for lo, hi in zip(bounds, bounds[1:])
-                       if hi > lo])
-    return out
+def _sub_csr(a: sp.csr_matrix, rows: np.ndarray, at: np.ndarray,
+             indices: np.ndarray) -> tuple:
+    """(row pointer, ``indices``, ``at``) of the CSR over ``a``'s ``rows``
+    that stores the entries at positions ``at`` (sorted) of ``a``, with
+    ``a``'s index dtype."""
+    indptr = np.append(np.searchsorted(at, a.indptr[rows]), at.size)
+    idx = a.indices.dtype
+    return indptr.astype(idx), indices.astype(idx), at
 
 
 def backward(cache: ForwardCache, labels: np.ndarray,
@@ -385,17 +477,41 @@ def backward(cache: ForwardCache, labels: np.ndarray,
     ds1 = dh1w1[n1] @ cache.w1_eff.T if n1.size > 1 \
         else (dh1w1 @ cache.w1_eff.T)[n1]
     ds1 *= cache.h1[n1] > 0                                  # rows n1
-    dxw0 = _csr_product(a[n2][:, n1], ds1)                   # rows n2
-    if field.x_t is not None:
-        # The CSR X[n2]^T has sorted indices, so it sums each of its rows
-        # in the column order of the CSC X[n2].T, and the row-split
-        # product matches X[n2].T @ dxw0 bit for bit.
-        dw0_dense = _csr_product(field.x_t, dxw0)
+    # Layer 1 runs in the forward's tiles: A[n2][:, n1]@dS1 (rows n2),
+    # then X[n2]^T@dXW0 into the tile's columns of the W0 gradient. The
+    # CSR X[n2]^T has sorted indices, so it sums each of its rows in the
+    # column order of the CSC X[n2].T and matches X[n2].T @ dxw0 bit for
+    # bit. A dense X runs X^T@dXW0 whole, as a BLAS product.
+    a21 = field.a_n2_n1(a)
+    x_t = None if field.x_t is None else _csr_parts(field.x_t)
+    n_feat, h = cache.params.shapes[0]
+    k, t = _tiling(h, dtype)
+    if x_t is None:
+        dxw0 = np.zeros((n, h), dtype=dtype)
     else:
-        dxw0_full = np.zeros((n, dxw0.shape[1]), dtype=dtype)
-        dxw0_full[n2] = dxw0
-        dw0_dense = cache.x_op.T @ dxw0_full
-    dense = grow_pool(dw0_dense, dw1_dense)    # dw0_dense is fresh
+        dw0 = np.empty((n_feat, h), dtype=dtype)
+
+    def layer1(tiles):
+        d_s1 = np.empty((n1.size, t), dtype=dtype)
+        d_xw0 = np.empty((n2.size, t), dtype=dtype)
+        d_w0 = None if x_t is None else np.empty((n_feat, t), dtype=dtype)
+        for j in tiles:
+            lo, hi = j * t, min(j * t + t, h)
+            d_s1[:, :hi - lo] = ds1[:, lo:hi]
+            d_s1[:, hi - lo:] = 0.0
+            d_xw0.fill(0.0)
+            _matvecs(a21, d_s1, d_xw0)
+            if x_t is None:
+                dxw0[n2, lo:hi] = d_xw0[:, :hi - lo]
+            else:
+                d_w0.fill(0.0)
+                _matvecs(x_t, d_xw0, d_w0)
+                dw0[:, lo:hi] = d_w0[:, :hi - lo]
+
+    _each_tile(k, layer1)
+    if x_t is None:
+        dw0 = cache.x_op.T @ dxw0
+    dense = grow_pool(dw0, dw1_dense)    # dw0 is fresh
 
     soft, params, binary = cache.soft, cache.params, cache.binary
     d_m_edges = None
@@ -412,7 +528,7 @@ def backward(cache: ForwardCache, labels: np.ndarray,
         for lo in range(0, on_edge.size, _SDDMM_BLOCK):
             r, c, p = (v[lo:lo + _SDDMM_BLOCK] for v in (ri, ci, at))
             block = np.einsum("ij,ij->i", g2[r], cache.h1w1[c])
-            block += np.einsum("ij,ij->i", ds1[p], cache.xw0[c])
+            block += np.einsum("ij,ij->i", ds1[p], cache.xw0_rows(c))
             d_entry[lo:lo + _SDDMM_BLOCK] = block
 
         e_of = norm.edge_of_entry[on_edge]

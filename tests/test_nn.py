@@ -555,6 +555,11 @@ def test_engine_does_not_load_scipy_special():
     assert proc.stdout.split() == ["False"]
 
 
+def tile_units(dtype):
+    """T, the hidden units of one tile of the layer-1 chain."""
+    return nn._TILE_BYTES // np.dtype(dtype).itemsize
+
+
 def stored_csr(rng, shape, density, dtype, index):
     """Random CSR with values over sixteen decades, so that any change in
     summation order shows in the last bits; every third row is empty.
@@ -574,68 +579,143 @@ def stored_csr(rng, shape, density, dtype, index):
     ((60, 40), 0.2),        # empty rows among full ones
     ((1, 40), 0.5),         # one row
     ((25, 40), 0.0),        # no stored entries
-    ((2, 40), 0.5),         # fewer rows than parts
+    ((2, 40), 0.5),         # two rows
 ])
 def test_split_product_matches_scipy(monkeypatch, shape, density, parts,
                                      dtype, index):
-    """The row-split product equals scipy's ``a @ w`` bit for bit, in the
-    same dtype, whatever the part count."""
+    """A product split into column tiles over ``parts`` workers, as the
+    layer-1 chain runs X@W0: each tile of ``w`` (the last one padded with
+    zeros) goes through ``_matvecs`` into its block of a zeroed
+    tile-major output. Reassembled, it equals scipy's ``a @ w`` bit for
+    bit, in the same dtype, whatever the worker count."""
     rng = np.random.default_rng(shape[0])
     a = stored_csr(rng, shape, density, dtype, index)
     assert a.indptr.dtype == a.indices.dtype == index
     assert not np.diff(a.indptr)[::3].any()
-    w = (rng.normal(size=(shape[1], 17))
+    width = 2 * tile_units(dtype) + 3
+    w = (rng.normal(size=(shape[1], width))
          * 10.0 ** rng.integers(-8, 8, (shape[1], 1))).astype(dtype)
-    monkeypatch.setattr(nn, "_PART_MIN_WORK", 1)
     monkeypatch.setattr(nn.workers, "count", lambda: parts)
-    got, want = nn._csr_product(a, w), a @ w
+    k, t = nn._tiling(width, dtype)
+    assert k == 3
+    out = np.zeros((k, shape[0], t), dtype=dtype)
+
+    def task(tiles):
+        w_tile = np.zeros((shape[1], t), dtype=dtype)
+        for j in tiles:
+            w_tile[:, :min(t, width - j * t)] = w[:, j * t:j * t + t]
+            nn._matvecs(nn._csr_parts(a), w_tile, out[j])
+
+    nn._each_tile(k, task)
+    got = out.transpose(1, 0, 2).reshape(shape[0], k * t)[:, :width]
+    want = a @ w
     assert got.dtype == want.dtype == dtype
-    assert got.tobytes() == want.tobytes()
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
-def test_split_product_balances_stored_entries(monkeypatch):
-    """Parts are contiguous row ranges with about equal stored entries;
-    a product with less work than two parts stays whole."""
-    rng = np.random.default_rng(2)
-    a = stored_csr(rng, (90, 50), 0.2, np.float64, np.int32)
-    w = rng.normal(size=(50, 8))
-    seen = []
-    run = nn.workers.run
+@pytest.mark.parametrize("x_kind", ["csr", "dense"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("width", ["1", "T-1", "T", "T+1", "2T+3", "512"])
+def test_tiled_chains_match_scipy(monkeypatch, width, dtype, x_kind):
+    """The tiled layer-1 chains give the bits of the whole scipy chains:
+    X@W0, A@XW0 and the ReLU in the full and the train-rows forward, and
+    A[n2][:, n1]@dS1 and X[n2]^T@dXW0 in the backward (every gradient
+    against the full-graph sweep). This holds at any hidden width around
+    the tile width T, in f32 and f64, with int32 and int64 indices, and
+    at 1, 2, 3 and 8 workers, more than there are tiles."""
+    t = tile_units(dtype)
+    h = {"1": 1, "T-1": t - 1, "T": t, "T+1": t + 1, "2T+3": 2 * t + 3,
+         "512": 512}[width]
+    rng = np.random.default_rng(h)
+    ds, params, soft = make_instance(rng, 40, f=30, h=h, edge_prob=0.08,
+                                     dtype=dtype)
+    binary = BinaryMasks(edges=rng.random(ds.num_edges) < 0.8,
+                         theta0=rng.random(params.theta0.shape) < 0.7,
+                         theta1=rng.random(params.theta1.shape) < 0.7)
+    split = ds.train_idx[:3]
+    w0, w1 = params.layers(params.weights * soft.weights * binary.weights)
+    runs = []
+    for index in (np.int32, np.int64):
+        x_op = stored_csr(np.random.default_rng(h), (40, 30), 0.2, dtype,
+                          index)
+        if x_kind == "dense":
+            x_op = x_op.toarray()
+        norm = nn.normalize_adjacency(ds, binary.edges)
+        norm.matrix.indices = norm.matrix.indices.astype(index)
+        norm.matrix.indptr = norm.matrix.indptr.astype(index)
+        field = nn._receptive_field(norm, x_op, split)
+        assert field.a1[0].dtype == field.a21[1].dtype == index
+        assert field.n2.size < ds.num_nodes
+        for count in (1, 2, 3, 8):
+            monkeypatch.setattr(nn.workers, "count", lambda: count)
+            logits, full = gcn_forward(params, soft, binary, ds, norm=norm,
+                                       x_op=x_op)
+            _, part = gcn_forward(params, soft, binary, ds, norm=norm,
+                                  x_op=x_op, rows=split)
+            a = full.a_eff
+            xw0 = x_op @ w0
+            h1 = np.maximum(a @ xw0, 0.0)
+            assert full.xw0.tobytes() == xw0.tobytes()
+            assert full.h1.tobytes() == h1.tobytes()
+            assert logits.tobytes() == (a @ (h1 @ w1)).tobytes()
+            if x_kind == "csr":
+                xw0 = field.x_rows @ w0
+            h1 = np.zeros_like(h1)
+            h1[field.n1] = np.maximum(a[field.n1] @ xw0, 0.0)
+            assert part.xw0.tobytes() == xw0.tobytes()
+            assert part.h1.tobytes() == h1.tobytes()
+
+            want = reference_gradients(full, ds.labels, split)
+            for cache in (full, part):
+                got = backward(cache, ds.labels, split)
+                for name in ("theta", "m_theta", "m_edges", "dense"):
+                    g, w = getattr(got, name), getattr(want, name)
+                    assert g.dtype == dtype
+                    assert g.tobytes() == w.tobytes(), name
+                runs.append([part.xw0, part.h1, got.dense, got.m_edges])
+    for run in runs[1:]:
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(run, runs[0]))
+
+
+def test_tiles_spread_evenly_over_workers(monkeypatch):
+    """Tiles cover the hidden units with less padding than one column per
+    tile, and worker w takes tiles w, w + p, ... of p workers; one tile
+    runs on the calling thread alone, and no worker is handed no tile."""
+    for h in (1, 63, 64, 65, 127, 128, 129, 259, 512, 513):
+        k, t = nn._tiling(h, np.float64)
+        assert t <= tile_units(np.float64) and 0 <= k * t - h < k
+    assert nn._tiling(512, np.float64) == (4, 128)
+    assert nn._tiling(512, np.float32) == (2, 256)
+
+    seen, run = [], nn.workers.run
 
     def spy(task, parts):
-        seen.append(parts)
+        seen.append([list(tiles) for tiles, in parts])
         return run(task, parts)
 
     monkeypatch.setattr(nn.workers, "run", spy)
-    monkeypatch.setattr(nn.workers, "count", lambda: 3)
-    nn._csr_product(a, w)           # far below one part's work
-    monkeypatch.setattr(nn, "_PART_MIN_WORK", 1)
-    nn._csr_product(a, w)
-    monkeypatch.setattr(nn, "_PART_MIN_WORK", a.nnz * w.shape[1] // 2)
-    nn._csr_product(a, w)               # work for two parts, not three
-    whole, split, two = seen
-    assert whole == [(0, 90)] and len(two) == 2
-    assert [lo for lo, _ in split[1:]] == [hi for _, hi in split[:-1]]
-    assert split[0][0] == 0 and split[-1][1] == 90 and len(split) == 3
-    per_part = [a.indptr[hi] - a.indptr[lo] for lo, hi in split]
-    assert max(per_part) - min(per_part) <= 2 * np.diff(a.indptr).max()
+    for count, k in ((3, 7), (8, 2), (2, 1)):
+        monkeypatch.setattr(nn.workers, "count", lambda: count)
+        nn._each_tile(k, lambda tiles: None)
+    assert seen == [[[0, 3, 6], [1, 4], [2, 5]], [[0], [1]], [[0]]]
 
 
 @pytest.mark.parametrize("trained", ["cotrain", "theta"])
 def test_split_forward_and_backward_match_one_worker(monkeypatch, trained):
-    """Every product split three ways (the least work per part patched to
-    1): the full and the train-rows forward and every gradient are the
-    one-worker bits. The adjacency holds one receptive-field record for
-    the train rows, which the train-rows forward builds and the backward
-    reuses; a new mask's adjacency builds its own."""
+    """Three tiles over three workers: the full and the train-rows forward
+    and every gradient are the one-worker bits. The adjacency holds one
+    receptive-field record for the train rows, which the train-rows
+    forward builds and the backward reuses; a new mask's adjacency builds
+    its own."""
     rng = np.random.default_rng(7)
-    ds, params, soft = sparse_feature_instance(rng)
+    ds, params, soft = sparse_feature_instance(
+        rng, h=2 * tile_units(np.float64) + 3)
+    assert nn._tiling(params.hidden, np.float64)[0] == 3
     binary = BinaryMasks(edges=rng.random(ds.num_edges) < 0.8,
                          theta0=rng.random(params.theta0.shape) < 0.8,
                          theta1=rng.random(params.theta1.shape) < 0.8)
     soft = soft if trained == "cotrain" else SoftMasks()
     norm = nn.normalize_adjacency(ds, binary.edges)
-    monkeypatch.setattr(nn, "_PART_MIN_WORK", 1)
     runs = {}
     for count in (1, 3):
         monkeypatch.setattr(nn.workers, "count", lambda: count)
@@ -725,3 +805,79 @@ def test_receptive_field_record_matches_brute_force(seed, x_kind, isolated):
     assert field.x_op is x_op
     assert nn._receptive_field(norm, x_op, rows.copy()) is field
     assert len(norm._memo) == 1
+
+
+@pytest.mark.parametrize("isolated", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_receptive_field_record_gathers_scipy_slices(seed, isolated):
+    """The record's A[n1] and A[n2][:, n1], gathered from an effective
+    adjacency's data, equal scipy's ``a[n1]`` and ``a[n2][:, n1]`` entry
+    for entry, stored order and index dtype included."""
+    rng = np.random.default_rng(seed)
+    ds, _, _ = sparse_feature_instance(rng)
+    mask = rng.random(ds.num_edges) < 0.7
+    rows = ds.train_idx
+    if isolated:
+        rows = rows[:1]
+        mask[(ds.edges == rows[0]).any(axis=1)] = False
+    norm = nn.normalize_adjacency(ds, mask)
+    soft = rng.normal(1.0, 0.2, ds.num_edges)
+    a = norm.effective(soft)
+    field = nn._receptive_field(norm, nn.feature_operator(ds), rows)
+    n1, n2 = field.n1, field.n2
+    for got, want in ((field.a_n1(a), a[n1]),
+                      (field.a_n2_n1(a), a[n2][:, n1])):
+        indptr, indices, data, n_cols = got
+        assert n_cols == want.shape[1]
+        assert indptr.dtype == indices.dtype == want.indices.dtype
+        assert indptr.tolist() == want.indptr.tolist()
+        assert indices.tolist() == want.indices.tolist()
+        assert data.tobytes() == want.data.tobytes()
+    assert (field.a21[1].size > 0) and bool(isolated) == (n2.size == 1)
+
+
+def test_forward_and_backward_make_no_weight_sized_gating_temporary(
+        monkeypatch):
+    """One co-training forward and backward on a CSR X: the forward gates
+    W0 a tile at a time, so its peak is the tile-major XW0, h1 and each
+    worker's scratch; the backward holds its three pooled outputs (dense,
+    theta and m_theta gradients), each gated into one fresh buffer, and
+    the per-worker scratch of its tiles. Neither allocates a W0-sized
+    temporary on top, which the bound would catch: the slack it leaves is
+    a small share of W0."""
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    n, f, h = 120, 2000, 512
+    ds, params, soft = sparse_feature_instance(rng, n=n, f=f, h=h)
+    binary = BinaryMasks(edges=rng.random(ds.num_edges) < 0.8,
+                         theta0=rng.random(params.theta0.shape) < 0.5,
+                         theta1=rng.random(params.theta1.shape) < 0.5)
+    norm = nn.normalize_adjacency(ds, binary.edges)
+    x_op = nn.feature_operator(ds, np.float64)
+    nn._receptive_field(norm, x_op, ds.train_idx)          # built once
+    monkeypatch.setattr(nn.workers, "count", lambda: 2)
+    item = 8
+    k, t = nn._tiling(h, np.float64)
+    workers = 2
+    w0_bytes = f * h * item
+    pool_bytes = params.weights.size * item
+    xw0_bytes, h1_bytes = k * n * t * item, n * h * item
+    tile_scratch = workers * (f + 2 * n) * t * item
+    slack = w0_bytes // 8
+
+    tracemalloc.start()
+    try:
+        _, cache = gcn_forward(params, soft, binary, ds, norm=norm,
+                               x_op=x_op)
+        _, forward_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        grads = backward(cache, ds.labels, ds.train_idx)
+        _, backward_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grads.m_theta is not None
+    assert forward_peak <= xw0_bytes + h1_bytes + tile_scratch + slack
+    assert backward_peak - held <= 3 * pool_bytes + tile_scratch + slack
+    assert tile_scratch + slack < w0_bytes

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,6 +12,9 @@ import scipy.sparse as sp
 import fastglt.nn as nn
 import fastglt.optim as optim
 import fastglt.workers as workers
+from fastglt.masks import init_soft_masks
+
+from conftest import random_dataset
 
 
 def test_count_is_the_thread_cap_else_the_usable_cores(monkeypatch):
@@ -99,16 +103,22 @@ def test_run_raises_a_part_error_once_every_part_stopped(monkeypatch):
 
 
 def test_split_kernels_under_thread_stress(monkeypatch):
-    """Eight workers, more than the cores, on a fresh pool, with the
-    interpreter switching threads every microsecond: the split products
-    and Adam steps still give the one-worker bits, so no part writes
-    another's rows or entries."""
+    """Eight workers, more than the cores and than the three tiles of the
+    layer-1 chain, on a fresh pool, with the interpreter switching threads
+    every microsecond: the tiled forward and backward and the split Adam
+    steps still give the one-worker bits, so no part writes another's
+    columns or entries."""
     monkeypatch.setattr(workers, "_pool", None)
-    monkeypatch.setattr(nn, "_PART_MIN_WORK", 1)
     monkeypatch.setattr(optim, "_BLOCK", 64)
     rng = np.random.default_rng(3)
-    a = sp.random(300, 80, density=0.1, format="csr", random_state=rng)
-    w = rng.normal(size=(80, 24))
+    h = 2 * nn._TILE_BYTES // 8 + 3
+    ds = random_dataset(rng, 60, num_features=80, edge_prob=0.1)
+    ds = dataclasses.replace(
+        ds, features=(rng.random((60, 80)) < 0.1).astype(np.float32))
+    params = nn.glorot_params(80, h, 3, seed=1)
+    soft = init_soft_masks(ds, *params.shapes, seed=2)
+    assert sp.issparse(nn.feature_operator(ds))
+    assert nn._tiling(h, np.float64)[0] == 3
     p0 = rng.normal(size=64 * 20 + 5)
     grads = [rng.normal(size=p0.size) for _ in range(8)]
     interval = sys.getswitchinterval()
@@ -117,7 +127,11 @@ def test_split_kernels_under_thread_stress(monkeypatch):
         runs = {}
         for count in (1, 8):
             monkeypatch.setattr(workers, "count", lambda: count)
-            out = [nn._csr_product(a, w) for _ in range(100)]
+            out = []
+            for _ in range(10):
+                logits, cache = nn.gcn_forward(params, soft, None, ds)
+                g = nn.backward(cache, ds.labels, ds.train_idx)
+                out += [logits, cache.h1, g.dense, g.m_edges]
             p = p0.copy()
             state = optim.AdamState.for_param(p)
             assert len(state.scratch) == count
@@ -128,6 +142,5 @@ def test_split_kernels_under_thread_stress(monkeypatch):
         sys.setswitchinterval(interval)
         if workers._pool is not None:
             workers._pool.shutdown(wait=True)
-    assert runs[1][0].tobytes() == (a @ w).tobytes()
     for split, serial in zip(runs[8], runs[1]):
         assert split.tobytes() == serial.tobytes()
