@@ -25,7 +25,15 @@ and A@XW0 on them and writes its columns of ReLU(A@XW0); in the backward
 it runs A@dS1 and X^T@dXW0 and writes its columns of the W0 gradient.
 Each sparse product is scipy's own kernel on the tile's columns, which
 sums every output entry as the whole product sums it, so no bit depends
-on the tile width or the worker count.
+on the tile width or the worker count. XW0 is kept for the backward only
+when the edge-mask gradient reads it (a soft edge mask is trained);
+otherwise each worker runs its tiles' X@W0 through one scratch.
+
+A weight mask absent here may have been applied to the weights instead:
+a weight-only training loop zeroes its pruned weights once and passes no
+weight gate (see ``train.TrainLoop``). A pruned weight then enters every
+product as +0.0 instead of the gated +-0.0, which changes no sum: scipy's
+kernels and the BLAS accumulate from +0.0.
 """
 
 from __future__ import annotations
@@ -124,13 +132,15 @@ class Gradients:
     ``dense`` is the gradient with respect to the effective (post mask)
     weight slot, defined on every entry including pruned ones; it is what
     the denoiser accumulates to rank regrowth candidates. ``m_*`` is None
-    where the forward pass had no soft mask.
+    where the forward pass had no soft mask. A backward asked for kept
+    entries only (see ``KeptOrder``) holds them in ``theta``, in the
+    order's sequence, and has no ``dense``.
     """
 
     theta: np.ndarray
     m_theta: np.ndarray | None
     m_edges: np.ndarray | None
-    dense: np.ndarray
+    dense: np.ndarray | None
 
     def dense_flat(self) -> np.ndarray:
         return self.dense
@@ -141,16 +151,18 @@ class ForwardCache:
     """Activations and operators retained for the backward pass.
 
     ``rows`` is None for a full forward; otherwise only those rows' logits
-    are valid (see ``gcn_forward``). XW0 is kept tile-major, as the tiles
-    of ``_tiling`` wrote it: ``xw0_tiles[j]`` holds hidden units j*t to
-    j*t + t - 1 of every node, and the last tile's columns past H are zero.
+    are valid (see ``gcn_forward``). XW0 is kept only when the edge-mask
+    gradient reads it, that is with a soft edge mask, else ``xw0_tiles``
+    is None. It is kept tile-major, as the tiles of ``_tiling`` wrote it:
+    ``xw0_tiles[j]`` holds hidden units j*t to j*t + t - 1 of every node,
+    and the last tile's columns past H are zero.
     """
 
     a_eff: sp.csr_matrix
     norm: NormAdj
     x_op: object                 # csr_matrix or ndarray, engine dtype
     w1_eff: np.ndarray
-    xw0_tiles: np.ndarray        # (k, N, t)
+    xw0_tiles: np.ndarray | None  # (k, N, t)
     h1: np.ndarray               # ReLU(A @ XW0)
     h1w1: np.ndarray
     logits: np.ndarray
@@ -169,9 +181,43 @@ class ForwardCache:
         return out if k * t == h else np.ascontiguousarray(out[:, :h])
 
     @property
-    def xw0(self) -> np.ndarray:
-        """XW0 as one row-major (N, H) array, assembled on each read."""
+    def xw0(self) -> np.ndarray | None:
+        """XW0 as one row-major (N, H) array, assembled on each read; None
+        when the forward kept none."""
+        if self.xw0_tiles is None:
+            return None
         return self.xw0_rows(np.arange(self.h1.shape[0]))
+
+
+@dataclass(frozen=True)
+class KeptOrder:
+    """The kept entries of a pooled weight mask in the order in which
+    ``backward`` produces their gradient: layer 0 tile by tile (the tiles
+    of ``_tiling``), row-major within a tile, then layer 1 row-major.
+    ``ids`` holds their pooled ids in that order. Tile j's entries are
+    ``ids[cuts[j]:cuts[j + 1]]``, at the flat positions ``tiles[j]`` of an
+    (F, t) tile of the W0 gradient (t is ``width``); layer 1's start at
+    ``cuts[-1]``."""
+
+    ids: np.ndarray
+    cuts: np.ndarray
+    tiles: tuple
+    width: int
+
+    @staticmethod
+    def of(mask: np.ndarray, shapes, dtype) -> "KeptOrder":
+        (n_feat, h), _ = shapes
+        n0 = n_feat * h
+        k, t = _tiling(h, dtype)
+        ids0 = np.flatnonzero(mask[:n0])
+        f, c = np.divmod(ids0, h)
+        tile, col = np.divmod(c, t)
+        order = np.argsort(tile, kind="stable")
+        cuts = np.searchsorted(tile[order], np.arange(k + 1))
+        at = (f * t + col)[order]
+        return KeptOrder(
+            ids=np.concatenate([ids0[order], n0 + np.flatnonzero(mask[n0:])]),
+            cuts=cuts, tiles=tuple(np.split(at, cuts[1:-1])), width=t)
 
 
 def feature_operator(dataset: Dataset, dtype=np.float64):
@@ -283,7 +329,9 @@ def gcn_forward(params: GcnParams, soft: SoftMasks,
 
     (n_feat, h), n = theta0.shape, dataset.num_nodes
     k, t = _tiling(h, dtype)
-    xw0 = np.zeros((k, n, t), dtype=dtype)
+    # Only the edge-mask gradient reads XW0 back; without a soft edge mask
+    # each worker runs its tiles' X@W0 through one (N, t) scratch instead.
+    xw0 = None if soft.edges is None else np.empty((k, n, t), dtype=dtype)
     if rows is None:
         a_op, n1 = _csr_parts(a_eff), None
         h1 = np.empty((n, h), dtype=dtype)
@@ -302,17 +350,21 @@ def gcn_forward(params: GcnParams, soft: SoftMasks,
     def layer1(tiles):
         s1 = np.empty((a_op[0].size - 1, t), dtype=dtype)
         w0 = np.empty((n_feat, t), dtype=dtype) if sparse_x else None
+        scratch = np.empty((n, t), dtype=dtype) if xw0 is None else None
         for j in tiles:
             lo, hi = j * t, min(j * t + t, h)
+            xw = scratch if xw0 is None else xw0[j]
             if sparse_x:
                 _gated(theta0[:, lo:hi], *(g[:, lo:hi] for g in gates0),
                        out=w0[:, :hi - lo])
                 w0[:, hi - lo:] = 0.0
-                _matvecs(x_csr, w0, xw0[j])
+                xw.fill(0.0)
+                _matvecs(x_csr, w0, xw)
             else:
-                xw0[j, :, :hi - lo] = xw0_dense[:, lo:hi]
+                xw[:, :hi - lo] = xw0_dense[:, lo:hi]
+                xw[:, hi - lo:] = 0.0
             s1.fill(0)
-            _matvecs(a_op, xw0[j], s1)
+            _matvecs(a_op, xw, s1)
             if n1 is None:
                 np.maximum(s1[:, :hi - lo], 0.0, out=h1[:, lo:hi])
             else:
@@ -438,17 +490,26 @@ def _sub_csr(a: sp.csr_matrix, rows: np.ndarray, at: np.ndarray,
     return indptr.astype(idx), indices.astype(idx), at
 
 
-def backward(cache: ForwardCache, labels: np.ndarray,
-             split: np.ndarray) -> Gradients:
+def backward(cache: ForwardCache, labels: np.ndarray, split: np.ndarray,
+             kept: KeptOrder | None = None) -> Gradients:
     """Exact gradients of masked_loss for the forward held in ``cache``.
 
     The edge-mask gradient of edge e sums the contributions of both of its
     directed adjacency entries across both layers. Normalization values are
     treated as constants (they only change when the binary mask does).
+
+    Given ``kept``, for a forward with no weight gate or weight soft mask,
+    the weight gradient holds the kept entries alone, in the order's
+    sequence: each tile of the W0 gradient hands over its kept entries
+    and no (F, H) gradient is assembled. Their bits are the full
+    gradient's.
     """
     split = np.asarray(split)
     if split.size == 0:
         raise ValueError("empty split")
+    if kept is not None and (cache.binary is not None
+                             or cache.soft.weights is not None):
+        raise ValueError("kept entries only for an ungated weight gradient")
     if cache.rows is not None and not np.isin(split, cache.rows).all():
         raise ValueError("split reaches rows the forward did not compute")
     dtype = cache.logits.dtype
@@ -486,9 +547,13 @@ def backward(cache: ForwardCache, labels: np.ndarray,
     x_t = None if field.x_t is None else _csr_parts(field.x_t)
     n_feat, h = cache.params.shapes[0]
     k, t = _tiling(h, dtype)
+    if kept is not None:
+        if (len(kept.tiles), kept.width) != (k, t):
+            raise ValueError("kept order built for other tiles")
+        grad = np.empty(kept.ids.size, dtype=dtype)
     if x_t is None:
         dxw0 = np.zeros((n, h), dtype=dtype)
-    else:
+    elif kept is None:
         dw0 = np.empty((n_feat, h), dtype=dtype)
 
     def layer1(tiles):
@@ -506,12 +571,23 @@ def backward(cache: ForwardCache, labels: np.ndarray,
             else:
                 d_w0.fill(0.0)
                 _matvecs(x_t, d_xw0, d_w0)
-                dw0[:, lo:hi] = d_w0[:, :hi - lo]
+                if kept is None:
+                    dw0[:, lo:hi] = d_w0[:, :hi - lo]
+                else:
+                    np.take(d_w0.reshape(-1), kept.tiles[j],
+                            out=grad[kept.cuts[j]:kept.cuts[j + 1]])
 
     _each_tile(k, layer1)
     if x_t is None:
         dw0 = cache.x_op.T @ dxw0
-    dense = grow_pool(dw0, dw1_dense)    # dw0 is fresh
+    if kept is None:
+        dense = grow_pool(dw0, dw1_dense)    # dw0 is fresh
+    else:
+        dense, cut = None, kept.cuts[-1]
+        if x_t is None:
+            np.take(dw0.reshape(-1), kept.ids[:cut], out=grad[:cut])
+        np.take(dw1_dense.reshape(-1), kept.ids[cut:] - n_feat * h,
+                out=grad[cut:])
 
     soft, params, binary = cache.soft, cache.params, cache.binary
     d_m_edges = None
@@ -538,7 +614,7 @@ def backward(cache: ForwardCache, labels: np.ndarray,
 
     b = None if binary is None else binary.weights
     return Gradients(
-        theta=_gated(dense, soft.weights, b),
+        theta=grad if kept is not None else _gated(dense, soft.weights, b),
         m_theta=None if soft.weights is None
         else _gated(dense, params.weights, b),
         m_edges=d_m_edges,

@@ -13,9 +13,18 @@ import numpy as np
 from .data import Dataset
 from .graph import normalize_adjacency
 from .masks import BinaryMasks, SoftMasks
-from .nn import (GcnParams, Gradients, backward, evaluate_accuracy,
-                 feature_operator, gcn_forward, masked_loss)
+from .nn import (GcnParams, Gradients, KeptOrder, backward,
+                 evaluate_accuracy, feature_operator, gcn_forward,
+                 masked_loss)
 from .optim import AdamState, NonFiniteGradient, adam_step
+
+# Kept share of the pooled weights at or below which a weight-only loop
+# computes and steps the kept weight entries only; above it the full step
+# runs on the masked gradient. Theta-only epochs on the Cora shape (H=512,
+# random masks, f64, two workers, medians of 80 epochs in alternating
+# runs), kept-only against full step: 18.7/20.9 ms at 30% kept, 23.1/24.1
+# at 50% and 22.3/21.9 at 70%.
+_KEPT_ONLY_MAX = 0.6
 
 
 @dataclass
@@ -24,6 +33,65 @@ class EpochStats:
     val_acc: float
     test_acc: float
     grads: Gradients = field(repr=False, default=None)
+
+
+class _FixedWeights:
+    """The fixed-mask plan of a weight-only loop: one that trains the
+    weights alone under binary masks, whose weight mask never changes.
+
+    A pruned weight never moves there (its gradient and moments are
+    exactly 0), so :meth:`apply` zeroes the pruned entries of the params
+    themselves and the loop runs its forwards and backwards with no weight
+    gate. :meth:`step` then keeps pruned entries at 0. At a kept share of
+    at most ``_KEPT_ONLY_MAX`` the backward computes the kept entries of
+    the gradient alone, in the order ``kept`` (``nn.KeptOrder``), and Adam
+    holds kept-sized moments and steps ``stepped``, a copy of the kept
+    weights that :meth:`apply` gathers, which is scattered back. Above it
+    the full step runs on the gradient, masked in place. Both run the
+    textbook expressions on the same kept entries, so the kept weights
+    take the gated loop's bits.
+    """
+
+    def __init__(self, mask: np.ndarray, params: GcnParams):
+        self.mask = mask.copy()
+        self.kept = None
+        self.stepped = params.weights    # the buffer Adam's moments follow
+        if np.count_nonzero(mask) <= _KEPT_ONLY_MAX * mask.size:
+            self.kept = KeptOrder.of(mask, params.shapes,
+                                     params.weights.dtype)
+            self.stepped = np.empty(self.kept.ids.size,
+                                    dtype=params.weights.dtype)
+
+    def apply(self, binary: BinaryMasks | None, weights: np.ndarray) -> None:
+        """Zero the pruned weights and take the kept ones; refuse a weight
+        mask other than the plan's, whose kept ids and moments it could
+        not carry over."""
+        if binary is None or not np.array_equal(binary.weights, self.mask):
+            raise ValueError("a weight-only loop's weight mask is fixed; "
+                             "start a new loop for new masks")
+        weights[~self.mask] = 0.0
+        if self.kept is not None:
+            np.take(weights, self.kept.ids, out=self.stepped)
+
+    def step(self, state: AdamState, weights: np.ndarray,
+             grad: np.ndarray) -> None:
+        """One Adam step from the backward's weight gradient, all of it
+        or, under ``kept``, the kept entries alone."""
+        if self.kept is None:
+            np.multiply(grad, self.mask, out=grad)
+            adam_step(state, weights, grad, name="theta")
+            return
+        adam_step(state, self.stepped, grad, name="theta")
+        weights[self.kept.ids] = self.stepped
+
+
+def _weight_plan(params: GcnParams, soft: SoftMasks,
+                 binary: BinaryMasks | None) -> _FixedWeights | None:
+    """The fixed-mask plan of a loop that trains only the weights under
+    binary masks, else None."""
+    if binary is None or soft.edges is not None or soft.weights is not None:
+        return None
+    return _FixedWeights(binary.weights, params)
 
 
 class TrainLoop:
@@ -37,15 +105,21 @@ class TrainLoop:
     Binary masks, when present, gate the forward pass only: a pruned entry
     gets an exactly zero gradient, and with zero Adam moments a zero step.
     Whoever swaps ``binary`` must zero the moments of the entries it drops.
+    A loop that trains only the weights under binary masks has a
+    fixed-mask plan instead (``_FixedWeights``): it zeroes the pruned
+    entries of ``params`` at its start, leaves them at 0, runs with no
+    weight gate and, at a low kept share, steps only the kept entries.
+    Its weight mask cannot change: :meth:`rebuild_norm` refuses a new one.
 
     Each epoch runs one forward pass: the post-update evaluation forward of
     one epoch is kept and serves as the training forward of the next.
     Call :meth:`rebuild_norm` after any change to ``params``, ``soft`` or
     ``binary`` made outside :meth:`run_epoch` (a swap boundary, say): it
     renormalizes the adjacency and drops the kept forward, which would
-    otherwise describe the state before the change. Without a kept forward
-    the epoch's training forward covers only the train split's receptive
-    field (``gcn_forward(..., rows=train_idx)``).
+    otherwise describe the state before the change; under a plan it also
+    zeroes the pruned weights again. Without a kept forward the epoch's
+    training forward covers only the train split's receptive field
+    (``gcn_forward(..., rows=train_idx)``).
     """
 
     def __init__(self, dataset: Dataset, params: GcnParams, soft: SoftMasks,
@@ -58,10 +132,13 @@ class TrainLoop:
         self.norm = None
         self._forward = None  # (logits, cache) of the current state
         self.epochs_run = 0
+        self._plan = _weight_plan(params, soft, binary)
         self.rebuild_norm()
+        tensors = self._tensors()
+        if self._plan is not None:
+            tensors["theta"] = self._plan.stepped
         self.opt = {name: AdamState.for_param(tensor, lr)
-                    for name, tensor in self._tensors().items()
-                    if tensor is not None}
+                    for name, tensor in tensors.items() if tensor is not None}
         # what trains, for callers that label epochs by phase
         self.update_soft_edges = "m_edges" in self.opt
         self.update_soft_weights = "m_theta" in self.opt
@@ -80,12 +157,16 @@ class TrainLoop:
                 "m_theta": self.soft.weights}
 
     def rebuild_norm(self) -> None:
+        if self._plan is not None:
+            self._plan.apply(self.binary, self.params.weights)
         mask = self.binary.edges if self.binary is not None else None
         self.norm = normalize_adjacency(self.dataset, mask)
         self._forward = None
 
     def _run_forward(self, rows=None):
-        return gcn_forward(self.params, self.soft, self.binary, self.dataset,
+        # a plan's weight mask is in the weights, its edge mask in ``norm``
+        gate = None if self._plan is not None else self.binary
+        return gcn_forward(self.params, self.soft, gate, self.dataset,
                            norm=self.norm, x_op=self.x_op, rows=rows)
 
     def run_epoch(self) -> EpochStats:
@@ -95,12 +176,17 @@ class TrainLoop:
         logits, cache = self._forward or self._run_forward(ds.train_idx)
         self._forward = None
         loss = masked_loss(logits, ds.labels, ds.train_idx)
-        grads = backward(cache, ds.labels, ds.train_idx)
+        kept = None if self._plan is None else self._plan.kept
+        grads = backward(cache, ds.labels, ds.train_idx, kept)
         del logits, cache  # free the activations before the next forward
 
         tensors = self._tensors()
-        for name, state in self.opt.items():
-            adam_step(state, tensors[name], getattr(grads, name), name=name)
+        if self._plan is not None:
+            self._plan.step(self.opt["theta"], tensors["theta"], grads.theta)
+        else:
+            for name, state in self.opt.items():
+                adam_step(state, tensors[name], getattr(grads, name),
+                          name=name)
 
         self._forward = self._run_forward()
         eval_logits = self._forward[0]
@@ -116,11 +202,15 @@ class TrainLoop:
         """Run ``epochs`` epochs; report the best-validation epoch (earliest
         on ties), the usual protocol for semi-supervised node classification.
         ``grad_acc``, a float64 buffer over the pooled weight universe, gets
-        each epoch's |dense weight gradient| added in place. A
+        each epoch's |dense weight gradient| added in place; a loop with a
+        fixed-mask plan, whose step may mask that gradient, refuses it. A
         ``NonFiniteGradient`` leaves tagged with the phase and the loop's
         1-based epoch count."""
         if epochs < 1:
             raise ValueError("need at least one epoch")
+        if grad_acc is not None and self._plan is not None:
+            raise ValueError("a weight-only loop under binary masks keeps "
+                             "no dense gradient to accumulate")
         out = TrainResult()
         for epoch in range(1, epochs + 1):
             try:
@@ -173,7 +263,13 @@ def train_oneshot_phase(dataset: Dataset, params: GcnParams,
 def train_theta_only(dataset: Dataset, params: GcnParams,
                      binary: BinaryMasks | None, epochs: int,
                      lr: float = 0.001) -> TrainResult:
-    """Train the weights under fixed binary masks and no soft masks."""
+    """Train the weights under fixed binary masks and no soft masks.
+
+    ``params`` is trained in place. Under binary masks the loop runs a
+    fixed-mask plan (see ``TrainLoop``): it zeroes the pruned weights of
+    ``params`` at its start and leaves them at 0, where an unmasked
+    forward reads them.
+    """
     return TrainLoop(dataset, params, SoftMasks(), binary=binary,
                      lr=lr).train(epochs)
 
@@ -185,7 +281,8 @@ def verify_ticket(dataset: Dataset, params: GcnParams,
 
     This is the winning-ticket check: the masks are kept, the weights are
     rewound to their initialization, and the sparse model is trained in
-    isolation. ``params`` is not modified.
+    isolation. ``params`` is not modified: the retrain trains a fresh
+    copy, which ends with its pruned weights at 0 (``train_theta_only``).
     """
     return train_theta_only(dataset, params.fresh_copy(), binary, epochs,
                             lr=lr)

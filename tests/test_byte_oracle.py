@@ -3,13 +3,16 @@
 Short desk-SBM arms run twice: once as shipped, and once with reference
 versions of the passes patched in: the textbook out-of-place Adam with
 each step gated by its tensor's binary mask (the shipped Adam takes no
-mask: a swap zeroes the moments of the entries it removes instead), the
-full forward at every training-segment start (the shipped loop computes
-only the train split's receptive field there), the sorted cut (a full
-stable sort) wherever a cut is taken, over the pooled weights where
-denoising picks weights, the adjacency built by a sort of its entries,
-and the swap with its explicit overlap check. Every artifact must be
-byte-identical, ``report.json`` minus its wall-clock ``timing`` block.
+mask: a swap zeroes the moments of the entries it removes instead, and a
+weight-only loop zeroes its pruned weights and steps only the kept ones),
+the gated products in every loop (a shipped weight-only loop under binary
+masks runs a fixed-mask plan with no weight gate), the full forward at
+every training-segment start (the shipped loop computes only the train
+split's receptive field there), the sorted cut (a full stable sort)
+wherever a cut is taken, over the pooled weights where denoising picks
+weights, the adjacency built by a sort of its entries, and the swap with
+its explicit overlap check. Every artifact must be byte-identical,
+``report.json`` minus its wall-clock ``timing`` block.
 
 A short Cora-shaped arm, run with one engine worker and with two, must
 write the same bytes too.
@@ -128,6 +131,7 @@ def checked_swap(mask, remove, add, what):
 
 
 def patch_references(monkeypatch):
+    monkeypatch.setattr(train, "_weight_plan", lambda *masks: None)
     monkeypatch.setattr(train.TrainLoop, "run_epoch", gated_epoch)
     monkeypatch.setattr(train, "gcn_forward", full_forward)
     monkeypatch.setattr(train, "normalize_adjacency", sorted_adjacency)
@@ -171,7 +175,17 @@ def test_artifacts_match_reference_passes(tmp_path, monkeypatch, arm, block):
                                    seed=3, retrain_epochs=5, **ARMS[arm]))
     if block != "shipped":
         monkeypatch.setattr(optim, "_BLOCK", block)
-    run_experiment(config, tmp_path / "shipped")
+    plans, build_plan = [], train._weight_plan
+
+    def spy(*masks):
+        plans.append(build_plan(*masks))
+        return plans[-1]
+
+    with monkeypatch.context() as spied:
+        spied.setattr(train, "_weight_plan", spy)
+        run_experiment(config, tmp_path / "shipped")
+    # the retrain check (kept share 0.4) steps only the kept weights
+    assert any(p is not None and p.kept is not None for p in plans)
     with monkeypatch.context() as patched:
         patch_references(patched)
         run_experiment(config, tmp_path / "reference")

@@ -491,7 +491,9 @@ def test_train_rows_forward_matches_full_forward(x_kind, trained, dtype):
     logits, cache = gcn_forward(params, soft, binary, ds, rows=split)
     _, hop1, hop2 = receptive_field(ds, binary, split)
     assert hop2 < ds.num_nodes
-    if x_kind == "csr":             # a dense X@W0 runs over every row
+    if trained == "theta":          # no edge-mask gradient reads XW0
+        assert cache.xw0 is None and full.xw0 is None
+    elif x_kind == "csr":           # a dense X@W0 runs over every row
         assert np.count_nonzero(cache.xw0.any(axis=1)) <= hop2
     assert np.count_nonzero(cache.h1.any(axis=1)) <= hop1
     assert logits[split].tobytes() == full_logits[split].tobytes()
@@ -664,6 +666,9 @@ def test_tiled_chains_match_scipy(monkeypatch, width, dtype, x_kind):
             h1[field.n1] = np.maximum(a[field.n1] @ xw0, 0.0)
             assert part.xw0.tobytes() == xw0.tobytes()
             assert part.h1.tobytes() == h1.tobytes()
+            k, tw = nn._tiling(h, dtype)
+            for cache in (full, part):      # the last tile's padding is 0
+                assert not cache.xw0_tiles[-1, :, h - (k - 1) * tw:].any()
 
             want = reference_gradients(full, ds.labels, split)
             for cache in (full, part):
@@ -675,6 +680,49 @@ def test_tiled_chains_match_scipy(monkeypatch, width, dtype, x_kind):
                 runs.append([part.xw0, part.h1, got.dense, got.m_edges])
     for run in runs[1:]:
         assert all(x.tobytes() == y.tobytes() for x, y in zip(run, runs[0]))
+
+
+@pytest.mark.parametrize("x_kind", ["csr", "dense"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("width", ["1", "T+1", "2T+3"])
+def test_backward_kept_entries_are_the_full_gradients(monkeypatch, width,
+                                                      dtype, x_kind):
+    """Asked for a mask's kept entries, an ungated backward hands over each
+    tile's kept entries of the W0 gradient, then layer 1's, in the order
+    of ``KeptOrder``: the full gradient's bits, at 1 and 3 workers, with no
+    dense gradient. A gated forward's backward refuses, and so does an
+    order built for other tiles (another precision's, where they differ)."""
+    t = tile_units(dtype)
+    h = {"1": 1, "T+1": t + 1, "2T+3": 2 * t + 3}[width]
+    rng = np.random.default_rng(h)
+    ds, params, _ = make_instance(rng, 40, f=30, h=h, edge_prob=0.08,
+                                  dtype=dtype)
+    x_op = stored_csr(rng, (40, 30), 0.2, dtype, np.int32)
+    if x_kind == "dense":
+        x_op = x_op.toarray()
+    mask = rng.random(params.weights.size) < 0.3
+    order = nn.KeptOrder.of(mask, params.shapes, dtype)
+    np.testing.assert_array_equal(np.sort(order.ids), np.flatnonzero(mask))
+    norm = nn.normalize_adjacency(ds, rng.random(ds.num_edges) < 0.8)
+    split = ds.train_idx[:3]
+    for count in (1, 3):
+        monkeypatch.setattr(nn.workers, "count", lambda: count)
+        _, cache = gcn_forward(params, SoftMasks(), None, ds, norm=norm,
+                               x_op=x_op, rows=split)
+        full = backward(cache, ds.labels, split)
+        got = backward(cache, ds.labels, split, kept=order)
+        assert got.dense is None and got.m_theta is None
+        assert got.theta.tobytes() == full.theta[order.ids].tobytes()
+    other = np.float32 if dtype == np.float64 else np.float64
+    if nn._tiling(h, other) != nn._tiling(h, dtype):
+        with pytest.raises(ValueError, match="other tiles"):
+            backward(cache, ds.labels, split,
+                     kept=nn.KeptOrder.of(mask, params.shapes, other))
+    binary = BinaryMasks.all_ones(ds.num_edges, *params.shapes)
+    _, gated = gcn_forward(params, SoftMasks(), binary, ds, norm=norm,
+                           x_op=x_op, rows=split)
+    with pytest.raises(ValueError, match="ungated"):
+        backward(gated, ds.labels, split, kept=order)
 
 
 def test_tiles_spread_evenly_over_workers(monkeypatch):
@@ -727,8 +775,11 @@ def test_split_forward_and_backward_match_one_worker(monkeypatch, trained):
             seen.append(list(norm._memo.values()))
             grads = backward(cache, ds.labels, ds.train_idx)
             seen.append(list(norm._memo.values()))
-            out += [logits, cache.xw0, cache.h1, grads.theta, grads.dense]
-            out += [] if grads.m_edges is None else [grads.m_edges]
+            # XW0 is kept only for the edge-mask gradient
+            assert (cache.xw0 is None) == (soft.edges is None)
+            out += [logits, cache.h1, grads.theta, grads.dense]
+            out += [] if grads.m_edges is None else [cache.xw0,
+                                                     grads.m_edges]
         runs[count] = out
         record = seen[0][0]
         assert all(len(s) == 1 and s[0] is record for s in seen)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import fastglt.nn as nn
+import fastglt.optim as optim
 import fastglt.train as train
 from fastglt.data import generate_sbm
 from fastglt.masks import BinaryMasks, SoftMasks, init_soft_masks
@@ -69,13 +70,16 @@ def test_theta_only_training_learns():
 
 
 def test_theta_only_respects_binary_masks():
+    """A weight-only loop zeroes its pruned weights once, at its start,
+    and they stay +0.0 while the kept ones train."""
     ds, params, _ = build()
     binary = BinaryMasks.all_ones(ds.num_edges, params.theta0.shape,
                                   params.theta1.shape)
     binary.theta0[0, :] = False
-    before = params.theta0[0].copy()
+    before = params.theta0[1:].copy()
     train_theta_only(ds, params, binary, epochs=5)
-    np.testing.assert_array_equal(params.theta0[0], before)
+    assert params.theta0[0].tobytes() == bytes(params.theta0[0].nbytes)
+    assert (params.theta0[1:] != before).any()
 
 
 def test_verify_ticket_starts_from_init_and_preserves_params():
@@ -156,7 +160,8 @@ def test_each_phase_steps_exactly_its_tensors(phase, monkeypatch):
 @pytest.mark.parametrize("masked", [False, True])
 def test_theta_only_matches_identity_replay(masked):
     """Training with no soft masks is bit-identical to multiplying by
-    arrays of ones and stepping the weights by hand."""
+    arrays of ones and stepping the weights by hand, kept weights for kept
+    weights; the loop zeroes the pruned ones."""
     ds, params, _ = build(seed=2)
     binary = pruned_binary(ds, params) if masked else None
     replay = params.fresh_copy()
@@ -169,7 +174,10 @@ def test_theta_only_matches_identity_replay(masked):
         _, cache = gcn_forward(replay, ones, binary, ds)
         g = backward(cache, ds.labels, ds.train_idx)
         adam_step(state, replay.weights, g.theta, name="theta")
-    np.testing.assert_array_equal(params.weights, replay.weights)
+    kept = np.ones(params.weights.size, dtype=bool) if binary is None \
+        else binary.weights
+    assert params.weights[kept].tobytes() == replay.weights[kept].tobytes()
+    assert not params.weights[~kept].any()     # zeroed by the loop's plan
 
 
 def test_one_forward_per_epoch(monkeypatch):
@@ -301,3 +309,124 @@ def test_train_loops_share_one_feature_operator_per_dtype():
     # a replaced dataset starts a fresh memo
     fresh = dataclasses.replace(ds)
     assert nn.feature_operator(fresh) is not first.x_op
+
+
+# How a weight-only loop under binary masks runs: with no plan (every
+# product gated), or with its plan stepping the whole masked gradient or
+# only the kept entries (``_KEPT_ONLY_MAX`` patched to force either).
+PLAN_MODES = {"gated": None, "full": -1.0, "kept": 1.0}
+
+
+def plan_loop(monkeypatch, mode, ds, params, binary):
+    with monkeypatch.context() as patched:
+        if PLAN_MODES[mode] is None:
+            patched.setattr(train, "_weight_plan", lambda *masks: None)
+        else:
+            patched.setattr(train, "_KEPT_ONLY_MAX", PLAN_MODES[mode])
+        return TrainLoop(ds, params, SoftMasks(), binary=binary, lr=0.01)
+
+
+def sparse_x_sbm():
+    ds = generate_sbm(2, 40, 0.3, 0.05, 64, seed=4)
+    return dataclasses.replace(
+        ds, features=(ds.features > 1.8).astype(np.float32))
+
+
+@pytest.mark.parametrize("share", [0.3, 0.7])   # either side of the constant
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("x_kind", ["dense", "csr"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_fixed_mask_plan_matches_the_gated_loop(monkeypatch, dtype, x_kind,
+                                                count, share):
+    """A weight-only loop under binary masks gives the gated loop's bits
+    whether its plan steps the whole masked gradient or only the kept
+    entries: kept weights, Adam moments at kept entries, loss and accuracy
+    histories and the kept forward's logits. The plan leaves the pruned
+    weights at +0.0, and the kept-only Adam holds kept-sized moments. The
+    shipped constant steps only the kept entries at the lower share. H=300
+    spans several hidden-unit tiles and the Adam blocks are cut small, so
+    both split across two workers."""
+    monkeypatch.setattr(nn.workers, "count", lambda: count)
+    monkeypatch.setattr(optim, "_BLOCK", 4096)
+    ds = sparse_x_sbm() if x_kind == "csr" else build()[0]
+    assert sp.issparse(nn.feature_operator(ds, dtype)) == (x_kind == "csr")
+    params = glorot_params(ds.num_features, 300, ds.num_classes, seed=5,
+                           dtype=dtype)
+    rng = np.random.default_rng(6)
+    binary = BinaryMasks(edges=rng.random(ds.num_edges) < 0.8,
+                         theta0=rng.random(params.theta0.shape) < share,
+                         theta1=rng.random(params.theta1.shape) < share)
+    kept = np.flatnonzero(binary.weights)
+    shipped = TrainLoop(ds, params.fresh_copy(), SoftMasks(), binary=binary)
+    assert (shipped._plan.kept is not None) == \
+        (kept.size <= train._KEPT_ONLY_MAX * binary.weights.size)
+    assert (shipped._plan.kept is not None) == (share < 0.5)
+
+    runs = {}
+    for mode in PLAN_MODES:
+        loop = plan_loop(monkeypatch, mode, ds, params.fresh_copy(), binary)
+        res = loop.train(4)
+        state = loop.opt["theta"]
+        if mode == "kept":
+            assert state.m.shape == state.v.shape == kept.shape
+            order = loop._plan.kept.ids         # the backward's tile order
+            assert np.array_equal(np.sort(order), kept)
+            moments = [np.zeros_like(params.weights) for _ in range(2)]
+            for pooled, held in zip(moments, (state.m, state.v)):
+                pooled[order] = held
+            moments = [pooled[kept] for pooled in moments]
+        else:
+            assert state.m.shape == params.weights.shape
+            moments = state.m[kept], state.v[kept]
+        weights = loop.params.weights
+        if mode == "gated":
+            np.testing.assert_array_equal(weights[~binary.weights],
+                                          params.init[~binary.weights])
+        else:
+            assert weights[~binary.weights].tobytes() == \
+                bytes(weights.itemsize * (weights.size - kept.size))
+        runs[mode] = [[(h.loss, h.val_acc, h.test_acc) for h in res.history],
+                      loop._forward[0].tobytes(), weights[kept].tobytes(),
+                      *(m.tobytes() for m in moments)]
+    assert runs["full"] == runs["gated"]
+    assert runs["kept"] == runs["gated"]
+
+
+def test_fixed_mask_plan_is_reapplied_or_refused_at_rebuild(monkeypatch):
+    """``rebuild_norm`` re-applies a weight-only loop's plan: a new edge
+    mask is taken, pruned weights written from outside are zeroed again
+    and kept ones are taken into the kept-only step, but a changed weight
+    mask, new or edited in place, is refused rather than stepped with
+    stale kept ids. The plan's loop keeps no dense gradient to add up."""
+    ds, params, _ = build()
+    rng = np.random.default_rng(3)
+    binary = BinaryMasks(edges=rng.random(ds.num_edges) < 0.8,
+                         theta0=rng.random(params.theta0.shape) < 0.3,
+                         theta1=rng.random(params.theta1.shape) < 0.3)
+    loop = plan_loop(monkeypatch, "kept", ds, params, binary)
+    pruned, order = ~binary.weights, loop._plan.kept
+    kept = order.ids
+    loop.run_epoch()
+
+    loop.binary = binary.with_edges(~binary.edges)
+    params.weights[pruned] = 1.0
+    params.weights[kept[:3]] = 0.5
+    loop.rebuild_norm()
+    assert loop._plan.kept is order
+    assert not params.weights[pruned].any()
+    np.testing.assert_array_equal(loop._plan.stepped[:3], 0.5)
+    loop.run_epoch()
+    assert not params.weights[pruned].any()
+
+    with pytest.raises(ValueError, match="keeps no dense gradient"):
+        loop.train(1, grad_acc=np.zeros(params.weights.size))
+    regrown = binary.weights.copy()
+    regrown[np.flatnonzero(pruned)[0]] = True
+    loop.binary = BinaryMasks.pooled(regrown, binary.shapes,
+                                     edges=binary.edges)
+    with pytest.raises(ValueError, match="weight mask is fixed"):
+        loop.rebuild_norm()
+    binary.weights[kept[0]] = False
+    loop.binary = binary
+    with pytest.raises(ValueError, match="weight mask is fixed"):
+        loop.rebuild_norm()
