@@ -18,15 +18,6 @@ from .nn import (GcnParams, Gradients, KeptOrder, backward,
                  masked_loss)
 from .optim import AdamState, NonFiniteGradient, adam_step
 
-# Kept share of the pooled weights at or below which a weight-only loop
-# computes and steps the kept weight entries only; above it the full step
-# runs on the masked gradient. Theta-only epochs on the Cora shape (H=512,
-# random masks, f64, two workers, medians of 80 epochs in alternating
-# runs), kept-only against full step: 18.7/20.9 ms at 30% kept, 23.1/24.1
-# at 50% and 22.3/21.9 at 70%.
-_KEPT_ONLY_MAX = 0.6
-
-
 @dataclass
 class EpochStats:
     loss: float
@@ -42,25 +33,23 @@ class _FixedWeights:
     A pruned weight never moves there (its gradient and moments are
     exactly 0), so :meth:`apply` zeroes the pruned entries of the params
     themselves and the loop runs its forwards and backwards with no weight
-    gate. :meth:`step` then keeps pruned entries at 0. At a kept share of
-    at most ``_KEPT_ONLY_MAX`` the backward computes the kept entries of
-    the gradient alone, in the order ``kept`` (``nn.KeptOrder``), and Adam
-    holds kept-sized moments and steps ``stepped``, a copy of the kept
-    weights that :meth:`apply` gathers, which is scattered back. Above it
-    the full step runs on the gradient, masked in place. Both run the
-    textbook expressions on the same kept entries, so the kept weights
-    take the gated loop's bits.
+    gate. The backward computes the kept entries of the gradient alone, in
+    the order ``kept`` (``nn.KeptOrder``), and Adam holds kept-sized
+    moments and steps ``stepped``, a copy of the kept weights that
+    :meth:`apply` gathers, which is scattered back. It runs the textbook
+    expressions on the same kept entries, so the kept weights take the
+    gated loop's bits and the pruned ones stay at 0. Only the kept
+    entries of the gradient exist, so only they are checked for
+    finiteness: a non-finite value confined to pruned entries, which the
+    gated loop's masked gradient would carry as NaN, raises no
+    ``NonFiniteGradient`` here (it cannot reach the weights either).
     """
 
     def __init__(self, mask: np.ndarray, params: GcnParams):
         self.mask = mask.copy()
-        self.kept = None
-        self.stepped = params.weights    # the buffer Adam's moments follow
-        if np.count_nonzero(mask) <= _KEPT_ONLY_MAX * mask.size:
-            self.kept = KeptOrder.of(mask, params.shapes,
-                                     params.weights.dtype)
-            self.stepped = np.empty(self.kept.ids.size,
-                                    dtype=params.weights.dtype)
+        self.kept = KeptOrder.of(mask, params.shapes, params.weights.dtype)
+        self.stepped = np.empty(self.kept.ids.size,
+                                dtype=params.weights.dtype)
 
     def apply(self, binary: BinaryMasks | None, weights: np.ndarray) -> None:
         """Zero the pruned weights and take the kept ones; refuse a weight
@@ -70,17 +59,11 @@ class _FixedWeights:
             raise ValueError("a weight-only loop's weight mask is fixed; "
                              "start a new loop for new masks")
         weights[~self.mask] = 0.0
-        if self.kept is not None:
-            np.take(weights, self.kept.ids, out=self.stepped)
+        np.take(weights, self.kept.ids, out=self.stepped)
 
     def step(self, state: AdamState, weights: np.ndarray,
              grad: np.ndarray) -> None:
-        """One Adam step from the backward's weight gradient, all of it
-        or, under ``kept``, the kept entries alone."""
-        if self.kept is None:
-            np.multiply(grad, self.mask, out=grad)
-            adam_step(state, weights, grad, name="theta")
-            return
+        """One Adam step from the kept entries of the weight gradient."""
         adam_step(state, self.stepped, grad, name="theta")
         weights[self.kept.ids] = self.stepped
 
@@ -108,8 +91,8 @@ class TrainLoop:
     A loop that trains only the weights under binary masks has a
     fixed-mask plan instead (``_FixedWeights``): it zeroes the pruned
     entries of ``params`` at its start, leaves them at 0, runs with no
-    weight gate and, at a low kept share, steps only the kept entries.
-    Its weight mask cannot change: :meth:`rebuild_norm` refuses a new one.
+    weight gate and steps only the kept entries. Its weight mask cannot
+    change: :meth:`rebuild_norm` refuses a new one.
 
     Each epoch runs one forward pass: the post-update evaluation forward of
     one epoch is kept and serves as the training forward of the next.
@@ -203,9 +186,9 @@ class TrainLoop:
         on ties), the usual protocol for semi-supervised node classification.
         ``grad_acc``, a float64 buffer over the pooled weight universe, gets
         each epoch's |dense weight gradient| added in place; a loop with a
-        fixed-mask plan, whose step may mask that gradient, refuses it. A
-        ``NonFiniteGradient`` leaves tagged with the phase and the loop's
-        1-based epoch count."""
+        fixed-mask plan, whose backward computes kept entries only,
+        refuses it. A ``NonFiniteGradient`` leaves tagged with the phase
+        and the loop's 1-based epoch count."""
         if epochs < 1:
             raise ValueError("need at least one epoch")
         if grad_acc is not None and self._plan is not None:

@@ -11,7 +11,7 @@ from fastglt.data import generate_sbm
 from fastglt.masks import BinaryMasks, SoftMasks, init_soft_masks
 from fastglt.nn import (backward, evaluate_accuracy, gcn_forward,
                         glorot_params, masked_loss)
-from fastglt.optim import AdamState, adam_step
+from fastglt.optim import AdamState, NonFiniteGradient, adam_step
 from fastglt.train import (TrainLoop, train_oneshot_phase, train_theta_only,
                            verify_ticket)
 
@@ -312,17 +312,15 @@ def test_train_loops_share_one_feature_operator_per_dtype():
 
 
 # How a weight-only loop under binary masks runs: with no plan (every
-# product gated), or with its plan stepping the whole masked gradient or
-# only the kept entries (``_KEPT_ONLY_MAX`` patched to force either).
-PLAN_MODES = {"gated": None, "full": -1.0, "kept": 1.0}
+# product gated, ``_weight_plan`` patched out), or with its plan stepping
+# only the kept entries.
+PLAN_MODES = ("gated", "kept")
 
 
 def plan_loop(monkeypatch, mode, ds, params, binary):
     with monkeypatch.context() as patched:
-        if PLAN_MODES[mode] is None:
+        if mode == "gated":
             patched.setattr(train, "_weight_plan", lambda *masks: None)
-        else:
-            patched.setattr(train, "_KEPT_ONLY_MAX", PLAN_MODES[mode])
         return TrainLoop(ds, params, SoftMasks(), binary=binary, lr=0.01)
 
 
@@ -332,20 +330,18 @@ def sparse_x_sbm():
         ds, features=(ds.features > 1.8).astype(np.float32))
 
 
-@pytest.mark.parametrize("share", [0.3, 0.7])   # either side of the constant
+@pytest.mark.parametrize("share", [0.3, 0.7])   # a low and a high kept share
 @pytest.mark.parametrize("count", [1, 2])
 @pytest.mark.parametrize("x_kind", ["dense", "csr"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_fixed_mask_plan_matches_the_gated_loop(monkeypatch, dtype, x_kind,
                                                 count, share):
     """A weight-only loop under binary masks gives the gated loop's bits
-    whether its plan steps the whole masked gradient or only the kept
-    entries: kept weights, Adam moments at kept entries, loss and accuracy
-    histories and the kept forward's logits. The plan leaves the pruned
-    weights at +0.0, and the kept-only Adam holds kept-sized moments. The
-    shipped constant steps only the kept entries at the lower share. H=300
-    spans several hidden-unit tiles and the Adam blocks are cut small, so
-    both split across two workers."""
+    with its plan stepping only the kept entries: kept weights, Adam
+    moments at kept entries, loss and accuracy histories and the kept
+    forward's logits. The plan leaves the pruned weights at +0.0, and its
+    Adam holds kept-sized moments. H=300 spans several hidden-unit tiles
+    and the Adam blocks are cut small, so both split across two workers."""
     monkeypatch.setattr(nn.workers, "count", lambda: count)
     monkeypatch.setattr(optim, "_BLOCK", 4096)
     ds = sparse_x_sbm() if x_kind == "csr" else build()[0]
@@ -357,10 +353,6 @@ def test_fixed_mask_plan_matches_the_gated_loop(monkeypatch, dtype, x_kind,
                          theta0=rng.random(params.theta0.shape) < share,
                          theta1=rng.random(params.theta1.shape) < share)
     kept = np.flatnonzero(binary.weights)
-    shipped = TrainLoop(ds, params.fresh_copy(), SoftMasks(), binary=binary)
-    assert (shipped._plan.kept is not None) == \
-        (kept.size <= train._KEPT_ONLY_MAX * binary.weights.size)
-    assert (shipped._plan.kept is not None) == (share < 0.5)
 
     runs = {}
     for mode in PLAN_MODES:
@@ -388,7 +380,6 @@ def test_fixed_mask_plan_matches_the_gated_loop(monkeypatch, dtype, x_kind,
         runs[mode] = [[(h.loss, h.val_acc, h.test_acc) for h in res.history],
                       loop._forward[0].tobytes(), weights[kept].tobytes(),
                       *(m.tobytes() for m in moments)]
-    assert runs["full"] == runs["gated"]
     assert runs["kept"] == runs["gated"]
 
 
@@ -430,3 +421,40 @@ def test_fixed_mask_plan_is_reapplied_or_refused_at_rebuild(monkeypatch):
     loop.binary = binary
     with pytest.raises(ValueError, match="weight mask is fixed"):
         loop.rebuild_norm()
+
+
+def test_fixed_mask_plan_checks_the_kept_gradient_for_finiteness(
+        monkeypatch):
+    """A non-finite value that reaches a kept weight raises
+    ``NonFiniteGradient`` at the same epoch and Adam step with or without
+    the plan; under the plan only the kept entries are counted. A
+    non-finite value in a pruned weight is one the plan zeroes at its
+    start, so only the gated loop, whose gate turns it into NaN, raises."""
+    ds, params, _ = build()
+    rng = np.random.default_rng(3)
+    binary = BinaryMasks(edges=rng.random(ds.num_edges) < 0.8,
+                         theta0=rng.random(params.theta0.shape) < 0.3,
+                         theta1=rng.random(params.theta1.shape) < 0.3)
+    kept = np.flatnonzero(binary.weights)
+    pruned = np.flatnonzero(~binary.weights)
+
+    def run(mode, at):
+        p = params.fresh_copy()
+        p.weights[at] = np.inf
+        loop = plan_loop(monkeypatch, mode, ds, p, binary)
+        with np.errstate(all="ignore"):
+            loop.train(2)
+        return loop
+
+    for mode in PLAN_MODES:
+        with pytest.raises(NonFiniteGradient) as err:
+            run(mode, kept[0])
+        assert (err.value.context["tensor"], err.value.context["step"],
+                err.value.context["epoch"]) == ("theta", 1, 1)
+        if mode == "kept":
+            assert 0 < err.value.context["bad"] <= kept.size
+    with pytest.raises(NonFiniteGradient):
+        run("gated", pruned[0])
+    loop = run("kept", pruned[0])
+    assert np.isfinite(loop.params.weights).all()
+    assert loop.params.weights[pruned[0]] == 0.0
