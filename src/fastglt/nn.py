@@ -51,11 +51,6 @@ from .graph import NormAdj, normalize_adjacency
 from .masks import (BinaryMasks, PooledWeights, SoftMasks, grow_pool,
                     pool_weights)
 
-# Feature matrices at or below this density run through scipy CSR; the
-# planetoid bag-of-words matrices sit around 1% and dominate the epoch cost
-# if multiplied densely.
-_SPARSE_X_DENSITY = 0.25
-
 # Edge entries per block of the edge-mask gradient (an SDDMM). The two
 # gathered (block, H) operands of a block, 1 MB in f64 at H=512, stay in L2
 # instead of spanning nnz; larger blocks measured slower on the Cora shape.
@@ -160,7 +155,7 @@ class ForwardCache:
 
     a_eff: sp.csr_matrix
     norm: NormAdj
-    x_op: object                 # csr_matrix or ndarray, engine dtype
+    x_op: sp.csr_matrix          # engine dtype
     w1_eff: np.ndarray
     xw0_tiles: np.ndarray | None  # (k, N, t)
     h1: np.ndarray               # ReLU(A @ XW0)
@@ -179,14 +174,6 @@ class ForwardCache:
         out = out.reshape(nodes.size, k * t)
         h = self.h1.shape[1]
         return out if k * t == h else np.ascontiguousarray(out[:, :h])
-
-    @property
-    def xw0(self) -> np.ndarray | None:
-        """XW0 as one row-major (N, H) array, assembled on each read; None
-        when the forward kept none."""
-        if self.xw0_tiles is None:
-            return None
-        return self.xw0_rows(np.arange(self.h1.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -220,8 +207,10 @@ class KeptOrder:
             cuts=cuts, tiles=tuple(np.split(at, cuts[1:-1])), width=t)
 
 
-def feature_operator(dataset: Dataset, dtype=np.float64):
-    """Features as CSR when sparse enough to pay off, dense otherwise.
+def feature_operator(dataset: Dataset, dtype=np.float64) -> sp.csr_matrix:
+    """Features as a CSR matrix, whatever their density, so that every
+    product over X is a scipy CSR kernel that sums each output entry in
+    one fixed order.
 
     Built once per dataset and dtype and memoized on the dataset; every
     caller shares the one operator, which is only ever read.
@@ -229,13 +218,8 @@ def feature_operator(dataset: Dataset, dtype=np.float64):
     key = ("x_op", np.dtype(dtype))
     x_op = dataset._memo.get(key)
     if x_op is None:
-        x = dataset.features
-        density = np.count_nonzero(x) / max(x.size, 1)
-        if density <= _SPARSE_X_DENSITY and x.size > 4096:
-            x_op = sp.csr_matrix(x.astype(dtype))
-        else:
-            x_op = np.ascontiguousarray(x.astype(dtype))
-        dataset._memo[key] = x_op
+        x_op = dataset._memo[key] = sp.csr_matrix(
+            dataset.features.astype(dtype))
     return x_op
 
 
@@ -289,7 +273,8 @@ def _csr_parts(a: sp.csr_matrix) -> tuple:
 
 def gcn_forward(params: GcnParams, soft: SoftMasks,
                 binary: BinaryMasks | None, dataset: Dataset,
-                norm: NormAdj | None = None, x_op=None,
+                norm: NormAdj | None = None,
+                x_op: sp.csr_matrix | None = None,
                 rows: np.ndarray | None = None
                 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the masked model; returns pre-softmax logits and the cache.
@@ -299,8 +284,8 @@ def gcn_forward(params: GcnParams, soft: SoftMasks,
     the feature operator.
 
     Given ``rows``, only their receptive field is computed: X@W0 on their
-    2-hop set (for a CSR X; a dense X runs in full), A@XW0 and the ReLU on
-    their 1-hop set; the other rows of ``xw0`` and ``h1`` are zero. For
+    2-hop set, A@XW0 and the ReLU on their 1-hop set; the other rows of
+    XW0 and ``h1`` are zero. For
     finite activations, the rows' logits and the gradients of a loss over
     them equal the full forward's bit for bit: the restricted products
     are scipy CSR ones that sum each row as the full product does, and
@@ -333,36 +318,26 @@ def gcn_forward(params: GcnParams, soft: SoftMasks,
     # each worker runs its tiles' X@W0 through one (N, t) scratch instead.
     xw0 = None if soft.edges is None else np.empty((k, n, t), dtype=dtype)
     if rows is None:
-        a_op, n1 = _csr_parts(a_eff), None
+        a_op, n1, x_csr = _csr_parts(a_eff), None, _csr_parts(x_op)
         h1 = np.empty((n, h), dtype=dtype)
     else:
         field = _receptive_field(norm, x_op, np.asarray(rows))
         a_op, n1 = field.a_n1(a_eff), field.n1
+        x_csr = _csr_parts(field.x_rows)
         h1 = np.zeros((n, h), dtype=dtype)
-    sparse_x = sp.issparse(x_op)
-    if sparse_x:
-        x_csr = _csr_parts(x_op if rows is None else field.x_rows)
-    else:
-        # A BLAS product over a subset of rows or columns may round
-        # differently from the whole one, so a dense X@W0 runs whole.
-        xw0_dense = x_op @ _gated(theta0, *gates0)
 
     def layer1(tiles):
         s1 = np.empty((a_op[0].size - 1, t), dtype=dtype)
-        w0 = np.empty((n_feat, t), dtype=dtype) if sparse_x else None
+        w0 = np.empty((n_feat, t), dtype=dtype)
         scratch = np.empty((n, t), dtype=dtype) if xw0 is None else None
         for j in tiles:
             lo, hi = j * t, min(j * t + t, h)
+            _gated(theta0[:, lo:hi], *(g[:, lo:hi] for g in gates0),
+                   out=w0[:, :hi - lo])
+            w0[:, hi - lo:] = 0.0
             xw = scratch if xw0 is None else xw0[j]
-            if sparse_x:
-                _gated(theta0[:, lo:hi], *(g[:, lo:hi] for g in gates0),
-                       out=w0[:, :hi - lo])
-                w0[:, hi - lo:] = 0.0
-                xw.fill(0.0)
-                _matvecs(x_csr, w0, xw)
-            else:
-                xw[:, :hi - lo] = xw0_dense[:, lo:hi]
-                xw[:, hi - lo:] = 0.0
+            xw.fill(0.0)
+            _matvecs(x_csr, w0, xw)
             s1.fill(0)
             _matvecs(a_op, xw, s1)
             if n1 is None:
@@ -422,8 +397,8 @@ class _Field:
     (self-loops put the rows within n1 and n1 within n2), the stored edge
     entries in n1 rows, the structure of A[n1] (``a1``) and of
     A[n2][:, n1] with columns renumbered to positions in n1 (``a21``),
-    and for a CSR X (else None) X's n2 rows under the full row pointer
-    and X[n2]^T as a CSR with sorted indices. ``a1`` and ``a21`` each hold
+    X's n2 rows under the full row pointer (``x_rows``) and X[n2]^T as a
+    CSR with sorted indices (``x_t``). ``a1`` and ``a21`` each hold
     a row pointer, column indices and every entry's position in A's data,
     in the order scipy's ``a[n1]`` and ``a[n2][:, n1]`` store them."""
 
@@ -433,8 +408,8 @@ class _Field:
     edges: np.ndarray
     a1: tuple
     a21: tuple
-    x_rows: sp.csr_matrix | None
-    x_t: sp.csr_matrix | None
+    x_rows: sp.csr_matrix
+    x_t: sp.csr_matrix
 
     def a_n1(self, a: sp.csr_matrix) -> tuple:
         """A[n1] of an adjacency ``a`` over the record's stored entries, as
@@ -448,7 +423,8 @@ class _Field:
         return indptr, indices, a.data[at], self.n1.size
 
 
-def _receptive_field(norm: NormAdj, x_op, rows: np.ndarray) -> _Field:
+def _receptive_field(norm: NormAdj, x_op: sp.csr_matrix,
+                     rows: np.ndarray) -> _Field:
     """The ``_Field`` of ``rows``, built once per (rows, operator) and
     memoized on ``norm``: it follows the stored entries, which only a new
     binary edge mask changes, and is freed with the adjacency."""
@@ -465,18 +441,14 @@ def _receptive_field(norm: NormAdj, x_op, rows: np.ndarray) -> _Field:
         edges = at1[norm.edge_of_entry[at1] >= 0]
         a1 = _sub_csr(a, n1, at1, a.indices[at1])
         a21 = _sub_csr(a, n2, at21, np.searchsorted(n1, a.indices[at21]))
-        x_rows = x_t = None
-        if sp.issparse(x_op):
-            # Every row outside n2 is empty, so a product over x_rows
-            # leaves its zeroed output rows alone.
-            x_n2 = x_op[n2]
-            indptr = x_n2.indptr[np.searchsorted(
-                n2, np.arange(x_op.shape[0] + 1))]
-            x_rows = sp.csr_matrix((x_n2.data, x_n2.indices, indptr),
-                                   shape=x_op.shape)
-            x_t = x_n2.T.tocsr()
+        # Every row outside n2 is empty, so a product over x_rows leaves
+        # its zeroed output rows alone.
+        x_n2 = x_op[n2]
+        indptr = x_n2.indptr[np.searchsorted(n2, np.arange(x_op.shape[0] + 1))]
+        x_rows = sp.csr_matrix((x_n2.data, x_n2.indices, indptr),
+                               shape=x_op.shape)
         field = norm._memo[key] = _Field(x_op, n1, n2, edges, a1, a21,
-                                         x_rows, x_t)
+                                         x_rows, x_n2.T.tocsr())
     return field
 
 
@@ -542,50 +514,40 @@ def backward(cache: ForwardCache, labels: np.ndarray, split: np.ndarray,
     # then X[n2]^T@dXW0 into the tile's columns of the W0 gradient. The
     # CSR X[n2]^T has sorted indices, so it sums each of its rows in the
     # column order of the CSC X[n2].T and matches X[n2].T @ dxw0 bit for
-    # bit. A dense X runs X^T@dXW0 whole, as a BLAS product.
-    a21 = field.a_n2_n1(a)
-    x_t = None if field.x_t is None else _csr_parts(field.x_t)
+    # bit.
+    a21, x_t = field.a_n2_n1(a), _csr_parts(field.x_t)
     n_feat, h = cache.params.shapes[0]
     k, t = _tiling(h, dtype)
-    if kept is not None:
+    if kept is None:
+        dw0 = np.empty((n_feat, h), dtype=dtype)
+    else:
         if (len(kept.tiles), kept.width) != (k, t):
             raise ValueError("kept order built for other tiles")
         grad = np.empty(kept.ids.size, dtype=dtype)
-    if x_t is None:
-        dxw0 = np.zeros((n, h), dtype=dtype)
-    elif kept is None:
-        dw0 = np.empty((n_feat, h), dtype=dtype)
 
     def layer1(tiles):
         d_s1 = np.empty((n1.size, t), dtype=dtype)
         d_xw0 = np.empty((n2.size, t), dtype=dtype)
-        d_w0 = None if x_t is None else np.empty((n_feat, t), dtype=dtype)
+        d_w0 = np.empty((n_feat, t), dtype=dtype)
         for j in tiles:
             lo, hi = j * t, min(j * t + t, h)
             d_s1[:, :hi - lo] = ds1[:, lo:hi]
             d_s1[:, hi - lo:] = 0.0
             d_xw0.fill(0.0)
             _matvecs(a21, d_s1, d_xw0)
-            if x_t is None:
-                dxw0[n2, lo:hi] = d_xw0[:, :hi - lo]
+            d_w0.fill(0.0)
+            _matvecs(x_t, d_xw0, d_w0)
+            if kept is None:
+                dw0[:, lo:hi] = d_w0[:, :hi - lo]
             else:
-                d_w0.fill(0.0)
-                _matvecs(x_t, d_xw0, d_w0)
-                if kept is None:
-                    dw0[:, lo:hi] = d_w0[:, :hi - lo]
-                else:
-                    np.take(d_w0.reshape(-1), kept.tiles[j],
-                            out=grad[kept.cuts[j]:kept.cuts[j + 1]])
+                np.take(d_w0.reshape(-1), kept.tiles[j],
+                        out=grad[kept.cuts[j]:kept.cuts[j + 1]])
 
     _each_tile(k, layer1)
-    if x_t is None:
-        dw0 = cache.x_op.T @ dxw0
     if kept is None:
         dense = grow_pool(dw0, dw1_dense)    # dw0 is fresh
     else:
         dense, cut = None, kept.cuts[-1]
-        if x_t is None:
-            np.take(dw0.reshape(-1), kept.ids[:cut], out=grad[:cut])
         np.take(dw1_dense.reshape(-1), kept.ids[cut:] - n_feat * h,
                 out=grad[cut:])
 
@@ -625,7 +587,8 @@ def backward(cache: ForwardCache, labels: np.ndarray, split: np.ndarray,
 def evaluate_accuracy(params: GcnParams, soft: SoftMasks,
                       binary: BinaryMasks | None, dataset: Dataset,
                       split: np.ndarray, norm: NormAdj | None = None,
-                      x_op=None, logits: np.ndarray | None = None) -> float:
+                      x_op: sp.csr_matrix | None = None,
+                      logits: np.ndarray | None = None) -> float:
     """Argmax accuracy over the split; ties resolve to the lowest class."""
     split = np.asarray(split)
     if split.size == 0:

@@ -30,8 +30,7 @@ def make_instance(rng, n, f=5, h=4, c=3, edge_prob=0.4, dtype=np.float64):
 
 def sparse_feature_instance(rng, n=200, f=64, h=8, c=3, edge_prob=0.02,
                             dtype=np.float64):
-    """Binary bag-of-words features at about 3% density, large enough
-    (n * f > 4096) that ``feature_operator`` takes its CSR path."""
+    """Binary bag-of-words features at about 3% density."""
     ds, params, soft = make_instance(rng, n, f=f, h=h, c=c,
                                      edge_prob=edge_prob, dtype=dtype)
     feats = (rng.random((n, f)) < 0.03).astype(np.float32)
@@ -312,6 +311,7 @@ def reference_gradients(cache, labels, split):
     dw1 = cache.h1.T @ dh1w1
     ds1 = (dh1w1 @ cache.w1_eff.T) * (cache.h1 > 0)
     dw0 = cache.x_op.T @ (a @ ds1)
+    xw0 = None if cache.xw0_tiles is None else cache.xw0_rows(np.arange(n))
 
     soft, params, binary = cache.soft, cache.params, cache.binary
     m_edges = None
@@ -319,7 +319,7 @@ def reference_gradients(cache, labels, split):
         norm = cache.norm
         ri, ci = norm.entry_row, norm.entry_col
         d_entry = np.einsum("ij,ij->i", g2[ri], cache.h1w1[ci])
-        d_entry += np.einsum("ij,ij->i", ds1[ri], cache.xw0[ci])
+        d_entry += np.einsum("ij,ij->i", ds1[ri], xw0[ci])
         e_of = norm.edge_of_entry
         on_edge = e_of >= 0
         gate = norm.matrix.data[on_edge].astype(dtype)
@@ -467,15 +467,15 @@ def test_backward_matches_full_graph_reference(kind, trained, dtype):
 def test_train_rows_forward_matches_full_forward(x_kind, trained, dtype):
     """A forward restricted to the split's rows computes on a strict part
     of the graph, yet gives the full forward's split logits, loss and
-    every gradient bit for bit. ``dense_isolated`` trains on one isolated
-    node, whose one-row X@W0 a BLAS would take down a vector path."""
+    every gradient bit for bit. ``dense`` features store every entry in
+    X's CSR, and ``dense_isolated`` trains on one isolated node with them,
+    so that X@W0 runs on one row."""
     rng = np.random.default_rng(11)
     if x_kind == "csr":
         ds, params, soft = sparse_feature_instance(rng, dtype=dtype)
         split = ds.train_idx[:3]
     else:
         ds, params, soft, split = components_instance(rng, dtype)
-        assert not sp.issparse(nn.feature_operator(ds, dtype))
         if x_kind == "dense_isolated":      # node 0 loses its two edges
             split = np.array([0])
     binary = BinaryMasks(edges=rng.random(ds.num_edges) < 0.8,
@@ -492,9 +492,10 @@ def test_train_rows_forward_matches_full_forward(x_kind, trained, dtype):
     _, hop1, hop2 = receptive_field(ds, binary, split)
     assert hop2 < ds.num_nodes
     if trained == "theta":          # no edge-mask gradient reads XW0
-        assert cache.xw0 is None and full.xw0 is None
-    elif x_kind == "csr":           # a dense X@W0 runs over every row
-        assert np.count_nonzero(cache.xw0.any(axis=1)) <= hop2
+        assert cache.xw0_tiles is None and full.xw0_tiles is None
+    else:
+        xw0 = cache.xw0_rows(np.arange(ds.num_nodes))
+        assert np.count_nonzero(xw0.any(axis=1)) <= hop2
     assert np.count_nonzero(cache.h1.any(axis=1)) <= hop1
     assert logits[split].tobytes() == full_logits[split].tobytes()
     assert masked_loss(logits, ds.labels, split) \
@@ -574,6 +575,10 @@ def stored_csr(rng, shape, density, dtype, index):
     return a
 
 
+# Share of the entries that X's CSR stores in its non-empty rows.
+X_DENSITY = {"csr": 0.2, "dense": 1.0}
+
+
 @pytest.mark.parametrize("index", [np.int32, np.int64])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("parts", [1, 2, 3])
@@ -623,8 +628,9 @@ def test_tiled_chains_match_scipy(monkeypatch, width, dtype, x_kind):
     X@W0, A@XW0 and the ReLU in the full and the train-rows forward, and
     A[n2][:, n1]@dS1 and X[n2]^T@dXW0 in the backward (every gradient
     against the full-graph sweep). This holds at any hidden width around
-    the tile width T, in f32 and f64, with int32 and int64 indices, and
-    at 1, 2, 3 and 8 workers, more than there are tiles."""
+    the tile width T, in f32 and f64, with int32 and int64 indices, for an
+    X that stores a fifth or all of its non-empty rows' entries, and at 1,
+    2, 3 and 8 workers, more than there are tiles."""
     t = tile_units(dtype)
     h = {"1": 1, "T-1": t - 1, "T": t, "T+1": t + 1, "2T+3": 2 * t + 3,
          "512": 512}[width]
@@ -635,13 +641,12 @@ def test_tiled_chains_match_scipy(monkeypatch, width, dtype, x_kind):
                          theta0=rng.random(params.theta0.shape) < 0.7,
                          theta1=rng.random(params.theta1.shape) < 0.7)
     split = ds.train_idx[:3]
+    nodes = np.arange(ds.num_nodes)
     w0, w1 = params.layers(params.weights * soft.weights * binary.weights)
     runs = []
     for index in (np.int32, np.int64):
-        x_op = stored_csr(np.random.default_rng(h), (40, 30), 0.2, dtype,
-                          index)
-        if x_kind == "dense":
-            x_op = x_op.toarray()
+        x_op = stored_csr(np.random.default_rng(h), (40, 30),
+                          X_DENSITY[x_kind], dtype, index)
         norm = nn.normalize_adjacency(ds, binary.edges)
         norm.matrix.indices = norm.matrix.indices.astype(index)
         norm.matrix.indptr = norm.matrix.indptr.astype(index)
@@ -657,14 +662,13 @@ def test_tiled_chains_match_scipy(monkeypatch, width, dtype, x_kind):
             a = full.a_eff
             xw0 = x_op @ w0
             h1 = np.maximum(a @ xw0, 0.0)
-            assert full.xw0.tobytes() == xw0.tobytes()
+            assert full.xw0_rows(nodes).tobytes() == xw0.tobytes()
             assert full.h1.tobytes() == h1.tobytes()
             assert logits.tobytes() == (a @ (h1 @ w1)).tobytes()
-            if x_kind == "csr":
-                xw0 = field.x_rows @ w0
+            xw0 = field.x_rows @ w0
             h1 = np.zeros_like(h1)
             h1[field.n1] = np.maximum(a[field.n1] @ xw0, 0.0)
-            assert part.xw0.tobytes() == xw0.tobytes()
+            assert part.xw0_rows(nodes).tobytes() == xw0.tobytes()
             assert part.h1.tobytes() == h1.tobytes()
             k, tw = nn._tiling(h, dtype)
             for cache in (full, part):      # the last tile's padding is 0
@@ -677,7 +681,8 @@ def test_tiled_chains_match_scipy(monkeypatch, width, dtype, x_kind):
                     g, w = getattr(got, name), getattr(want, name)
                     assert g.dtype == dtype
                     assert g.tobytes() == w.tobytes(), name
-                runs.append([part.xw0, part.h1, got.dense, got.m_edges])
+                runs.append([part.xw0_tiles, part.h1, got.dense,
+                             got.m_edges])
     for run in runs[1:]:
         assert all(x.tobytes() == y.tobytes() for x, y in zip(run, runs[0]))
 
@@ -697,9 +702,7 @@ def test_backward_kept_entries_are_the_full_gradients(monkeypatch, width,
     rng = np.random.default_rng(h)
     ds, params, _ = make_instance(rng, 40, f=30, h=h, edge_prob=0.08,
                                   dtype=dtype)
-    x_op = stored_csr(rng, (40, 30), 0.2, dtype, np.int32)
-    if x_kind == "dense":
-        x_op = x_op.toarray()
+    x_op = stored_csr(rng, (40, 30), X_DENSITY[x_kind], dtype, np.int32)
     mask = rng.random(params.weights.size) < 0.3
     order = nn.KeptOrder.of(mask, params.shapes, dtype)
     np.testing.assert_array_equal(np.sort(order.ids), np.flatnonzero(mask))
@@ -776,9 +779,9 @@ def test_split_forward_and_backward_match_one_worker(monkeypatch, trained):
             grads = backward(cache, ds.labels, ds.train_idx)
             seen.append(list(norm._memo.values()))
             # XW0 is kept only for the edge-mask gradient
-            assert (cache.xw0 is None) == (soft.edges is None)
+            assert (cache.xw0_tiles is None) == (soft.edges is None)
             out += [logits, cache.h1, grads.theta, grads.dense]
-            out += [] if grads.m_edges is None else [cache.xw0,
+            out += [] if grads.m_edges is None else [cache.xw0_tiles,
                                                      grads.m_edges]
         runs[count] = out
         record = seen[0][0]
@@ -802,7 +805,8 @@ def test_split_forward_and_backward_match_one_worker(monkeypatch, trained):
 def test_receptive_field_record_matches_brute_force(seed, x_kind, isolated):
     """The record's 1-hop and 2-hop sets, edge entries and X rows equal
     their definitions read off the dense masked adjacency, on random
-    graphs and masks; ``isolated`` trains on one node whose edges are all
+    graphs and masks, with bag-of-words or dense Gaussian features (X is
+    a CSR either way); ``isolated`` trains on one node whose edges are all
     masked. A second lookup with equal rows returns the same record."""
     rng = np.random.default_rng(seed)
     if x_kind == "csr":
@@ -816,7 +820,9 @@ def test_receptive_field_record_matches_brute_force(seed, x_kind, isolated):
         mask[(ds.edges == rows[0]).any(axis=1)] = False
     norm = nn.normalize_adjacency(ds, mask)
     x_op = nn.feature_operator(ds, np.float64)
-    assert sp.issparse(x_op) == (x_kind == "csr")
+    assert isinstance(x_op, sp.csr_matrix)
+    if x_kind == "dense":           # small, and every entry stored
+        assert x_op.nnz == ds.features.size <= 4096
     field = nn._receptive_field(norm, x_op, rows)
 
     n = ds.num_nodes
@@ -843,16 +849,13 @@ def test_receptive_field_record_matches_brute_force(seed, x_kind, isolated):
     np.testing.assert_array_equal(ends, np.sort(np.array(want).reshape(-1, 2),
                                                 axis=1))
 
-    if x_kind == "csr":
-        x = ds.features.astype(np.float64)
-        assert field.x_rows.shape == x.shape
-        assert not np.diff(field.x_rows.indptr)[~hop2].any()
-        np.testing.assert_array_equal(field.x_rows.toarray(),
-                                      np.where(hop2[:, None], x, 0.0))
-        assert field.x_t.has_sorted_indices
-        np.testing.assert_array_equal(field.x_t.toarray(), x[hop2].T)
-    else:
-        assert field.x_rows is None and field.x_t is None
+    x = ds.features.astype(np.float64)
+    assert field.x_rows.shape == x.shape
+    assert not np.diff(field.x_rows.indptr)[~hop2].any()
+    np.testing.assert_array_equal(field.x_rows.toarray(),
+                                  np.where(hop2[:, None], x, 0.0))
+    assert field.x_t.has_sorted_indices
+    np.testing.assert_array_equal(field.x_t.toarray(), x[hop2].T)
     assert field.x_op is x_op
     assert nn._receptive_field(norm, x_op, rows.copy()) is field
     assert len(norm._memo) == 1

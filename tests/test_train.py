@@ -293,7 +293,6 @@ def test_train_loops_share_one_feature_operator_per_dtype():
     ds = generate_sbm(2, 40, 0.3, 0.05, 64, seed=4)
     ds = dataclasses.replace(
         ds, features=(ds.features > 1.8).astype(np.float32))
-    assert ds.features.size > 4096 and ds.features.mean() < 0.25
 
     def loop(dtype):
         params = glorot_params(ds.num_features, 8, ds.num_classes, seed=0,
@@ -345,7 +344,6 @@ def test_fixed_mask_plan_matches_the_gated_loop(monkeypatch, dtype, x_kind,
     monkeypatch.setattr(nn.workers, "count", lambda: count)
     monkeypatch.setattr(optim, "_BLOCK", 4096)
     ds = sparse_x_sbm() if x_kind == "csr" else build()[0]
-    assert sp.issparse(nn.feature_operator(ds, dtype)) == (x_kind == "csr")
     params = glorot_params(ds.num_features, 300, ds.num_classes, seed=5,
                            dtype=dtype)
     rng = np.random.default_rng(6)
