@@ -285,12 +285,12 @@ def gcn_forward(params: GcnParams, soft: SoftMasks,
 
     Given ``rows``, only their receptive field is computed: X@W0 on their
     2-hop set, A@XW0 and the ReLU on their 1-hop set; the other rows of
-    XW0 and ``h1`` are zero. For
-    finite activations, the rows' logits and the gradients of a loss over
-    them equal the full forward's bit for bit: the restricted products
-    are scipy CSR ones that sum each row as the full product does, and
-    the BLAS products keep their full shape. Every other logit is
-    meaningless, so such a forward serves training only.
+    XW0 and ``h1`` are zero. For finite activations, the rows' logits and
+    the gradients of a loss over them equal the full forward's bit for
+    bit: the restricted products are scipy CSR ones that sum each row as
+    the full product does, and the BLAS products keep their full shape.
+    Every other logit is meaningless, so such a forward serves training
+    only.
     """
     dtype = params.weights.dtype
     if norm is None:
@@ -497,14 +497,16 @@ def backward(cache: ForwardCache, labels: np.ndarray, split: np.ndarray,
     # every other row is an exact zero. The restricted CSR/CSC products
     # sum each output's stored terms in the full product's order from +0,
     # and the terms they skip are exact zeros (for finite operands), so
-    # every gradient matches the full-graph sweep bit for bit. BLAS
-    # products that contract over nodes stay full: their sums depend on
-    # the contraction length.
+    # every gradient matches the full-graph sweep bit for bit. No BLAS
+    # product contracts over nodes, as its sums would depend on the
+    # contraction length and the BLAS pool size: einsum sums dW1 over n1
+    # in row order. It writes dW1^T, so that its inner loop runs along the
+    # H hidden units and not the C classes.
     a, norm = cache.a_eff, cache.norm     # a is symmetric by construction
     field = _receptive_field(norm, cache.x_op, split)
     n1, n2 = field.n1, field.n2
     dh1w1 = a @ g2
-    dw1_dense = cache.h1.T @ dh1w1
+    dw1 = np.einsum("ni,nj->ji", cache.h1[n1], dh1w1[n1]).T
     # A one-row product takes numpy's vector path, which rounds unlike a
     # row of the full product; so a lone n1 row is cut from the full one.
     ds1 = dh1w1[n1] @ cache.w1_eff.T if n1.size > 1 \
@@ -545,10 +547,10 @@ def backward(cache: ForwardCache, labels: np.ndarray, split: np.ndarray,
 
     _each_tile(k, layer1)
     if kept is None:
-        dense = grow_pool(dw0, dw1_dense)    # dw0 is fresh
+        dense = grow_pool(dw0, dw1)    # dw0 is fresh
     else:
         dense, cut = None, kept.cuts[-1]
-        np.take(dw1_dense.reshape(-1), kept.ids[cut:] - n_feat * h,
+        np.take(dw1.reshape(-1), kept.ids[cut:] - n_feat * h,
                 out=grad[cut:])
 
     soft, params, binary = cache.soft, cache.params, cache.binary

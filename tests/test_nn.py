@@ -299,7 +299,9 @@ def test_forward_shape_mismatch():
 def reference_gradients(cache, labels, split):
     """Every ``Gradients`` field from the full-graph sweep: each product
     over all N rows, and the edge-mask gradient from one einsum over every
-    stored entry, self-loops included and dropped afterwards."""
+    stored entry, self-loops included and dropped afterwards. dW1 is
+    summed over the nodes in row order by einsum, as the engine sums it:
+    a BLAS product over nodes would round by the BLAS pool size."""
     dtype = cache.logits.dtype
     n, c = cache.logits.shape
     g2 = np.zeros((n, c), dtype=dtype)
@@ -308,16 +310,16 @@ def reference_gradients(cache, labels, split):
     g2[split] = probs / split.size
     a = cache.a_eff
     dh1w1 = a @ g2
-    dw1 = cache.h1.T @ dh1w1
+    dw1 = np.einsum("ni,nj->ij", cache.h1, dh1w1)
     ds1 = (dh1w1 @ cache.w1_eff.T) * (cache.h1 > 0)
     dw0 = cache.x_op.T @ (a @ ds1)
-    xw0 = None if cache.xw0_tiles is None else cache.xw0_rows(np.arange(n))
 
     soft, params, binary = cache.soft, cache.params, cache.binary
     m_edges = None
     if soft.edges is not None:
         norm = cache.norm
         ri, ci = norm.entry_row, norm.entry_col
+        xw0 = cache.xw0_rows(np.arange(n))
         d_entry = np.einsum("ij,ij->i", g2[ri], cache.h1w1[ci])
         d_entry += np.einsum("ij,ij->i", ds1[ri], xw0[ci])
         e_of = norm.edge_of_entry

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,3 +145,51 @@ def test_split_kernels_under_thread_stress(monkeypatch):
             workers._pool.shutdown(wait=True)
     for split, serial in zip(runs[8], runs[1]):
         assert split.tobytes() == serial.tobytes()
+
+
+# One short fastglt arm on the bench's Cora-shaped graph at H=512, run by
+# ``test_artifacts_do_not_depend_on_the_blas_pool_size`` in a subprocess:
+# argv holds bench/inputs.py, the output directory and the config as JSON.
+_POOL_ARM = """
+import importlib.util, json, sys
+import fastglt
+from fastglt.config import config_from_dict
+from fastglt.harness import run_experiment
+spec = importlib.util.spec_from_file_location("bench_inputs", sys.argv[1])
+inputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(inputs)
+run_experiment(config_from_dict(json.loads(sys.argv[3])), sys.argv[2],
+               dataset=inputs.cora_shaped(1))
+"""
+
+
+def test_artifacts_do_not_depend_on_the_blas_pool_size(tmp_path):
+    """A Cora-shaped arm writes the same bytes at 1 and 2 BLAS threads,
+    ``report.json`` compared without its wall-clock ``timing``: no product
+    that sums over nodes runs in the BLAS, whose sums depend on the pool
+    size. The loss history would show such a product in its last bits."""
+    bench_inputs = Path(__file__).resolve().parents[1] / "bench/inputs.py"
+    config = json.dumps({
+        "dataset": "bench/inputs.py:cora_shaped(1)", "method": "fastglt",
+        "hidden": 512, "lr": 0.01, "s_g": 0.3, "s_theta": 0.8, "epochs": 3,
+        "denoise_epochs": 3, "interval": 1, "tau": 0.3, "retrain_epochs": 2,
+        "seed": 1})
+    runs = []
+    for pool in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k != "GLT_THREADS"}
+        env["OPENBLAS_NUM_THREADS"] = pool
+        out = tmp_path / f"blas{pool}"
+        proc = subprocess.run(
+            [sys.executable, "-c", _POOL_ARM, str(bench_inputs), str(out),
+             config], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        report = json.loads(files.pop("report.json"))
+        del report["timing"]
+        runs.append((report, files))
+    (report1, files1), (report2, files2) = runs
+    assert report1["history"]["search_loss"]
+    assert report1 == report2
+    assert files1.keys() == files2.keys() >= {"swaps.jsonl"}
+    for name in files1:
+        assert files1[name] == files2[name], name
