@@ -179,9 +179,10 @@ def _smallest_bits(s: np.ndarray, k: int) -> np.ndarray:
     """Bitset over ``s`` of its k smallest entries, ties at the k-th score
     filled in index order, as the head of a stable sort would hold them.
 
-    No sort: one partition finds the k-th score and every score below it
-    is picked. NaN ranks above every number, so a NaN k-th score picks
-    every number and fills with NaNs.
+    No sort: one partition finds the k-th score and one comparison picks
+    every score up to it; ties past the k-th slot are then dropped from
+    the top index down. NaN ranks above every number, so a NaN k-th score
+    picks every number and fills with NaNs.
     """
     if k == 0:
         return np.zeros(s.size, dtype=bool)
@@ -189,9 +190,13 @@ def _smallest_bits(s: np.ndarray, k: int) -> np.ndarray:
     if np.isnan(kth):
         tie = np.isnan(s)
         pick = ~tie
-    else:
-        pick, tie = s < kth, s == kth
-    pick[np.flatnonzero(tie)[:k - np.count_nonzero(pick)]] = True
+        pick[np.flatnonzero(tie)[:k - np.count_nonzero(pick)]] = True
+        return pick
+    pick = s <= kth
+    extra = np.count_nonzero(pick) - k
+    if extra:
+        tie = np.flatnonzero(s == kth)
+        pick[tie[tie.size - extra:]] = False
     return pick
 
 
@@ -207,9 +212,10 @@ def _bottom_k_set(scores: np.ndarray, eligible: np.ndarray, k: int,
 def _stable_order(s: np.ndarray) -> np.ndarray:
     """``np.argsort(s, kind="stable")`` (NaN last) from unstable sorts.
 
-    One sort groups equal scores (-0 and +0 tie, as do all NaNs). Without
-    a tie it is already the stable order; otherwise a second sort orders
-    the unique keys (tie group * size + position).
+    One argsort groups equal scores (-0 and +0 tie, as do all NaNs).
+    Without a tie it is already the stable order; otherwise one sort of
+    the integer keys tie group * size + position, which are unique, puts
+    each group's positions in index order.
     """
     n = s.size
     order = np.argsort(s)
@@ -219,9 +225,35 @@ def _stable_order(s: np.ndarray) -> np.ndarray:
     starts[1:] &= ~np.isnan(ranked[:-1])     # NaN sorts last: NaN ties NaN
     if starts.all():
         return order
-    group = np.empty(n, dtype=np.int64)
-    group[order] = np.cumsum(starts) - 1
-    return np.argsort(group * n + np.arange(n))
+    keys = (np.cumsum(starts) - 1) * n + order
+    keys.sort()
+    return keys % n
+
+
+# Stride of the sample that places a dense pool's cut. Prime, so that on a
+# row-major weight matrix the sample walks through every column.
+_SAMPLE_STRIDE = 61
+
+
+def _under_sampled_cut(scores: np.ndarray, eligible: np.ndarray, k: int,
+                       pool: int) -> np.ndarray:
+    """``eligible`` narrowed to the entries scoring at most a cut placed a
+    little past the k-th smallest of a strided sample of the pool, or
+    ``eligible`` itself where the sample is too small to place it or the
+    cut keeps fewer than k entries (a NaN cut keeps none).
+
+    Exact: with at least k entries under the cut, the k-th smallest score
+    is a number at most the cut, so every entry scoring up to it, its
+    ties included, is kept, in index order.
+    """
+    sample = scores[::_SAMPLE_STRIDE][eligible[::_SAMPLE_STRIDE]]
+    rank = math.ceil(1.25 * k / pool * sample.size) + 16
+    if rank >= sample.size // 2:
+        return eligible
+    cut = np.partition(sample, rank)[rank]
+    narrowed = scores <= cut
+    narrowed &= eligible
+    return narrowed if np.count_nonzero(narrowed) >= k else eligible
 
 
 def _bottom_k(scores: np.ndarray, eligible: np.ndarray, k: int,
@@ -230,17 +262,25 @@ def _bottom_k(scores: np.ndarray, eligible: np.ndarray, k: int,
 
     The order is that of a stable sort of the pool (NaN last); callers
     that only set mask bits use the cheaper ``_bottom_k_set``. Given
-    ``score``, a ufunc, the pool ranks by ``score(scores)``, which is only
-    computed on the pool's own gathered copy.
+    ``score``, a ufunc, the pool ranks by ``score(scores)``. A pool of at
+    least half the entries is first narrowed to those under a sampled cut
+    (``_under_sampled_cut``), so that a small k gathers and partitions
+    only them; a sparser pool is gathered whole, and ``score`` is then
+    computed on the gathered copy alone.
     """
-    pool = np.flatnonzero(eligible)
-    if k > pool.size:
-        raise ValueError(f"{what}: quota {k} exceeds pool of {pool.size}")
-    scores = scores[pool]
+    pool = np.count_nonzero(eligible)
+    if k > pool:
+        raise ValueError(f"{what}: quota {k} exceeds pool of {pool}")
+    if k and 2 * pool >= eligible.size:
+        if score is not None:
+            scores, score = score(scores), None
+        eligible = _under_sampled_cut(scores, eligible, k, pool)
+    idx = np.flatnonzero(eligible)
+    scores = scores[idx]
     if score is not None:
         score(scores, out=scores)
     pick = np.flatnonzero(_smallest_bits(scores, k))
-    return pool[pick[_stable_order(scores[pick])]]
+    return idx[pick[_stable_order(scores[pick])]]
 
 
 def one_shot_threshold(soft: np.ndarray, s: float) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fastglt.masks as masks
 from fastglt.masks import (BinaryMasks, SparsityPlan, _bottom_k,
                            _bottom_k_set, _stable_order, init_soft_masks,
                            intermediate_sparsity, kept_count, load_mask,
@@ -148,6 +149,43 @@ def test_order_free_cut_property(scores, data):
                                            max_size=len(scores))))
     check_order_free_cut(scores, eligible,
                          data.draw(st.integers(0, int(eligible.sum()))))
+
+
+@pytest.mark.parametrize("case", ["random", "ties", "nan", "cut_too_low"])
+def test_bottom_k_sampled_cut_is_exact(case, monkeypatch):
+    """A pool of at least half the entries is narrowed under a sampled cut
+    before it is ranked; the pick and its order stay those of the full
+    stable sort. Stride 2 places the cut for most k of a 400-entry pool;
+    a cut that keeps fewer than k entries (every sampled score below the
+    rest) falls back to the whole pool."""
+    rng = np.random.default_rng(11)
+    narrowed, cut = [], masks._under_sampled_cut
+
+    def spy(scores, eligible, k, pool):
+        out = cut(scores, eligible, k, pool)
+        narrowed.append(out is not eligible)
+        return out
+
+    monkeypatch.setattr(masks, "_under_sampled_cut", spy)
+    if case == "cut_too_low":
+        scores = np.ones(4000)
+        scores[::masks._SAMPLE_STRIDE] = 0.0
+        eligible = np.ones(4000, dtype=bool)
+        for k in (1, 50, 66, 67, 100, 800):
+            check_order_free_cut(scores, eligible, k)
+        # 66 sampled zeros: the cut keeps them alone, too few past k = 66
+        assert narrowed == [True, True, True, False, False, False]
+        return
+    monkeypatch.setattr(masks, "_SAMPLE_STRIDE", 2)
+    n = 400
+    scores = rng.normal(size=n) if case == "random" else \
+        rng.choice([-2.0, -0.0, 0.0, 0.5, 0.75, 1.0, 3.0, 9.0], n)
+    if case == "nan":
+        scores[rng.random(n) < 0.2] = np.nan
+    eligible = rng.random(n) < 0.8
+    for k in range(int(eligible.sum()) + 1):
+        check_order_free_cut(scores, eligible, k)
+    assert sum(narrowed) > 50
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
