@@ -15,11 +15,19 @@ from fastglt.masks import init_soft_masks, one_shot_threshold, sparsity
 from fastglt.train import train_oneshot_phase
 
 ds = generate_sbm(3, 60, 0.12, 0.025, 10, seed=3, mean_scale=0.25)
-params0 = glorot_params(ds.num_features, 24, ds.num_classes, seed=1)
+# One config describes every arm: 40 co-training epochs, and a full budget
+# of 40 + 80 = 120 epochs for the dense arm and each verification retrain.
+# Its precision (f32 by default) sets the dtype of the shared weights and
+# of the soft masks below.
+cfg = ExperimentConfig(epochs=40, denoise_epochs=80, lr=0.01, hidden=24,
+                       seed=1)
+params0 = glorot_params(ds.num_features, 24, ds.num_classes, seed=1,
+                        dtype=cfg.dtype)
 
 # --- the co-training phase --------------------------------------------------
 params = params0.fresh_copy()
-soft = init_soft_masks(ds, params.theta0.shape, params.theta1.shape, seed=1)
+soft = init_soft_masks(ds, params.theta0.shape, params.theta1.shape, seed=1,
+                       dtype=cfg.dtype)
 phase = train_oneshot_phase(ds, params, soft, epochs=40, lr=0.01)
 print(f"co-training: best val acc {phase.best_val_acc:.3f} at epoch "
       f"{phase.best_epoch}; masks snapshotted there")
@@ -38,10 +46,6 @@ for s_tgt in (0.3, 0.6, 0.9):
           f"(achieved {sparsity(bits):.4f})")
 
 # --- one-shot-only tickets vs the dense reference ----------------------------
-# One config describes every arm: 40 co-training epochs, and a full budget
-# of 40 + 80 = 120 epochs for the dense arm and each verification retrain.
-cfg = ExperimentConfig(epochs=40, denoise_epochs=80, lr=0.01, hidden=24,
-                       seed=1)
 dense = run_dense(ds, cfg.replace(method="dense"), params0)
 print(f"\ndense reference: test acc {dense.report.acc_retrained:.3f}")
 for s_g in (0.2, 0.4, 0.6):

@@ -37,11 +37,13 @@ print(f"landing: {kept_e} kept edges (target {sched.graph.kept_target}), "
 
 # --- a full search on a synthetic graph ---------------------------------------
 ds = generate_sbm(3, 60, 0.12, 0.025, 10, seed=3, mean_scale=0.25)
-params0 = glorot_params(ds.num_features, 24, ds.num_classes, seed=1)
 # 40 one-shot epochs, then 80 denoising epochs in intervals of 10; the
 # dense arm and the verification retrain each get the full 120
 cfg = ExperimentConfig(s_g=0.4, s_theta=0.6, epochs=40, denoise_epochs=80,
                        interval=10, lr=0.01, hidden=24, seed=1)
+# the shared initialization takes the config's precision (f32 by default)
+params0 = glorot_params(ds.num_features, 24, ds.num_classes, seed=1,
+                        dtype=cfg.dtype)
 dense = run_dense(ds, cfg.replace(method="dense"), params0)
 
 res = run_fastglt(ds, cfg, params0)

@@ -36,7 +36,7 @@ class ExperimentConfig:
     lr: float = 0.001
     hidden: int = 512
     seed: int = 0
-    precision: str = "f64"
+    precision: str = "f32"
     retrain_epochs: int | None = None
     imp_p_g: float = 0.05
     imp_p_theta: float = 0.2

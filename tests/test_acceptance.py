@@ -72,7 +72,7 @@ def sbm():
 @pytest.fixture(scope="module")
 def sbm_inits(sbm):
     return {s: glorot_params(sbm.num_features, SBM_HIDDEN, sbm.num_classes,
-                             seed=s) for s in TRIAL_SEEDS}
+                             seed=s, dtype=SBM_CFG.dtype) for s in TRIAL_SEEDS}
 
 
 @pytest.fixture(scope="module")

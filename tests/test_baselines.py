@@ -75,11 +75,11 @@ def test_imp_geometric_sparsity(ds):
 
 
 def test_imp_rewind_restores_init(ds):
-    params0 = glorot_params(ds.num_features, 8, ds.num_classes, seed=4)
-    res = run_imp(ds, imp_config(imp_p_g=0.2, imp_p_theta=0.2,
-                                 imp_epochs_per_round=2, s_g=0.3,
-                                 s_theta=0.3, seed=4, retrain_epochs=2),
-                  params0)
+    cfg = imp_config(imp_p_g=0.2, imp_p_theta=0.2, imp_epochs_per_round=2,
+                     s_g=0.3, s_theta=0.3, seed=4, retrain_epochs=2)
+    params0 = glorot_params(ds.num_features, 8, ds.num_classes, seed=4,
+                            dtype=cfg.dtype)
+    res = run_imp(ds, cfg, params0)
     np.testing.assert_array_equal(res.params.init, params0.init)
     # verification retrains from the same initialization
     assert res.report.extra["rounds"] == 2
@@ -149,8 +149,9 @@ def test_run_random_dense_degenerate(ds):
 
 
 def test_run_oneshot_only_degenerate_equals_dense(ds):
-    params0 = glorot_params(ds.num_features, 8, ds.num_classes, seed=5)
     cfg = ExperimentConfig(epochs=8, denoise_epochs=12, seed=5, lr=0.01)
+    params0 = glorot_params(ds.num_features, 8, ds.num_classes, seed=5,
+                            dtype=cfg.dtype)
     res = run_oneshot_only(ds, cfg.replace(method="oneshot"), params0)
     dense = run_dense(ds, cfg.replace(method="dense"), params0)
     # the verification retrain of an unpruned ticket is the dense training
@@ -167,8 +168,9 @@ def test_run_oneshot_only_reaches_targets(ds):
 
 
 def test_shared_init_across_arms(ds):
-    params0 = glorot_params(ds.num_features, 8, ds.num_classes, seed=11)
     cfg = ExperimentConfig(epochs=5, denoise_epochs=0, seed=11, lr=0.01)
+    params0 = glorot_params(ds.num_features, 8, ds.num_classes, seed=11,
+                            dtype=cfg.dtype)
     a = run_dense(ds, cfg.replace(method="dense"), params0)
     b = run_random(ds, cfg.replace(method="random", s_g=0.2, s_theta=0.2),
                    params0)

@@ -156,12 +156,13 @@ def artifacts(out):
 ARMS = {
     # interval 1: a boundary after every denoise epoch
     "fastglt-f64": dict(method="fastglt", s_g=0.3, s_theta=0.6, epochs=6,
-                        denoise_epochs=6, interval=1, tau=0.3),
+                        denoise_epochs=6, interval=1, tau=0.3,
+                        precision="f64"),
     "fastglt-f32": dict(method="fastglt", s_g=0.3, s_theta=0.6, epochs=6,
                         denoise_epochs=6, interval=1, tau=0.3,
                         precision="f32"),
     "imp": dict(method="imp", s_g=0.3, s_theta=0.6, imp_p_g=0.2,
-                imp_p_theta=0.3, imp_epochs_per_round=5),
+                imp_p_theta=0.3, imp_epochs_per_round=5, precision="f64"),
 }
 
 

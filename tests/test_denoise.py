@@ -409,11 +409,12 @@ def test_run_fastglt_degenerate_targets(desk_sbm):
 def test_run_fastglt_ticket_quality(desk_sbm):
     from fastglt.baselines import run_dense
     from fastglt.nn import glorot_params
+    dense_cfg = ExperimentConfig(method="dense", epochs=15,
+                                 denoise_epochs=40, seed=7, lr=0.01)
     params0 = glorot_params(desk_sbm.num_features, 16,
-                            desk_sbm.num_classes, seed=7)
-    dense = run_dense(desk_sbm, ExperimentConfig(
-        method="dense", epochs=15, denoise_epochs=40, seed=7, lr=0.01),
-        params0)
+                            desk_sbm.num_classes, seed=7,
+                            dtype=dense_cfg.dtype)
+    dense = run_dense(desk_sbm, dense_cfg, params0)
     res = run_small(desk_sbm, s_g=0.2, s_theta=0.5, seed=7, params0=params0)
     assert res.report.acc_retrained >= dense.report.acc_inplace - 0.05
 

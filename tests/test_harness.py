@@ -40,7 +40,7 @@ def test_every_field_round_trips_from_its_string_form():
     config = ExperimentConfig(
         dataset=DESK_SBM, method="imp", s_g=0.3, s_theta=0.55, epochs=7,
         denoise_epochs=11, interval=3, tau=0.25, kappa=1.5, alpha=0.02,
-        beta=1.1, lr=0.005, hidden=24, seed=13, precision="f32",
+        beta=1.1, lr=0.005, hidden=24, seed=13, precision="f64",
         retrain_epochs=9, imp_p_g=0.1, imp_p_theta=0.35,
         imp_epochs_per_round=4)
     defaults = ExperimentConfig()
@@ -418,14 +418,15 @@ def test_cli_analyze_without_a_dense_arm(tmp_path):
 
 
 def test_cli_precision_flag(tmp_path):
-    out = tmp_path / "f32"
-    proc = _glt("run", "--out", str(out), "--precision", "f32",
+    """The flag selects the non-default precision, f64."""
+    out = tmp_path / "f64"
+    proc = _glt("run", "--out", str(out), "--precision", "f64",
                 "--set", f"dataset={DESK_SBM}", "--set", "method=dense",
                 "--set", "epochs=2", "--set", "denoise_epochs=2",
                 "--set", "hidden=4", "--set", "lr=0.01")
     assert proc.returncode == 0, proc.stderr
     report = json.loads((out / "report.json").read_text())
-    assert report["config"]["precision"] == "f32"
+    assert report["config"]["precision"] == "f64"
 
 
 def test_fig2_one_shot_artifacts_replay_one_cotraining_run(tmp_path):

@@ -29,6 +29,47 @@ def test_zero_gradient_is_fixed_point():
     np.testing.assert_array_equal(p, [1.5, -2.0])
 
 
+def test_f32_step_keeps_eps_and_exact_zero_steps():
+    """Adam on f32 tensors: EPS = 1e-8 stays visible next to sqrt(v_hat),
+    and an entry with zero gradient and zero moments takes an exact 0 step.
+
+    After the first step sqrt(v_hat) = |g|, so the step is
+    lr * g / (|g| + EPS): lr/2 at |g| = EPS, lr/101 at |g| = EPS/100, and
+    lr/(1 + 1e-4) at |g| = 1e4 EPS, all normal f32 numbers (v = 1e-3 g^2
+    down to 1e-23). Dropping EPS, or losing it to f32 rounding, would give
+    a step of lr at every |g|. Each step agrees with the f64 formula on
+    the same f32 inputs to a few f32 ulps (read exactly, as each moving
+    entry starts at 0); entries whose gradient is zero at every step,
+    among them -0.0 and 0 weights, keep their bits.
+    """
+    eps32 = np.finfo(np.float32).eps
+    lr = 0.001
+    g = np.array([1e-8, -1e-8, 1e-10, 1e-4, 1.0, 0.0, 0.0, -0.0],
+                 dtype=np.float32)
+    p = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.75, -0.0, 0.0],
+                 dtype=np.float32)        # moving entries from 0: p = -step
+    frozen = g == 0
+    before = p.copy()
+    state = AdamState.for_param(p, lr=lr)
+    adam_step(state, p, g, name="p")
+    assert p.dtype == np.float32
+    step = -p.astype(np.float64)
+    g64 = g.astype(np.float64)
+    want = lr * g64 / (np.abs(g64) + 1e-8)
+    moving = ~frozen
+    np.testing.assert_allclose(step[moving], want[moving],
+                               rtol=16 * eps32)
+    np.testing.assert_allclose(step[:3], [lr / 2, -lr / 2, lr / 101],
+                               rtol=16 * eps32)
+    assert abs(step[3] - lr) > 100 * eps32 * lr    # lr/(1 + 1e-4): 839 eps
+    assert p[frozen].tobytes() == before[frozen].tobytes()
+    for t in range(2, 30):
+        g_t = np.where(frozen, np.float32(0), g * np.float32(t % 3 - 1))
+        adam_step(state, p, g_t, name="p")
+        assert p[frozen].tobytes() == before[frozen].tobytes()
+        assert not state.m[frozen].any() and not state.v[frozen].any()
+
+
 def test_first_step_magnitude():
     p = np.array([0.0])
     state = AdamState.for_param(p)
