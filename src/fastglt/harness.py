@@ -260,15 +260,20 @@ def run_suite(suite: dict | str | Path, out_dir: str | Path) -> SuiteOutcome:
     base = config_from_dict(shared)
     dataset = parse_dataset_spec(base.dataset)
     params0 = make_params0(dataset, base)
+    # an arm at another precision starts from the same draw at its dtype
+    inits = {base.precision: params0}
 
     outcome = SuiteOutcome(reports=[], arm_dirs=[])
     dense_acc = None
     for i, overrides in enumerate(arms):
         arm_cfg = config_from_dict({**shared, **overrides})
         arm_dir = out / f"arm_{i:02d}_{arm_cfg.method}"
+        if arm_cfg.precision not in inits:
+            inits[arm_cfg.precision] = make_params0(
+                dataset, base.replace(precision=arm_cfg.precision))
         try:
             run = run_experiment(arm_cfg, arm_dir, dataset=dataset,
-                                 params0=params0)
+                                 params0=inits[arm_cfg.precision])
         except Exception:
             outcome.failed_arm = arm_cfg.method
             _write_summary(out, outcome)

@@ -179,10 +179,9 @@ def _smallest_bits(s: np.ndarray, k: int) -> np.ndarray:
     """Bitset over ``s`` of its k smallest entries, ties at the k-th score
     filled in index order, as the head of a stable sort would hold them.
 
-    No sort: one partition finds the k-th score and one comparison picks
-    every score up to it; ties past the k-th slot are then dropped from
-    the top index down. NaN ranks above every number, so a NaN k-th score
-    picks every number and fills with NaNs.
+    No sort: one partition finds the k-th score and every score below it
+    is picked. NaN ranks above every number, so a NaN k-th score picks
+    every number and fills with NaNs.
     """
     if k == 0:
         return np.zeros(s.size, dtype=bool)
@@ -190,13 +189,9 @@ def _smallest_bits(s: np.ndarray, k: int) -> np.ndarray:
     if np.isnan(kth):
         tie = np.isnan(s)
         pick = ~tie
-        pick[np.flatnonzero(tie)[:k - np.count_nonzero(pick)]] = True
-        return pick
-    pick = s <= kth
-    extra = np.count_nonzero(pick) - k
-    if extra:
-        tie = np.flatnonzero(s == kth)
-        pick[tie[tie.size - extra:]] = False
+    else:
+        pick, tie = s < kth, s == kth
+    pick[np.flatnonzero(tie)[:k - np.count_nonzero(pick)]] = True
     return pick
 
 
@@ -230,30 +225,27 @@ def _stable_order(s: np.ndarray) -> np.ndarray:
     return keys % n
 
 
-# Stride of the sample that places a dense pool's cut. Prime, so that on a
+# Stride of the sample that places a pool's cut. Prime, so that on a
 # row-major weight matrix the sample walks through every column.
 _SAMPLE_STRIDE = 61
 
 
-def _under_sampled_cut(scores: np.ndarray, eligible: np.ndarray, k: int,
-                       pool: int) -> np.ndarray:
-    """``eligible`` narrowed to the entries scoring at most a cut placed a
-    little past the k-th smallest of a strided sample of the pool, or
-    ``eligible`` itself where the sample is too small to place it or the
-    cut keeps fewer than k entries (a NaN cut keeps none).
+def _under_sampled_cut(s: np.ndarray, k: int) -> np.ndarray | None:
+    """Positions of the entries of ``s`` scoring at most a cut placed a
+    little past the k-th smallest of a strided sample, in index order; None
+    where the sample is too small to place the cut or fewer than k entries
+    fall under it (a NaN cut keeps none).
 
     Exact: with at least k entries under the cut, the k-th smallest score
-    is a number at most the cut, so every entry scoring up to it, its
-    ties included, is kept, in index order.
+    is a number at most the cut, so every entry scoring up to it, its ties
+    included, is kept.
     """
-    sample = scores[::_SAMPLE_STRIDE][eligible[::_SAMPLE_STRIDE]]
-    rank = math.ceil(1.25 * k / pool * sample.size) + 16
+    sample = s[::_SAMPLE_STRIDE]
+    rank = math.ceil(1.25 * k / s.size * sample.size) + 16
     if rank >= sample.size // 2:
-        return eligible
-    cut = np.partition(sample, rank)[rank]
-    narrowed = scores <= cut
-    narrowed &= eligible
-    return narrowed if np.count_nonzero(narrowed) >= k else eligible
+        return None
+    under = np.flatnonzero(s <= np.partition(sample, rank)[rank])
+    return under if under.size >= k else None
 
 
 def _bottom_k(scores: np.ndarray, eligible: np.ndarray, k: int,
@@ -262,25 +254,22 @@ def _bottom_k(scores: np.ndarray, eligible: np.ndarray, k: int,
 
     The order is that of a stable sort of the pool (NaN last); callers
     that only set mask bits use the cheaper ``_bottom_k_set``. Given
-    ``score``, a ufunc, the pool ranks by ``score(scores)``. A pool of at
-    least half the entries is first narrowed to those under a sampled cut
-    (``_under_sampled_cut``), so that a small k gathers and partitions
-    only them; a sparser pool is gathered whole, and ``score`` is then
-    computed on the gathered copy alone.
+    ``score``, a ufunc, the pool ranks by ``score(scores)``, which is only
+    computed on the pool's own gathered copy. The pick is then made among
+    the entries under a sampled cut (``_under_sampled_cut``), so that a
+    small k partitions only them.
     """
-    pool = np.count_nonzero(eligible)
-    if k > pool:
-        raise ValueError(f"{what}: quota {k} exceeds pool of {pool}")
-    if k and 2 * pool >= eligible.size:
-        if score is not None:
-            scores, score = score(scores), None
-        eligible = _under_sampled_cut(scores, eligible, k, pool)
-    idx = np.flatnonzero(eligible)
-    scores = scores[idx]
+    pool = np.flatnonzero(eligible)
+    if k > pool.size:
+        raise ValueError(f"{what}: quota {k} exceeds pool of {pool.size}")
+    scores = scores[pool]
     if score is not None:
         score(scores, out=scores)
+    under = _under_sampled_cut(scores, k) if k else None
+    if under is not None:
+        pool, scores = pool[under], scores[under]
     pick = np.flatnonzero(_smallest_bits(scores, k))
-    return idx[pick[_stable_order(scores[pick])]]
+    return pool[pick[_stable_order(scores[pick])]]
 
 
 def one_shot_threshold(soft: np.ndarray, s: float) -> np.ndarray:

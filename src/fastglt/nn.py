@@ -110,9 +110,15 @@ def arm_params(dataset: Dataset, params0: GcnParams | None,
     """Starting weights of one method arm: a fresh copy of the shared
     initialization ``params0`` when given, else a new Glorot draw from the
     config's width, seed and precision. Every arm calls it first, so it
-    validates the config for them."""
+    validates the config for them, and refuses a ``params0`` drawn at
+    another dtype than the config's precision."""
     config.validate()
     if params0 is not None:
+        if params0.weights.dtype != config.dtype:
+            raise ValueError(
+                f"params0 is {params0.weights.dtype}, but precision "
+                f"{config.precision!r} trains {config.dtype}; "
+                f"draw it with dtype=config.dtype")
         return params0.fresh_copy()
     return glorot_params(dataset.num_features, config.hidden,
                          dataset.num_classes, seed=config.seed,

@@ -15,6 +15,13 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--cora-parity", action="store_true",
+        help="also run the f32/f64 parity check on the bench's Cora-shaped "
+             "workloads, seeds 1-5 (about a minute)")
+
+
 def tiny_dataset(edges, num_nodes, num_classes=2, num_features=3, seed=0,
                  labels=None):
     """Hand-built dataset for structural tests."""

@@ -52,6 +52,23 @@ def test_every_arm_validates_its_config(ds, method, arm):
         arm(ds, config)
 
 
+@pytest.mark.parametrize("method, arm", [
+    ("dense", run_dense), ("fastglt", run_fastglt), ("imp", run_imp),
+    ("random", run_random), ("oneshot", run_oneshot_only)])
+@pytest.mark.parametrize("precision, dtype", [("f32", np.float64),
+                                              ("f64", np.float32)])
+def test_every_arm_refuses_params0_at_another_dtype(ds, method, arm,
+                                                    precision, dtype):
+    """A shared initialization drawn at another dtype than the config's
+    precision would train mixed: weights and Adam state at the one, soft
+    masks at the other. Every arm refuses it before training."""
+    config = ExperimentConfig(method=method, hidden=8, precision=precision)
+    params0 = glorot_params(ds.num_features, 8, ds.num_classes, seed=1,
+                            dtype=dtype)
+    with pytest.raises(ValueError, match="params0 is"):
+        arm(ds, config, params0)
+
+
 def test_imp_one_round_arithmetic(ds):
     # 5% of the kept edges go per round
     res = run_imp(ds, imp_config(imp_p_g=0.05, imp_p_theta=0.0,

@@ -7,6 +7,7 @@ from the mask files. These tests catch a library change that would break
 bench/ and do not modify it."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,8 @@ def _load(name: str):
     spec = importlib.util.spec_from_file_location(
         f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # registered first: a dataclass defined there looks its module up
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 

@@ -136,6 +136,27 @@ def test_suite_shares_initialization(tmp_path):
     assert outcome.reports[0].relative_time == 1.0
 
 
+def test_suite_arm_at_another_precision(tmp_path):
+    """An arm that overrides the suite's precision starts from the shared
+    draw at its own dtype: the same bytes as the arm run alone."""
+    shared = {"dataset": DESK_SBM, "epochs": 5, "denoise_epochs": 10,
+              "interval": 5, "hidden": 8, "lr": 0.01, "seed": 3,
+              "s_g": 0.2, "s_theta": 0.3}
+    arm = {"method": "fastglt", "precision": "f64"}
+    run_suite({"shared": shared, "arms": [arm]}, tmp_path / "suite")
+    run_experiment(config_from_dict({**shared, **arm}), tmp_path / "alone")
+    reports = []
+    for d in (tmp_path / "suite" / "arm_01_fastglt", tmp_path / "alone"):
+        report = json.loads((d / "report.json").read_text())
+        report.pop("timing")
+        reports.append(report)
+        assert report["config"]["precision"] == "f64"
+    assert reports[0] == reports[1]
+    for name in ("masks_theta0.gltm", "soft_edges.f32", "swaps.jsonl"):
+        assert (tmp_path / "suite" / "arm_01_fastglt" / name).read_bytes() \
+            == (tmp_path / "alone" / name).read_bytes()
+
+
 def test_suite_artifact_set_per_method(tmp_path):
     suite = {"shared": {"dataset": DESK_SBM, "epochs": 4,
                         "denoise_epochs": 8, "interval": 4, "hidden": 8,

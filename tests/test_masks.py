@@ -151,19 +151,21 @@ def test_order_free_cut_property(scores, data):
                          data.draw(st.integers(0, int(eligible.sum()))))
 
 
-@pytest.mark.parametrize("case", ["random", "ties", "nan", "cut_too_low"])
+@pytest.mark.parametrize("case", ["random", "ties", "nan", "cut_too_low",
+                                  "sparse_pool"])
 def test_bottom_k_sampled_cut_is_exact(case, monkeypatch):
-    """A pool of at least half the entries is narrowed under a sampled cut
-    before it is ranked; the pick and its order stay those of the full
-    stable sort. Stride 2 places the cut for most k of a 400-entry pool;
-    a cut that keeps fewer than k entries (every sampled score below the
-    rest) falls back to the whole pool."""
+    """Every pool is ranked among the entries under a sampled cut; the
+    pick and its order stay those of the full stable sort. Stride 2 places
+    the cut for most k of a 400-entry pool; a cut that keeps fewer than k
+    entries (every sampled score below the rest) falls back to the whole
+    pool. The sample is drawn from the pool's gathered scores, so a pool
+    of a tenth of the entries is cut as readily as a dense one."""
     rng = np.random.default_rng(11)
     narrowed, cut = [], masks._under_sampled_cut
 
-    def spy(scores, eligible, k, pool):
-        out = cut(scores, eligible, k, pool)
-        narrowed.append(out is not eligible)
+    def spy(s, k):
+        out = cut(s, k)
+        narrowed.append(out is not None)
         return out
 
     monkeypatch.setattr(masks, "_under_sampled_cut", spy)
@@ -177,12 +179,12 @@ def test_bottom_k_sampled_cut_is_exact(case, monkeypatch):
         assert narrowed == [True, True, True, False, False, False]
         return
     monkeypatch.setattr(masks, "_SAMPLE_STRIDE", 2)
-    n = 400
-    scores = rng.normal(size=n) if case == "random" else \
+    n = 4000 if case == "sparse_pool" else 400
+    scores = rng.normal(size=n) if case in ("random", "sparse_pool") else \
         rng.choice([-2.0, -0.0, 0.0, 0.5, 0.75, 1.0, 3.0, 9.0], n)
     if case == "nan":
         scores[rng.random(n) < 0.2] = np.nan
-    eligible = rng.random(n) < 0.8
+    eligible = rng.random(n) < (0.1 if case == "sparse_pool" else 0.8)
     for k in range(int(eligible.sum()) + 1):
         check_order_free_cut(scores, eligible, k)
     assert sum(narrowed) > 50
