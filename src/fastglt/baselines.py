@@ -12,7 +12,7 @@ import numpy as np
 from .analysis import ArmResult, finish_arm
 from .config import ExperimentConfig
 from .data import Dataset
-from .masks import (BinaryMasks, _bottom_k_set, _round_half_up,
+from .masks import (BinaryMasks, _bottom_k, _round_half_up,
                     init_soft_masks, kept_count, random_bits,
                     threshold_masks)
 from .nn import GcnParams, arm_params, evaluate_accuracy
@@ -92,8 +92,8 @@ def imp_search(dataset: Dataset, config: ExperimentConfig,
                 if kept_e - n_drop < next_level_kept:
                     n_drop = kept_e - next_level_kept
             new_edges = binary.edges.copy()
-            new_edges[_bottom_k_set(np.abs(best.edges), binary.edges,
-                                    n_drop, "imp edges")] = False
+            new_edges[_bottom_k(best.edges, binary.edges, n_drop,
+                                "imp edges", score=np.abs)] = False
             for lvl in pending_levels:
                 if int(new_edges.sum()) == level_kept[lvl]:
                     level_masks[lvl] = new_edges.copy()
@@ -102,8 +102,8 @@ def imp_search(dataset: Dataset, config: ExperimentConfig,
         if kept_w > tgt_kept_w:
             n_drop = max(_round_half_up(p_theta * kept_w), 1)
             new_weights = binary.weights.copy()
-            new_weights[_bottom_k_set(np.abs(best.weights), binary.weights,
-                                      n_drop, "imp weights")] = False
+            new_weights[_bottom_k(best.weights, binary.weights, n_drop,
+                                  "imp weights", score=np.abs)] = False
 
         binary = BinaryMasks.pooled(new_weights, binary.shapes,
                                     edges=new_edges)

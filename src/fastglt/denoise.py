@@ -26,7 +26,7 @@ from .graph import edge_degree_scores
 from .masks import (BinaryMasks, SoftMasks, SparsityPlan, _bottom_k,
                     _round_half_up, init_soft_masks, kept_count,
                     threshold_masks, write_atomic)
-from .nn import GcnParams, arm_params, evaluate_accuracy
+from .nn import GcnParams, arm_params
 from .optim import NonFiniteGradient
 from .train import TrainLoop, train_oneshot_phase
 
@@ -148,7 +148,9 @@ def discover_potential(binary: BinaryMasks, grad_acc: np.ndarray,
 
 @dataclass
 class SwapRecord:
-    """Audit trail of one interval boundary's mask update."""
+    """Audit trail of one interval boundary's mask update. Each id array
+    is ascending, as ``_bottom_k`` picks them; ``export_swaps`` refuses
+    any other."""
 
     interval: int
     edges_removed: np.ndarray
@@ -175,10 +177,62 @@ class SwapRecord:
                 for k, v in values.items()}
 
 
+# Powers 10^1 .. 10^18: an int64 id below 10^d has at most d digits.
+_DECADES = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _json_ids(ids: np.ndarray) -> bytes:
+    """``json.dumps(ids.tolist())`` of ascending non-negative integer ids.
+
+    Ascending ids fall into runs of equal digit count, found by one
+    search against the powers of ten. Each run is one block of
+    fixed-width rows (its digits, then ", "), written a digit column at a
+    time, so no id becomes a Python int.
+    """
+    ids = np.asarray(ids)
+    if ids.size == 0:
+        return b"[]"
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"swap ids must be integers, got {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False)
+    if ids[0] < 0 or (ids[1:] < ids[:-1]).any():
+        raise ValueError("swap ids must be ascending and non-negative")
+    ends = np.append(np.searchsorted(ids, _DECADES), ids.size)
+    # the ids of 1 .. 19 digits, each row its digits and ", "
+    counts = np.diff(ends, prepend=0)
+    out = np.empty(int(counts @ np.arange(3, 22)), dtype=np.uint8)
+    start = pos = 0
+    for width, end in enumerate(ends, 1):
+        if end == start:
+            continue
+        block = out[pos:pos + (end - start) * (width + 2)]
+        block = block.reshape(end - start, width + 2)
+        block[:, width:] = (ord(","), ord(" "))
+        rest = ids[start:end]
+        for col in range(width - 1, -1, -1):
+            quot = rest // 10       # one division per digit, not two
+            block[:, col] = rest - 10 * quot + ord("0")
+            rest = quot
+        pos += block.size
+        start = end
+    return b"[" + out[:-2].tobytes() + b"]"
+
+
+def _swap_line(rec: SwapRecord) -> bytes:
+    """``json.dumps(rec.as_dict()) + "\\n"``, the id lists by ``_json_ids``."""
+    items = []
+    for f in fields(rec):
+        value = getattr(rec, f.name)
+        text = _json_ids(value) if isinstance(value, np.ndarray) \
+            else json.dumps(value).encode()
+        items.append(json.dumps(f.name).encode() + b": " + text)
+    return b"{" + b", ".join(items) + b"}\n"
+
+
 def export_swaps(swaps: list[SwapRecord], path: str | Path) -> None:
-    """One JSON object per line, one line per interval."""
-    write_atomic(path, "".join(json.dumps(rec.as_dict()) + "\n"
-                               for rec in swaps).encode())
+    """One JSON object per line, one line per interval: the bytes of
+    ``json.dumps(rec.as_dict())``, each id list ascending."""
+    write_atomic(path, b"".join(_swap_line(rec) for rec in swaps))
 
 
 def _swap_bits(mask: np.ndarray, remove: np.ndarray, add: np.ndarray,
@@ -264,14 +318,12 @@ def run_fastglt(dataset: Dataset, config: ExperimentConfig,
     loop = TrainLoop(dataset, params, soft_dn, binary=binary, lr=lr)
     grad_acc = np.zeros(binary.weight_universe, dtype=np.float64)
     swaps: list[SwapRecord] = []
-    history = list(oneshot.history)
-    for mu in range(1, schedule.mu_end + 1):
-        epochs = min(interval, config.denoise_epochs - (mu - 1) * interval)
-        try:
-            history += loop.train(epochs, grad_acc).history
-        except NonFiniteGradient as exc:
-            exc.context["interval"] = mu
-            raise
+
+    def boundary() -> None:
+        """Interval ``len(swaps) + 1``'s swap, run by ``loop.train`` after
+        the interval's last update and before its evaluation forward."""
+        nonlocal binary
+        mu = len(swaps) + 1
         quotas = interval_quotas(mu, schedule, int(binary.edges.sum()),
                                  binary.kept_weights)
         noisy = identify_noisy(binary, soft_dn.edges, params, quotas)
@@ -307,13 +359,23 @@ def run_fastglt(dataset: Dataset, config: ExperimentConfig,
         grad_acc[:] = 0.0
         swaps.append(record)
 
+    history = list(oneshot.history)
+    for mu in range(1, schedule.mu_end + 1):
+        epochs = min(interval, config.denoise_epochs - (mu - 1) * interval)
+        try:
+            interval_run = loop.train(epochs, grad_acc, boundary)
+        except NonFiniteGradient as exc:
+            exc.context["interval"] = mu
+            raise
+        history += interval_run.history
+    del loop    # and with it the kept forward, before verification runs
+
     assert int(binary.edges.sum()) == schedule.graph.kept_target
     assert binary.kept_weights == schedule.weights.kept_target
     t_denoise = time.perf_counter()
 
-    acc_inplace = evaluate_accuracy(params, soft_dn, binary, dataset,
-                                    dataset.test_idx, norm=loop.norm,
-                                    x_op=loop.x_op)
+    # the last epoch's test accuracy is taken under the final masks
+    acc_inplace = interval_run.final_test
     return finish_arm(
         "fastglt", config, dataset, params, binary, t_start,
         {"oneshot": t_oneshot, "denoise": t_denoise},

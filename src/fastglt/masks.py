@@ -195,36 +195,6 @@ def _smallest_bits(s: np.ndarray, k: int) -> np.ndarray:
     return pick
 
 
-def _bottom_k_set(scores: np.ndarray, eligible: np.ndarray, k: int,
-                  what: str) -> np.ndarray:
-    """The eligible indices that ``_bottom_k`` picks, in index order."""
-    pool = np.flatnonzero(eligible)
-    if k > pool.size:
-        raise ValueError(f"{what}: quota {k} exceeds pool of {pool.size}")
-    return pool[np.flatnonzero(_smallest_bits(scores[pool], k))]
-
-
-def _stable_order(s: np.ndarray) -> np.ndarray:
-    """``np.argsort(s, kind="stable")`` (NaN last) from unstable sorts.
-
-    One argsort groups equal scores (-0 and +0 tie, as do all NaNs).
-    Without a tie it is already the stable order; otherwise one sort of
-    the integer keys tie group * size + position, which are unique, puts
-    each group's positions in index order.
-    """
-    n = s.size
-    order = np.argsort(s)
-    ranked = s[order]
-    starts = np.ones(n, dtype=bool)          # first of its tie group
-    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
-    starts[1:] &= ~np.isnan(ranked[:-1])     # NaN sorts last: NaN ties NaN
-    if starts.all():
-        return order
-    keys = (np.cumsum(starts) - 1) * n + order
-    keys.sort()
-    return keys % n
-
-
 # Stride of the sample that places a pool's cut. Prime, so that on a
 # row-major weight matrix the sample walks through every column.
 _SAMPLE_STRIDE = 61
@@ -250,14 +220,14 @@ def _under_sampled_cut(s: np.ndarray, k: int) -> np.ndarray | None:
 
 def _bottom_k(scores: np.ndarray, eligible: np.ndarray, k: int,
               what: str, score=None) -> np.ndarray:
-    """Indices of the k smallest-score eligible entries, ties by index.
+    """Indices of the k smallest-score eligible entries, in ascending
+    index order: the set a stable sort of the pool (NaN last) puts first,
+    ties going to the lower index.
 
-    The order is that of a stable sort of the pool (NaN last); callers
-    that only set mask bits use the cheaper ``_bottom_k_set``. Given
-    ``score``, a ufunc, the pool ranks by ``score(scores)``, which is only
-    computed on the pool's own gathered copy. The pick is then made among
-    the entries under a sampled cut (``_under_sampled_cut``), so that a
-    small k partitions only them.
+    Given ``score``, a ufunc, the pool ranks by ``score(scores)``, which
+    is only computed on the pool's own gathered copy. The pick is then
+    made among the entries under a sampled cut (``_under_sampled_cut``),
+    so that a small k partitions only them.
     """
     pool = np.flatnonzero(eligible)
     if k > pool.size:
@@ -268,8 +238,7 @@ def _bottom_k(scores: np.ndarray, eligible: np.ndarray, k: int,
     under = _under_sampled_cut(scores, k) if k else None
     if under is not None:
         pool, scores = pool[under], scores[under]
-    pick = np.flatnonzero(_smallest_bits(scores, k))
-    return pool[pick[_stable_order(scores[pick])]]
+    return pool[_smallest_bits(scores, k)]
 
 
 def one_shot_threshold(soft: np.ndarray, s: float) -> np.ndarray:

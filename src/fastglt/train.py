@@ -97,11 +97,13 @@ class TrainLoop:
     Each epoch runs one forward pass: the post-update evaluation forward of
     one epoch is kept and serves as the training forward of the next.
     Call :meth:`rebuild_norm` after any change to ``params``, ``soft`` or
-    ``binary`` made outside :meth:`run_epoch` (a swap boundary, say): it
-    renormalizes the adjacency and drops the kept forward, which would
-    otherwise describe the state before the change; under a plan it also
-    zeroes the pruned weights again. Without a kept forward the epoch's
-    training forward covers only the train split's receptive field
+    ``binary`` made outside :meth:`run_epoch`: it renormalizes the
+    adjacency and drops the kept forward, which would otherwise describe
+    the state before the change; under a plan it also zeroes the pruned
+    weights again. A swap boundary passed to :meth:`train` runs before
+    the evaluation forward, so that forward is taken under the new masks
+    and is still kept. Without a kept forward the epoch's training forward
+    covers only the train split's receptive field
     (``gcn_forward(..., rows=train_idx)``).
     """
 
@@ -152,9 +154,11 @@ class TrainLoop:
         return gcn_forward(self.params, self.soft, gate, self.dataset,
                            norm=self.norm, x_op=self.x_op, rows=rows)
 
-    def run_epoch(self) -> EpochStats:
-        """One backward/update sweep plus a post-update eval forward, which
-        is kept as the next epoch's training forward."""
+    def run_epoch(self, evaluate: bool = True) -> EpochStats:
+        """One backward/update sweep, then, if ``evaluate``, a post-update
+        eval forward (:meth:`evaluate`), which is kept as the next epoch's
+        training forward. Without it the accuracies read NaN until the
+        caller evaluates the stats."""
         ds = self.dataset
         logits, cache = self._forward or self._run_forward(ds.train_idx)
         self._forward = None
@@ -171,24 +175,39 @@ class TrainLoop:
                 adam_step(state, tensors[name], getattr(grads, name),
                           name=name)
 
-        self._forward = self._run_forward()
-        eval_logits = self._forward[0]
-        val = evaluate_accuracy(self.params, self.soft, self.binary, ds,
-                                ds.val_idx, logits=eval_logits)
-        test = evaluate_accuracy(self.params, self.soft, self.binary, ds,
-                                 ds.test_idx, logits=eval_logits)
+        stats = EpochStats(loss=loss, val_acc=np.nan, test_acc=np.nan,
+                           grads=grads)
+        if evaluate:
+            self.evaluate(stats)
         self.epochs_run += 1
-        return EpochStats(loss=loss, val_acc=val, test_acc=test, grads=grads)
+        return stats
 
-    def train(self, epochs: int,
-              grad_acc: np.ndarray | None = None) -> TrainResult:
+    def evaluate(self, stats: EpochStats) -> None:
+        """Fill ``stats``' accuracies from a forward of the current state,
+        kept as the next epoch's training forward."""
+        ds = self.dataset
+        self._forward = self._run_forward()
+        logits = self._forward[0]
+        stats.val_acc = evaluate_accuracy(self.params, self.soft, self.binary,
+                                          ds, ds.val_idx, logits=logits)
+        stats.test_acc = evaluate_accuracy(self.params, self.soft,
+                                           self.binary, ds, ds.test_idx,
+                                           logits=logits)
+
+    def train(self, epochs: int, grad_acc: np.ndarray | None = None,
+              boundary=None) -> TrainResult:
         """Run ``epochs`` epochs; report the best-validation epoch (earliest
         on ties), the usual protocol for semi-supervised node classification.
         ``grad_acc``, a float64 buffer over the pooled weight universe, gets
         each epoch's |dense weight gradient| added in place; a loop with a
         fixed-mask plan, whose backward computes kept entries only,
-        refuses it. A ``NonFiniteGradient`` leaves tagged with the phase
-        and the loop's 1-based epoch count."""
+        refuses it. ``boundary``, a callable taking no argument, runs after
+        the last epoch's update and accumulation, with that epoch's
+        gradients and activations freed; it may change the masks, calling
+        :meth:`rebuild_norm`. The last epoch's accuracies are then taken
+        under its result, by the forward that the next epoch trains on. A
+        ``NonFiniteGradient`` leaves tagged with the phase and the loop's
+        1-based epoch count."""
         if epochs < 1:
             raise ValueError("need at least one epoch")
         if grad_acc is not None and self._plan is not None:
@@ -196,8 +215,9 @@ class TrainLoop:
                              "no dense gradient to accumulate")
         out = TrainResult()
         for epoch in range(1, epochs + 1):
+            at_boundary = boundary is not None and epoch == epochs
             try:
-                stats = self.run_epoch()
+                stats = self.run_epoch(evaluate=not at_boundary)
             except NonFiniteGradient as exc:
                 exc.context.update(phase=self.phase,
                                    epoch=self.epochs_run + 1)
@@ -206,7 +226,11 @@ class TrainLoop:
                 # the dense gradient is dropped below: take |g| in place
                 dense = stats.grads.dense
                 grad_acc += np.abs(dense, out=dense)
+                del dense
             stats.grads = None      # keep history light
+            if at_boundary:
+                boundary()
+                self.evaluate(stats)
             out.history.append(stats)
             if stats.val_acc > out.best_val_acc:
                 out.best_val_acc = stats.val_acc

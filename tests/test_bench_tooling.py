@@ -159,3 +159,29 @@ def test_inference_timer_runs_on_a_fastglt_arm(tmp_path, monkeypatch):
     times = run.inference_samples(setup, tmp_path / "arm")
     assert sorted(times) == ["dense", "ticket"]
     assert all(len(samples) >= 8 for samples in times.values())
+
+
+def test_per_layer_sees_every_denoise_boundary(tracer_module, monkeypatch):
+    """``bench/layers.per_layer`` finds a boundary as a window of direct
+    children of ``run_fastglt``, from ``interval_quotas`` to the adjacency
+    rebuild. A traced arm of three intervals (D=5, interval 2) must show
+    three boundaries of non-zero length: a boundary run inside
+    ``run_epoch`` would hide those spans under an epoch span and silently
+    read zero for both."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = _load("layers")
+    import fastglt.denoise as denoise
+    from fastglt.config import ExperimentConfig
+
+    ds = generate_sbm(2, 20, 0.3, 0.05, 6, seed=4)
+    config = ExperimentConfig(s_g=0.3, s_theta=0.6, epochs=3,
+                              denoise_epochs=5, interval=2, tau=0.3,
+                              hidden=8, lr=0.01, seed=2, retrain_epochs=2)
+    tracer = tracer_module.Tracer()
+    tracer.session = "job"
+    with tracer:       # looked up inside: the tracer wraps module globals
+        report = denoise.run_fastglt(ds, config).report
+    values, _ = layers.per_layer(tracer.spans, 1, [report.total_seconds])
+    assert report.extra["intervals"] == 3
+    assert values["denoise.boundaries"] == 3
+    assert values["denoise.boundary_ms"] > 0

@@ -64,13 +64,13 @@ def textbook_adam(binary, state, param, grad, *, name):
 SHIPPED_EPOCH = train.TrainLoop.run_epoch
 
 
-def gated_epoch(loop):
+def gated_epoch(loop, evaluate=True):
     """The shipped epoch with every Adam step gated by the loop's binary
     masks as they stand during the epoch."""
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(train, "adam_step",
                         functools.partial(textbook_adam, loop.binary))
-        return SHIPPED_EPOCH(loop)
+        return SHIPPED_EPOCH(loop, evaluate)
 
 
 SHIPPED_FORWARD = train.gcn_forward
@@ -83,13 +83,13 @@ def full_forward(*args, rows=None, **kwargs):
 
 def sorted_cut(scores, eligible, k, what, score=None):
     """The sorted cut: ``score`` applied to every entry, then one stable
-    sort of every eligible score."""
+    sort of every eligible score; its head, sorted by id."""
     if score is not None:
         scores = score(scores)
     pool = np.flatnonzero(eligible)
     if k > pool.size:
         raise ValueError(f"{what}: quota {k} exceeds pool of {pool.size}")
-    return pool[np.argsort(scores[pool], kind="stable")[:k]]
+    return np.sort(pool[np.argsort(scores[pool], kind="stable")[:k]])
 
 
 def sorted_adjacency(dataset, edge_mask=None):
@@ -136,7 +136,7 @@ def patch_references(monkeypatch):
     monkeypatch.setattr(train, "gcn_forward", full_forward)
     monkeypatch.setattr(train, "normalize_adjacency", sorted_adjacency)
     monkeypatch.setattr(masks, "_smallest_bits", sorted_bits)
-    monkeypatch.setattr(baselines, "_bottom_k_set", sorted_cut)
+    monkeypatch.setattr(baselines, "_bottom_k", sorted_cut)
     monkeypatch.setattr(denoise, "_bottom_k", sorted_cut)
     monkeypatch.setattr(denoise, "_swap_bits", checked_swap)
 

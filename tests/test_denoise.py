@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,9 @@ from hypothesis import strategies as st
 from fastglt.config import ExperimentConfig
 from fastglt.data import generate_sbm
 from fastglt.denoise import (DenoiseSchedule, Quota, SwapRecord, _bottom_k,
-                             denoise_ratio, discover_potential, export_swaps,
-                             identify_noisy, interval_quotas, run_fastglt,
-                             update_masks)
+                             _json_ids, denoise_ratio, discover_potential,
+                             export_swaps, identify_noisy, interval_quotas,
+                             run_fastglt, update_masks)
 from fastglt.masks import BinaryMasks, SparsityPlan, kept_count
 from fastglt.nn import GcnParams
 
@@ -119,9 +121,8 @@ def test_identify_noisy_sort_oracle():
                                 (Quota(0, 0, 0), Quota(k, 0, k)))
         kept_ids = [i for i in range(n) if mask[i]]
         want = sorted(kept_ids, key=lambda i: (abs(vals[i]), i))[:k]
-        np.testing.assert_array_equal(sorted(got.tolist()), sorted(want))
-        # selection order is by (score, index): set equality is what matters
-        np.testing.assert_array_equal(got, want)
+        # the (score, index) head, returned in ascending id order
+        np.testing.assert_array_equal(got, sorted(want))
 
 
 def test_identify_noisy_quota_exceeds_kept():
@@ -171,7 +172,7 @@ def test_discover_potential_sort_oracle():
                                     np.zeros(1),
                                     (Quota(0, 0, 0), Quota(k, k, 0)))
         want = sorted(pruned.tolist(), key=lambda i: (-grads[i], i))[:k]
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, sorted(want))
 
 
 def test_discover_potential_quota_exceeds_pruned():
@@ -187,8 +188,8 @@ def test_discover_potential_zero_scores_regrow_last_by_pooled_id():
     """A hidden unit whose W1 row is fully pruned gives W0's column a dense
     gradient of exactly 0, and a unit whose W0 column is fully pruned gives
     its W1 row one. Such zero-score pruned weights are picked after every
-    positive-score one, in ascending pooled id, across the theta0/theta1
-    boundary."""
+    positive-score one, lowest pooled id first, across the theta0/theta1
+    boundary. The pick comes back in ascending id order."""
     from fastglt.nn import SoftMasks, glorot_params
     from fastglt.train import TrainLoop
 
@@ -217,10 +218,14 @@ def test_discover_potential_zero_scores_regrow_last_by_pooled_id():
     k = positive.size + zero0 + 1       # one zero-score pick in theta1
     _, got = discover_potential(binary, grad_acc, np.zeros(ds.num_edges),
                                 (Quota(0, 0, 0), Quota(k, k, 0)))
-    want = sorted(positive.tolist(), key=lambda i: (-grad_acc[i], i))
-    np.testing.assert_array_equal(got[:positive.size], want)
-    np.testing.assert_array_equal(got[positive.size:], zero[:zero0 + 1])
-    assert got[-2] < n0 <= got[-1]
+    # every positive score, then the zero scores by pooled id: all of
+    # theta0's and the first of theta1's
+    want = sorted(positive.tolist(), key=lambda i: (-grad_acc[i], i)) \
+        + zero[:zero0 + 1].tolist()
+    np.testing.assert_array_equal(got, sorted(want))
+    zero_picked = got[grad_acc[got] == 0.0]
+    np.testing.assert_array_equal(zero_picked, zero[:zero0 + 1])
+    assert zero_picked[-2] < n0 <= zero_picked[-1]
 
 
 def test_update_masks_identity():
@@ -330,11 +335,77 @@ def test_export_swaps_jsonl(tmp_path):
                      s_theta_before=0.3, s_theta_after=0.31)
     path = tmp_path / "swaps.jsonl"
     export_swaps([rec, rec], path)
-    import json
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 2
     loaded = json.loads(lines[0])
     assert loaded["interval"] == 1 and loaded["edges_removed"] == [1, 2]
+
+
+def assert_encodes_as_json(ids):
+    ids = np.asarray(ids, dtype=np.int64)
+    assert _json_ids(ids) == json.dumps(ids.tolist()).encode()
+
+
+@pytest.mark.parametrize("ids", [
+    [], [0], [5], [0, 1, 9], [3, 3, 4],
+    # every 10^d - 1 / 10^d pair an int64 holds, then the top of int64
+    *([10 ** d - 1, 10 ** d] for d in range(1, 19)),
+    [0, 9, 10, 99, 100, 10 ** 18, 2 ** 63 - 1]],
+    ids=lambda ids: f"{len(ids)}-ids-to-{ids[-1] if ids else 'none'}")
+def test_id_encoder_matches_json_dumps(ids):
+    assert_encodes_as_json(ids)
+
+
+def test_id_encoder_covers_the_cora_weight_universe():
+    """Every id of the Cora shape's pooled weights (1433 x 512 + 512 x 7 =
+    737,280) at once, and random subsets of them."""
+    universe = 1433 * 512 + 512 * 7
+    assert_encodes_as_json(np.arange(universe))
+    rng = np.random.default_rng(0)
+    for size in (1, 10, 1000, 40_000):
+        assert_encodes_as_json(np.sort(rng.choice(universe, size,
+                                                  replace=False)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 63 - 1), max_size=40))
+def test_id_encoder_property(values):
+    assert_encodes_as_json(sorted(values))
+
+
+@pytest.mark.parametrize("ids", [[2, 1], [0, 5, 4, 6], [-1], [-3, 0, 2],
+                                 [1.0, 2.0]])
+def test_id_encoder_refuses_what_it_cannot_write(ids):
+    with pytest.raises(ValueError, match="swap ids"):
+        _json_ids(np.array(ids))
+
+
+def test_export_swaps_writes_the_json_of_each_record(tmp_path):
+    """A line per record, byte for byte ``json.dumps(rec.as_dict())``,
+    loading back to the record's dict; an unsorted id list is refused and
+    leaves no file."""
+    rng = np.random.default_rng(2)
+
+    def ids(n):
+        return np.sort(rng.choice(737_280, n, replace=False))
+
+    recs = [SwapRecord(interval=mu, edges_removed=ids(30),
+                       edges_regrown=ids(mu - 1), weights_removed=ids(900),
+                       weights_regrown=np.empty(0, dtype=np.int64),
+                       s_g_before=0.1 * mu, s_g_after=1 / 3,
+                       s_theta_before=0.5, s_theta_after=float(mu) / 7)
+            for mu in (1, 2, 3)]
+    path = tmp_path / "swaps.jsonl"
+    export_swaps(recs, path)
+    assert path.read_bytes() == "".join(json.dumps(r.as_dict()) + "\n"
+                                        for r in recs).encode()
+    for line, rec in zip(path.read_text().splitlines(), recs):
+        assert json.loads(line) == rec.as_dict()
+
+    recs[1].weights_removed = recs[1].weights_removed[::-1]
+    with pytest.raises(ValueError, match="ascending"):
+        export_swaps(recs, tmp_path / "bad.jsonl")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["swaps.jsonl"]
 
 
 # ---------------------------------------------------------------------------
@@ -564,14 +635,16 @@ def test_gradient_accumulator_matches_replay(desk_sbm):
        data=st.data())
 def test_bottom_k_ranks_as_a_full_stable_sort(scores, data):
     """Ties, signed zeros, NaN and every k from 0 to the whole pool: the pick
-    and its order equal the head of a stable sort of the eligible pool."""
+    is the head of a stable sort of the eligible pool, in ascending id
+    order."""
     scores = np.array(scores)
     eligible = np.array(data.draw(st.lists(st.booleans(), min_size=len(scores),
                                            max_size=len(scores))))
     pool = np.flatnonzero(eligible)
     k = data.draw(st.integers(0, pool.size))
     want = pool[np.argsort(scores[pool], kind="stable")[:k]]
-    np.testing.assert_array_equal(_bottom_k(scores, eligible, k, "x"), want)
+    np.testing.assert_array_equal(_bottom_k(scores, eligible, k, "x"),
+                                  np.sort(want))
 
 
 _PROPERTY_SBM = generate_sbm(2, 12, 0.4, 0.1, 5, seed=21)
@@ -621,3 +694,106 @@ def test_run_fastglt_swap_walk_property(epochs_denoise, interval, tau, s_g,
         assert int(kept.sum()) == plan.kept_target
     np.testing.assert_array_equal(walk["edges"][0], res.binary.edges)
     np.testing.assert_array_equal(walk["weights"][0], res.binary.weights)
+
+
+DESK_SBM = generate_sbm(3, 100, 0.06, 0.02, 12, seed=101, mean_scale=0.2)
+
+
+def old_order_train(shipped_train):
+    """``TrainLoop.train`` in the order the boundary had before it moved
+    into the loop: every epoch of the interval evaluates, then the
+    boundary swaps the masks, so the next interval opens on a train-rows
+    forward, and the interval's final test accuracy is a separate
+    ``evaluate_accuracy`` under the new masks (``acc_inplace`` reads it
+    after the last interval)."""
+    from fastglt.nn import evaluate_accuracy
+
+    def train(loop, epochs, grad_acc=None, boundary=None):
+        out = shipped_train(loop, epochs, grad_acc)
+        if boundary is not None:
+            boundary()
+            out.final_test = evaluate_accuracy(
+                loop.params, loop.soft, loop.binary, loop.dataset,
+                loop.dataset.test_idx, norm=loop.norm, x_op=loop.x_op)
+        return out
+    return train
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("interval", [1, 2])
+def test_swap_before_evaluation_keeps_every_ticket_bit(monkeypatch, interval,
+                                                       precision):
+    """The shipped driver swaps at the end of an interval's last update,
+    then runs the evaluation forward under the new masks and trains the
+    next epoch on it. Against the old order (``old_order_train``) every
+    mask, soft-edge value, swap set, search loss, ``acc_inplace`` and
+    ``acc_retrained`` is the same; only each interval-end validation
+    accuracy moves, to the one under the post-swap masks. The denoise loop
+    runs one forward per epoch plus one at its start, the only train-rows
+    forward."""
+    import fastglt.nn as nn
+    import fastglt.train as train
+    from fastglt.train import TrainLoop
+
+    ds = DESK_SBM
+    config = ExperimentConfig(s_g=0.3, s_theta=0.6, epochs=6,
+                              denoise_epochs=6, interval=interval, tau=0.3,
+                              lr=0.01, hidden=32, seed=3, retrain_epochs=5,
+                              precision=precision)
+    real_forward, real_rebuild = train.gcn_forward, TrainLoop.rebuild_norm
+    forwards, post_swap_val = [], []
+
+    def denoising(soft):
+        return soft.edges is not None and soft.weights is None
+
+    def forward(module):
+        def spy(params, soft, *args, rows=None, **kwargs):
+            if denoising(soft):
+                forwards.append((module, rows is not None))
+            return real_forward(params, soft, *args, rows=rows, **kwargs)
+        return spy
+
+    def rebuild_norm(loop):
+        real_rebuild(loop)
+        if denoising(loop.soft):
+            logits, _ = real_forward(loop.params, loop.soft, loop.binary, ds,
+                                     norm=loop.norm, x_op=loop.x_op)
+            post_swap_val.append(nn.evaluate_accuracy(
+                loop.params, loop.soft, loop.binary, ds, ds.val_idx,
+                logits=logits))
+
+    with monkeypatch.context() as spied:
+        spied.setattr(train, "gcn_forward", forward("train"))
+        spied.setattr(nn, "gcn_forward", forward("nn"))
+        spied.setattr(TrainLoop, "rebuild_norm", rebuild_norm)
+        shipped = run_fastglt(ds, config)
+    with monkeypatch.context() as patched:
+        patched.setattr(TrainLoop, "train", old_order_train(TrainLoop.train))
+        reference = run_fastglt(ds, config)
+
+    assert forwards == [("train", True)] + [("train", False)] * 6
+    # the loop start's rebuild, then one per boundary
+    assert len(post_swap_val) == 1 + len(shipped.swaps) == 1 + 6 // interval
+
+    for got, want in ((shipped.binary, reference.binary),
+                      (shipped.initial_binary, reference.initial_binary)):
+        np.testing.assert_array_equal(got.edges, want.edges)
+        np.testing.assert_array_equal(got.weights, want.weights)
+    np.testing.assert_array_equal(shipped.soft_edges, reference.soft_edges)
+    assert shipped.soft_edges.dtype == reference.soft_edges.dtype
+    assert [r.as_dict() for r in shipped.swaps] == \
+        [r.as_dict() for r in reference.swaps]
+    assert [h.loss for h in shipped.history] == \
+        [h.loss for h in reference.history]
+    for field in ("acc_inplace", "acc_retrained"):
+        assert getattr(shipped.report, field) == \
+            getattr(reference.report, field)
+
+    ends = {config.epochs + mu * interval - 1 for mu in
+            range(1, len(shipped.swaps) + 1)}
+    for i, (got, want) in enumerate(zip(shipped.history, reference.history)):
+        if i not in ends:
+            assert (got.val_acc, got.test_acc) == \
+                (want.val_acc, want.test_acc)
+    assert [shipped.history[i].val_acc for i in sorted(ends)] == \
+        post_swap_val[1:]

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 import fastglt.masks as masks
 from fastglt.masks import (BinaryMasks, SparsityPlan, _bottom_k,
-                           _bottom_k_set, _stable_order, init_soft_masks,
-                           intermediate_sparsity, kept_count, load_mask,
-                           load_soft_values, one_shot_threshold, save_mask,
-                           save_soft_values, sparsity)
+                           init_soft_masks, intermediate_sparsity, kept_count,
+                           load_mask, load_soft_values, one_shot_threshold,
+                           save_mask, save_soft_values, sparsity)
 
 from conftest import tiny_dataset
 
@@ -111,17 +110,17 @@ def stable_sort_head(scores, eligible, k):
 
 
 def check_order_free_cut(scores, eligible, k):
+    """``_bottom_k`` returns the stable-sort head's ids in ascending
+    order."""
     head = stable_sort_head(scores, eligible, k)
-    got = _bottom_k_set(scores, eligible, k, "x")
-    np.testing.assert_array_equal(got, np.sort(head))
-    np.testing.assert_array_equal(_bottom_k(scores, eligible, k, "x"), head)
+    np.testing.assert_array_equal(_bottom_k(scores, eligible, k, "x"),
+                                  np.sort(head))
 
 
 @pytest.mark.parametrize("case", ["random", "ties", "nan", "nan_kth"])
 def test_order_free_cut_picks_the_sorted_set(case):
-    """The set of a full stable sort's head, returned in index order, and
-    ``_bottom_k`` in that sort's order, for every k from 0 to the pool
-    size."""
+    """The set of a full stable sort's head, returned in index order, for
+    every k from 0 to the pool size."""
     rng = np.random.default_rng(7)
     n = 400
     if case == "random":
@@ -155,7 +154,7 @@ def test_order_free_cut_property(scores, data):
                                   "sparse_pool"])
 def test_bottom_k_sampled_cut_is_exact(case, monkeypatch):
     """Every pool is ranked among the entries under a sampled cut; the
-    pick and its order stay those of the full stable sort. Stride 2 places
+    pick stays the full stable sort's head, in index order. Stride 2 places
     the cut for most k of a 400-entry pool; a cut that keeps fewer than k
     entries (every sampled score below the rest) falls back to the whole
     pool. The sample is drawn from the pool's gathered scores, so a pool
@@ -190,28 +189,9 @@ def test_bottom_k_sampled_cut_is_exact(case, monkeypatch):
     assert sum(narrowed) > 50
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("case", ["distinct", "ties", "specials"])
-def test_stable_order_equals_a_stable_argsort(case, dtype):
-    """Unstable sorts plus tie keys give the stable permutation: signed
-    zeros tie, infinities rank at the ends, every NaN ties and sorts last."""
-    rng = np.random.default_rng(5)
-    s = rng.normal(size=3000)
-    if case != "distinct":
-        s = np.round(s, 1)                  # about 60 tie groups
-    if case == "specials":
-        s[rng.random(s.size) < 0.1] = -0.0
-        s[rng.random(s.size) < 0.05] = np.inf
-        s[rng.random(s.size) < 0.05] = -np.inf
-        s[rng.random(s.size) < 0.1] = np.nan
-    s = s.astype(dtype)
-    np.testing.assert_array_equal(_stable_order(s),
-                                  np.argsort(s, kind="stable"))
-
-
 def test_order_free_cut_refuses_oversized_quota():
     with pytest.raises(ValueError, match="x: quota 3 exceeds pool of 2"):
-        _bottom_k_set(np.zeros(4), np.array([1, 0, 1, 0], bool), 3, "x")
+        _bottom_k(np.zeros(4), np.array([1, 0, 1, 0], bool), 3, "x")
 
 
 def test_sparsity_plan_derives_intermediates():
