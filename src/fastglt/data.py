@@ -169,8 +169,8 @@ def load_bundle(path: str | Path) -> Dataset:
 
     ds = Dataset(name=str(meta["name"]), num_nodes=n, num_features=f,
                  num_classes=c, edges=edges,
-                 features=feats.astype(np.float32), labels=labels,
-                 train_idx=idx["train"], val_idx=idx["val"],
+                 features=feats.astype(np.float32, copy=False),
+                 labels=labels, train_idx=idx["train"], val_idx=idx["val"],
                  test_idx=idx["test"])
     return ds.validate()
 

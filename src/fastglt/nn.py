@@ -12,12 +12,13 @@ on its fixed support, so edge-mask gradients stay local to each edge.
 
 The loss reads only the split's logits, so ``backward`` computes on the
 split's receptive field: its cost follows the split's 2-hop set, not the
-node count, and its gradients equal the full-graph sweep bit for bit. A
-forward given the split's ``rows`` is restricted the same way. The
-feature operator is built once per dataset and dtype and then shared;
-what a split's loss reads of one mask (its receptive field, X's rows
-there, the edge entries in its 1-hop rows, the structure of the
-adjacency slices its products run on) is built once per mask.
+node count, and its gradients equal the full-graph sweep bit for bit.
+The forward runs on every node: a training loop keeps each evaluation
+forward as its next epoch's training forward. The feature operator is
+built once per dataset and dtype and then shared; what a split's loss
+reads of one mask (its receptive field, X's rows there, the edge entries
+in its 1-hop rows, the structure of the adjacency slice its backward runs
+on) is built once per mask.
 
 The layer-1 chain runs in tiles of hidden units, spread over the engine's
 workers (``fastglt.workers``). A tile gates its columns of W0, runs X@W0
@@ -132,16 +133,15 @@ class Gradients:
 
     ``dense`` is the gradient with respect to the effective (post mask)
     weight slot, defined on every entry including pruned ones; it is what
-    the denoiser accumulates to rank regrowth candidates. ``m_*`` is None
-    where the forward pass had no soft mask. A backward asked for kept
-    entries only (see ``KeptOrder``) holds them in ``theta``, in the
-    order's sequence, and has no ``dense``.
+    the denoiser accumulates to rank regrowth candidates. ``theta`` is
+    ``dense`` itself where the forward had no weight gate or weight soft
+    mask. ``m_*`` is None where the forward pass had no soft mask.
     """
 
     theta: np.ndarray
     m_theta: np.ndarray | None
     m_edges: np.ndarray | None
-    dense: np.ndarray | None
+    dense: np.ndarray
 
     def dense_flat(self) -> np.ndarray:
         return self.dense
@@ -151,12 +151,11 @@ class Gradients:
 class ForwardCache:
     """Activations and operators retained for the backward pass.
 
-    ``rows`` is None for a full forward; otherwise only those rows' logits
-    are valid (see ``gcn_forward``). XW0 is kept only when the edge-mask
-    gradient reads it, that is with a soft edge mask, else ``xw0_tiles``
-    is None. It is kept tile-major, as the tiles of ``_tiling`` wrote it:
-    ``xw0_tiles[j]`` holds hidden units j*t to j*t + t - 1 of every node,
-    and the last tile's columns past H are zero.
+    XW0 is kept only when the edge-mask gradient reads it, that is with a
+    soft edge mask, else ``xw0_tiles`` is None. It is kept tile-major, as
+    the tiles of ``_tiling`` wrote it: ``xw0_tiles[j]`` holds hidden units
+    j*t to j*t + t - 1 of every node, and the last tile's columns past H
+    are zero.
     """
 
     a_eff: sp.csr_matrix
@@ -170,7 +169,6 @@ class ForwardCache:
     params: GcnParams
     soft: SoftMasks
     binary: BinaryMasks | None
-    rows: np.ndarray | None = None
 
     def xw0_rows(self, nodes: np.ndarray) -> np.ndarray:
         """XW0's rows ``nodes``, gathered from the tiles into one
@@ -180,37 +178,6 @@ class ForwardCache:
         out = out.reshape(nodes.size, k * t)
         h = self.h1.shape[1]
         return out if k * t == h else np.ascontiguousarray(out[:, :h])
-
-
-@dataclass(frozen=True)
-class KeptOrder:
-    """The kept entries of a pooled weight mask in the order in which
-    ``backward`` produces their gradient: layer 0 tile by tile (the tiles
-    of ``_tiling``), row-major within a tile, then layer 1 row-major.
-    ``ids`` holds their pooled ids in that order. Tile j's entries are
-    ``ids[cuts[j]:cuts[j + 1]]``, at the flat positions ``tiles[j]`` of an
-    (F, t) tile of the W0 gradient (t is ``width``); layer 1's start at
-    ``cuts[-1]``."""
-
-    ids: np.ndarray
-    cuts: np.ndarray
-    tiles: tuple
-    width: int
-
-    @staticmethod
-    def of(mask: np.ndarray, shapes, dtype) -> "KeptOrder":
-        (n_feat, h), _ = shapes
-        n0 = n_feat * h
-        k, t = _tiling(h, dtype)
-        ids0 = np.flatnonzero(mask[:n0])
-        f, c = np.divmod(ids0, h)
-        tile, col = np.divmod(c, t)
-        order = np.argsort(tile, kind="stable")
-        cuts = np.searchsorted(tile[order], np.arange(k + 1))
-        at = (f * t + col)[order]
-        return KeptOrder(
-            ids=np.concatenate([ids0[order], n0 + np.flatnonzero(mask[n0:])]),
-            cuts=cuts, tiles=tuple(np.split(at, cuts[1:-1])), width=t)
 
 
 def feature_operator(dataset: Dataset, dtype=np.float64) -> sp.csr_matrix:
@@ -225,7 +192,7 @@ def feature_operator(dataset: Dataset, dtype=np.float64) -> sp.csr_matrix:
     x_op = dataset._memo.get(key)
     if x_op is None:
         x_op = dataset._memo[key] = sp.csr_matrix(
-            dataset.features.astype(dtype))
+            dataset.features.astype(dtype, copy=False))
     return x_op
 
 
@@ -280,23 +247,13 @@ def _csr_parts(a: sp.csr_matrix) -> tuple:
 def gcn_forward(params: GcnParams, soft: SoftMasks,
                 binary: BinaryMasks | None, dataset: Dataset,
                 norm: NormAdj | None = None,
-                x_op: sp.csr_matrix | None = None,
-                rows: np.ndarray | None = None
+                x_op: sp.csr_matrix | None = None
                 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the masked model; returns pre-softmax logits and the cache.
 
     ``norm`` may be passed in to avoid renormalizing every step; it must
     have been built from the same binary edge mask. ``x_op`` likewise caches
     the feature operator.
-
-    Given ``rows``, only their receptive field is computed: X@W0 on their
-    2-hop set, A@XW0 and the ReLU on their 1-hop set; the other rows of
-    XW0 and ``h1`` are zero. For finite activations, the rows' logits and
-    the gradients of a loss over them equal the full forward's bit for
-    bit: the restricted products are scipy CSR ones that sum each row as
-    the full product does, and the BLAS products keep their full shape.
-    Every other logit is meaningless, so such a forward serves training
-    only.
     """
     dtype = params.weights.dtype
     if norm is None:
@@ -323,17 +280,11 @@ def gcn_forward(params: GcnParams, soft: SoftMasks,
     # Only the edge-mask gradient reads XW0 back; without a soft edge mask
     # each worker runs its tiles' X@W0 through one (N, t) scratch instead.
     xw0 = None if soft.edges is None else np.empty((k, n, t), dtype=dtype)
-    if rows is None:
-        a_op, n1, x_csr = _csr_parts(a_eff), None, _csr_parts(x_op)
-        h1 = np.empty((n, h), dtype=dtype)
-    else:
-        field = _receptive_field(norm, x_op, np.asarray(rows))
-        a_op, n1 = field.a_n1(a_eff), field.n1
-        x_csr = _csr_parts(field.x_rows)
-        h1 = np.zeros((n, h), dtype=dtype)
+    a_op, x_csr = _csr_parts(a_eff), _csr_parts(x_op)
+    h1 = np.empty((n, h), dtype=dtype)
 
     def layer1(tiles):
-        s1 = np.empty((a_op[0].size - 1, t), dtype=dtype)
+        s1 = np.empty((n, t), dtype=dtype)
         w0 = np.empty((n_feat, t), dtype=dtype)
         scratch = np.empty((n, t), dtype=dtype) if xw0 is None else None
         for j in tiles:
@@ -346,17 +297,14 @@ def gcn_forward(params: GcnParams, soft: SoftMasks,
             _matvecs(x_csr, w0, xw)
             s1.fill(0)
             _matvecs(a_op, xw, s1)
-            if n1 is None:
-                np.maximum(s1[:, :hi - lo], 0.0, out=h1[:, lo:hi])
-            else:
-                h1[n1, lo:hi] = np.maximum(s1[:, :hi - lo], 0.0)
+            np.maximum(s1[:, :hi - lo], 0.0, out=h1[:, lo:hi])
 
     _each_tile(k, layer1)
     h1w1 = h1 @ w1
     logits = a_eff @ h1w1
     cache = ForwardCache(a_eff=a_eff, norm=norm, x_op=x_op, w1_eff=w1,
                          xw0_tiles=xw0, h1=h1, h1w1=h1w1, logits=logits,
-                         params=params, soft=soft, binary=binary, rows=rows)
+                         params=params, soft=soft, binary=binary)
     return logits, cache
 
 
@@ -401,30 +349,22 @@ class _Field:
     """What a loss over some rows reads of one adjacency and feature
     operator: the rows' sorted 1-hop and 2-hop sets ``n1`` and ``n2``
     (self-loops put the rows within n1 and n1 within n2), the stored edge
-    entries in n1 rows, the structure of A[n1] (``a1``) and of
-    A[n2][:, n1] with columns renumbered to positions in n1 (``a21``),
-    X's n2 rows under the full row pointer (``x_rows``) and X[n2]^T as a
-    CSR with sorted indices (``x_t``). ``a1`` and ``a21`` each hold
-    a row pointer, column indices and every entry's position in A's data,
-    in the order scipy's ``a[n1]`` and ``a[n2][:, n1]`` store them."""
+    entries in n1 rows, the structure of A[n2][:, n1] with columns
+    renumbered to positions in n1 (``a21``) and X[n2]^T as a CSR with
+    sorted indices (``x_t``). ``a21`` holds a row pointer, column indices
+    and every entry's position in A's data, in the order scipy's
+    ``a[n2][:, n1]`` stores them."""
 
     x_op: object    # held so that its id in the memo key stays its own
     n1: np.ndarray
     n2: np.ndarray
     edges: np.ndarray
-    a1: tuple
     a21: tuple
-    x_rows: sp.csr_matrix
     x_t: sp.csr_matrix
 
-    def a_n1(self, a: sp.csr_matrix) -> tuple:
-        """A[n1] of an adjacency ``a`` over the record's stored entries, as
-        ``_matvecs`` takes it."""
-        indptr, indices, at = self.a1
-        return indptr, indices, a.data[at], a.shape[1]
-
     def a_n2_n1(self, a: sp.csr_matrix) -> tuple:
-        """A[n2][:, n1], likewise."""
+        """A[n2][:, n1] of an adjacency ``a`` over the record's stored
+        entries, as ``_matvecs`` takes it."""
         indptr, indices, at = self.a21
         return indptr, indices, a.data[at], self.n1.size
 
@@ -445,16 +385,9 @@ def _receptive_field(norm: NormAdj, x_op: sp.csr_matrix,
         at1 = np.flatnonzero(in1[norm.entry_row])
         at21 = np.flatnonzero(in2[norm.entry_row] & in1[norm.entry_col])
         edges = at1[norm.edge_of_entry[at1] >= 0]
-        a1 = _sub_csr(a, n1, at1, a.indices[at1])
         a21 = _sub_csr(a, n2, at21, np.searchsorted(n1, a.indices[at21]))
-        # Every row outside n2 is empty, so a product over x_rows leaves
-        # its zeroed output rows alone.
-        x_n2 = x_op[n2]
-        indptr = x_n2.indptr[np.searchsorted(n2, np.arange(x_op.shape[0] + 1))]
-        x_rows = sp.csr_matrix((x_n2.data, x_n2.indices, indptr),
-                               shape=x_op.shape)
-        field = norm._memo[key] = _Field(x_op, n1, n2, edges, a1, a21,
-                                         x_rows, x_n2.T.tocsr())
+        field = norm._memo[key] = _Field(x_op, n1, n2, edges, a21,
+                                         x_op[n2].T.tocsr())
     return field
 
 
@@ -468,28 +401,17 @@ def _sub_csr(a: sp.csr_matrix, rows: np.ndarray, at: np.ndarray,
     return indptr.astype(idx), indices.astype(idx), at
 
 
-def backward(cache: ForwardCache, labels: np.ndarray, split: np.ndarray,
-             kept: KeptOrder | None = None) -> Gradients:
+def backward(cache: ForwardCache, labels: np.ndarray,
+             split: np.ndarray) -> Gradients:
     """Exact gradients of masked_loss for the forward held in ``cache``.
 
     The edge-mask gradient of edge e sums the contributions of both of its
     directed adjacency entries across both layers. Normalization values are
     treated as constants (they only change when the binary mask does).
-
-    Given ``kept``, for a forward with no weight gate or weight soft mask,
-    the weight gradient holds the kept entries alone, in the order's
-    sequence: each tile of the W0 gradient hands over its kept entries
-    and no (F, H) gradient is assembled. Their bits are the full
-    gradient's.
     """
     split = np.asarray(split)
     if split.size == 0:
         raise ValueError("empty split")
-    if kept is not None and (cache.binary is not None
-                             or cache.soft.weights is not None):
-        raise ValueError("kept entries only for an ungated weight gradient")
-    if cache.rows is not None and not np.isin(split, cache.rows).all():
-        raise ValueError("split reaches rows the forward did not compute")
     dtype = cache.logits.dtype
     n, c = cache.logits.shape
 
@@ -526,12 +448,7 @@ def backward(cache: ForwardCache, labels: np.ndarray, split: np.ndarray,
     a21, x_t = field.a_n2_n1(a), _csr_parts(field.x_t)
     n_feat, h = cache.params.shapes[0]
     k, t = _tiling(h, dtype)
-    if kept is None:
-        dw0 = np.empty((n_feat, h), dtype=dtype)
-    else:
-        if (len(kept.tiles), kept.width) != (k, t):
-            raise ValueError("kept order built for other tiles")
-        grad = np.empty(kept.ids.size, dtype=dtype)
+    dw0 = np.empty((n_feat, h), dtype=dtype)
 
     def layer1(tiles):
         d_s1 = np.empty((n1.size, t), dtype=dtype)
@@ -545,19 +462,10 @@ def backward(cache: ForwardCache, labels: np.ndarray, split: np.ndarray,
             _matvecs(a21, d_s1, d_xw0)
             d_w0.fill(0.0)
             _matvecs(x_t, d_xw0, d_w0)
-            if kept is None:
-                dw0[:, lo:hi] = d_w0[:, :hi - lo]
-            else:
-                np.take(d_w0.reshape(-1), kept.tiles[j],
-                        out=grad[kept.cuts[j]:kept.cuts[j + 1]])
+            dw0[:, lo:hi] = d_w0[:, :hi - lo]
 
     _each_tile(k, layer1)
-    if kept is None:
-        dense = grow_pool(dw0, dw1)    # dw0 is fresh
-    else:
-        dense, cut = None, kept.cuts[-1]
-        np.take(dw1.reshape(-1), kept.ids[cut:] - n_feat * h,
-                out=grad[cut:])
+    dense = grow_pool(dw0, dw1)    # dw0 is fresh
 
     soft, params, binary = cache.soft, cache.params, cache.binary
     d_m_edges = None
@@ -584,7 +492,7 @@ def backward(cache: ForwardCache, labels: np.ndarray, split: np.ndarray,
 
     b = None if binary is None else binary.weights
     return Gradients(
-        theta=grad if kept is not None else _gated(dense, soft.weights, b),
+        theta=_gated(dense, soft.weights, b),
         m_theta=None if soft.weights is None
         else _gated(dense, params.weights, b),
         m_edges=d_m_edges,

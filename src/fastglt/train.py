@@ -13,9 +13,8 @@ import numpy as np
 from .data import Dataset
 from .graph import normalize_adjacency
 from .masks import BinaryMasks, SoftMasks
-from .nn import (GcnParams, Gradients, KeptOrder, backward,
-                 evaluate_accuracy, feature_operator, gcn_forward,
-                 masked_loss)
+from .nn import (GcnParams, Gradients, backward, evaluate_accuracy,
+                 feature_operator, gcn_forward, masked_loss)
 from .optim import AdamState, NonFiniteGradient, adam_step
 
 @dataclass
@@ -33,23 +32,22 @@ class _FixedWeights:
     A pruned weight never moves there (its gradient and moments are
     exactly 0), so :meth:`apply` zeroes the pruned entries of the params
     themselves and the loop runs its forwards and backwards with no weight
-    gate. The backward computes the kept entries of the gradient alone, in
-    the order ``kept`` (``nn.KeptOrder``), and Adam holds kept-sized
-    moments and steps ``stepped``, a copy of the kept weights that
-    :meth:`apply` gathers, which is scattered back. It runs the textbook
-    expressions on the same kept entries, so the kept weights take the
-    gated loop's bits and the pruned ones stay at 0. Only the kept
-    entries of the gradient exist, so only they are checked for
-    finiteness: a non-finite value confined to pruned entries, which the
-    gated loop's masked gradient would carry as NaN, raises no
-    ``NonFiniteGradient`` here (it cannot reach the weights either).
+    gate. Its weight gradient is then the dense gradient itself, of which
+    :meth:`step` gathers the kept entries ``ids`` (ascending). Adam holds
+    kept-sized moments and steps ``stepped``, a copy of the kept weights
+    that :meth:`apply` gathers, which is scattered back. It runs the
+    textbook expressions on the same kept entries, so the kept weights
+    take the gated loop's bits and the pruned ones stay at 0. Only the
+    gathered kept entries are checked for finiteness: a non-finite value
+    confined to pruned entries, which the gated loop's masked gradient
+    would carry as NaN, raises no ``NonFiniteGradient`` here (it cannot
+    reach the weights either).
     """
 
     def __init__(self, mask: np.ndarray, params: GcnParams):
         self.mask = mask.copy()
-        self.kept = KeptOrder.of(mask, params.shapes, params.weights.dtype)
-        self.stepped = np.empty(self.kept.ids.size,
-                                dtype=params.weights.dtype)
+        self.ids = np.flatnonzero(mask)
+        self.stepped = np.empty(self.ids.size, dtype=params.weights.dtype)
 
     def apply(self, binary: BinaryMasks | None, weights: np.ndarray) -> None:
         """Zero the pruned weights and take the kept ones; refuse a weight
@@ -59,13 +57,13 @@ class _FixedWeights:
             raise ValueError("a weight-only loop's weight mask is fixed; "
                              "start a new loop for new masks")
         weights[~self.mask] = 0.0
-        np.take(weights, self.kept.ids, out=self.stepped)
+        np.take(weights, self.ids, out=self.stepped)
 
     def step(self, state: AdamState, weights: np.ndarray,
              grad: np.ndarray) -> None:
         """One Adam step from the kept entries of the weight gradient."""
-        adam_step(state, self.stepped, grad, name="theta")
-        weights[self.kept.ids] = self.stepped
+        adam_step(state, self.stepped, grad[self.ids], name="theta")
+        weights[self.ids] = self.stepped
 
 
 def _weight_plan(params: GcnParams, soft: SoftMasks,
@@ -102,9 +100,8 @@ class TrainLoop:
     the state before the change; under a plan it also zeroes the pruned
     weights again. A swap boundary passed to :meth:`train` runs before
     the evaluation forward, so that forward is taken under the new masks
-    and is still kept. Without a kept forward the epoch's training forward
-    covers only the train split's receptive field
-    (``gcn_forward(..., rows=train_idx)``).
+    and is still kept. An epoch with no kept forward to reuse (a loop's
+    first, or the first after such a change) runs its own full forward.
     """
 
     def __init__(self, dataset: Dataset, params: GcnParams, soft: SoftMasks,
@@ -148,11 +145,11 @@ class TrainLoop:
         self.norm = normalize_adjacency(self.dataset, mask)
         self._forward = None
 
-    def _run_forward(self, rows=None):
+    def _run_forward(self):
         # a plan's weight mask is in the weights, its edge mask in ``norm``
         gate = None if self._plan is not None else self.binary
         return gcn_forward(self.params, self.soft, gate, self.dataset,
-                           norm=self.norm, x_op=self.x_op, rows=rows)
+                           norm=self.norm, x_op=self.x_op)
 
     def run_epoch(self, evaluate: bool = True) -> EpochStats:
         """One backward/update sweep, then, if ``evaluate``, a post-update
@@ -160,11 +157,10 @@ class TrainLoop:
         training forward. Without it the accuracies read NaN until the
         caller evaluates the stats."""
         ds = self.dataset
-        logits, cache = self._forward or self._run_forward(ds.train_idx)
+        logits, cache = self._forward or self._run_forward()
         self._forward = None
         loss = masked_loss(logits, ds.labels, ds.train_idx)
-        kept = None if self._plan is None else self._plan.kept
-        grads = backward(cache, ds.labels, ds.train_idx, kept)
+        grads = backward(cache, ds.labels, ds.train_idx)
         del logits, cache  # free the activations before the next forward
 
         tensors = self._tensors()
@@ -199,20 +195,15 @@ class TrainLoop:
         """Run ``epochs`` epochs; report the best-validation epoch (earliest
         on ties), the usual protocol for semi-supervised node classification.
         ``grad_acc``, a float64 buffer over the pooled weight universe, gets
-        each epoch's |dense weight gradient| added in place; a loop with a
-        fixed-mask plan, whose backward computes kept entries only,
-        refuses it. ``boundary``, a callable taking no argument, runs after
-        the last epoch's update and accumulation, with that epoch's
-        gradients and activations freed; it may change the masks, calling
-        :meth:`rebuild_norm`. The last epoch's accuracies are then taken
-        under its result, by the forward that the next epoch trains on. A
-        ``NonFiniteGradient`` leaves tagged with the phase and the loop's
-        1-based epoch count."""
+        each epoch's |dense weight gradient| added in place. ``boundary``, a
+        callable taking no argument, runs after the last epoch's update and
+        accumulation, with that epoch's gradients and activations freed; it
+        may change the masks, calling :meth:`rebuild_norm`. The last
+        epoch's accuracies are then taken under its result, by the forward
+        that the next epoch trains on. A ``NonFiniteGradient`` leaves tagged
+        with the phase and the loop's 1-based epoch count."""
         if epochs < 1:
             raise ValueError("need at least one epoch")
-        if grad_acc is not None and self._plan is not None:
-            raise ValueError("a weight-only loop under binary masks keeps "
-                             "no dense gradient to accumulate")
         out = TrainResult()
         for epoch in range(1, epochs + 1):
             at_boundary = boundary is not None and epoch == epochs

@@ -6,13 +6,11 @@ each step gated by its tensor's binary mask (the shipped Adam takes no
 mask: a swap zeroes the moments of the entries it removes instead, and a
 weight-only loop zeroes its pruned weights and steps only the kept ones),
 the gated products in every loop (a shipped weight-only loop under binary
-masks runs a fixed-mask plan with no weight gate), the full forward at
-every training-segment start (the shipped loop computes only the train
-split's receptive field there), the sorted cut (a full stable sort)
-wherever a cut is taken, over the pooled weights where denoising picks
-weights, the adjacency built by a sort of its entries, and the swap with
-its explicit overlap check. Every artifact must be byte-identical,
-``report.json`` minus its wall-clock ``timing`` block.
+masks runs a fixed-mask plan with no weight gate), the sorted cut (a
+full stable sort) wherever a cut is taken, over the pooled weights where
+denoising picks weights, the adjacency built by a sort of its entries,
+and the swap with its explicit overlap check. Every artifact must be
+byte-identical, ``report.json`` minus its wall-clock ``timing`` block.
 
 A short Cora-shaped arm, run with one engine worker and with two, must
 write the same bytes too.
@@ -73,14 +71,6 @@ def gated_epoch(loop, evaluate=True):
         return SHIPPED_EPOCH(loop, evaluate)
 
 
-SHIPPED_FORWARD = train.gcn_forward
-
-
-def full_forward(*args, rows=None, **kwargs):
-    """The forward over every node, whatever rows the caller needs."""
-    return SHIPPED_FORWARD(*args, **kwargs)
-
-
 def sorted_cut(scores, eligible, k, what, score=None):
     """The sorted cut: ``score`` applied to every entry, then one stable
     sort of every eligible score; its head, sorted by id."""
@@ -133,7 +123,6 @@ def checked_swap(mask, remove, add, what):
 def patch_references(monkeypatch):
     monkeypatch.setattr(train, "_weight_plan", lambda *masks: None)
     monkeypatch.setattr(train.TrainLoop, "run_epoch", gated_epoch)
-    monkeypatch.setattr(train, "gcn_forward", full_forward)
     monkeypatch.setattr(train, "normalize_adjacency", sorted_adjacency)
     monkeypatch.setattr(masks, "_smallest_bits", sorted_bits)
     monkeypatch.setattr(baselines, "_bottom_k", sorted_cut)

@@ -702,8 +702,8 @@ DESK_SBM = generate_sbm(3, 100, 0.06, 0.02, 12, seed=101, mean_scale=0.2)
 def old_order_train(shipped_train):
     """``TrainLoop.train`` in the order the boundary had before it moved
     into the loop: every epoch of the interval evaluates, then the
-    boundary swaps the masks, so the next interval opens on a train-rows
-    forward, and the interval's final test accuracy is a separate
+    boundary swaps the masks, so the next interval opens on a forward of
+    its own, and the interval's final test accuracy is a separate
     ``evaluate_accuracy`` under the new masks (``acc_inplace`` reads it
     after the last interval)."""
     from fastglt.nn import evaluate_accuracy
@@ -729,8 +729,7 @@ def test_swap_before_evaluation_keeps_every_ticket_bit(monkeypatch, interval,
     mask, soft-edge value, swap set, search loss, ``acc_inplace`` and
     ``acc_retrained`` is the same; only each interval-end validation
     accuracy moves, to the one under the post-swap masks. The denoise loop
-    runs one forward per epoch plus one at its start, the only train-rows
-    forward."""
+    runs one full forward per epoch plus one at its start."""
     import fastglt.nn as nn
     import fastglt.train as train
     from fastglt.train import TrainLoop
@@ -747,10 +746,10 @@ def test_swap_before_evaluation_keeps_every_ticket_bit(monkeypatch, interval,
         return soft.edges is not None and soft.weights is None
 
     def forward(module):
-        def spy(params, soft, *args, rows=None, **kwargs):
+        def spy(params, soft, *args, **kwargs):
             if denoising(soft):
-                forwards.append((module, rows is not None))
-            return real_forward(params, soft, *args, rows=rows, **kwargs)
+                forwards.append(module)
+            return real_forward(params, soft, *args, **kwargs)
         return spy
 
     def rebuild_norm(loop):
@@ -771,7 +770,7 @@ def test_swap_before_evaluation_keeps_every_ticket_bit(monkeypatch, interval,
         patched.setattr(TrainLoop, "train", old_order_train(TrainLoop.train))
         reference = run_fastglt(ds, config)
 
-    assert forwards == [("train", True)] + [("train", False)] * 6
+    assert forwards == ["train"] * 7
     # the loop start's rebuild, then one per boundary
     assert len(post_swap_val) == 1 + len(shipped.swaps) == 1 + 6 // interval
 

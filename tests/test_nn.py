@@ -502,62 +502,6 @@ def test_backward_matches_full_graph_reference(kind, trained, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("trained", ["cotrain", "denoise", "theta"])
-@pytest.mark.parametrize("x_kind", ["dense", "dense_isolated", "csr"])
-def test_train_rows_forward_matches_full_forward(x_kind, trained, dtype):
-    """A forward restricted to the split's rows computes on a strict part
-    of the graph, yet gives the full forward's split logits, loss and
-    every gradient bit for bit. ``dense`` features store every entry in
-    X's CSR, and ``dense_isolated`` trains on one isolated node with them,
-    so that X@W0 runs on one row."""
-    rng = np.random.default_rng(11)
-    if x_kind == "csr":
-        ds, params, soft = sparse_feature_instance(rng, dtype=dtype)
-        split = ds.train_idx[:3]
-    else:
-        ds, params, soft, split = components_instance(rng, dtype)
-        if x_kind == "dense_isolated":      # node 0 loses its two edges
-            split = np.array([0])
-    binary = BinaryMasks(edges=rng.random(ds.num_edges) < 0.8,
-                         theta0=rng.random(params.theta0.shape) < 0.8,
-                         theta1=rng.random(params.theta1.shape) < 0.8)
-    if x_kind == "dense_isolated":
-        binary.edges[(ds.edges == 0).any(axis=1)] = False
-        assert receptive_field(ds, binary, split) == (1, 1, 1)
-    soft = {"cotrain": soft, "denoise": SoftMasks(edges=soft.edges),
-            "theta": SoftMasks()}[trained]
-
-    full_logits, full = gcn_forward(params, soft, binary, ds)
-    logits, cache = gcn_forward(params, soft, binary, ds, rows=split)
-    _, hop1, hop2 = receptive_field(ds, binary, split)
-    assert hop2 < ds.num_nodes
-    if trained == "theta":          # no edge-mask gradient reads XW0
-        assert cache.xw0_tiles is None and full.xw0_tiles is None
-    else:
-        xw0 = cache.xw0_rows(np.arange(ds.num_nodes))
-        assert np.count_nonzero(xw0.any(axis=1)) <= hop2
-    assert np.count_nonzero(cache.h1.any(axis=1)) <= hop1
-    assert logits[split].tobytes() == full_logits[split].tobytes()
-    assert masked_loss(logits, ds.labels, split) \
-        == masked_loss(full_logits, ds.labels, split)
-    got = backward(cache, ds.labels, split)
-    want = backward(full, ds.labels, split)
-    for name in ("theta", "m_theta", "m_edges", "dense"):
-        g, w = getattr(got, name), getattr(want, name)
-        assert (g is None) == (w is None), name
-        if w is not None:
-            assert g.tobytes() == w.tobytes(), name   # signed zeros too
-
-
-def test_backward_refuses_a_split_beyond_the_forward_rows():
-    rng = np.random.default_rng(4)
-    ds, params, soft, split = components_instance(rng, np.float64)
-    _, cache = gcn_forward(params, soft, None, ds, rows=split[:1])
-    with pytest.raises(ValueError, match="rows the forward did not compute"):
-        backward(cache, ds.labels, split)
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_logsumexp_rows_matches_scipy(dtype):
     """scipy.special is only the reference here; the engine does not load
     it. Random rows, rows with ties at the max, and rows with +-inf, NaN
@@ -665,9 +609,9 @@ def test_split_product_matches_scipy(monkeypatch, shape, density, parts,
 @pytest.mark.parametrize("width", ["1", "T-1", "T", "T+1", "2T+3", "512"])
 def test_tiled_chains_match_scipy(monkeypatch, width, dtype, x_kind):
     """The tiled layer-1 chains give the bits of the whole scipy chains:
-    X@W0, A@XW0 and the ReLU in the full and the train-rows forward, and
-    A[n2][:, n1]@dS1 and X[n2]^T@dXW0 in the backward (every gradient
-    against the full-graph sweep). This holds at any hidden width around
+    X@W0, A@XW0 and the ReLU in the forward, and A[n2][:, n1]@dS1 and
+    X[n2]^T@dXW0 in the backward (every gradient against the full-graph
+    sweep). This holds at any hidden width around
     the tile width T, in f32 and f64, with int32 and int64 indices, for an
     X that stores a fifth or all of its non-empty rows' entries, and at 1,
     2, 3 and 8 workers, more than there are tiles."""
@@ -691,81 +635,30 @@ def test_tiled_chains_match_scipy(monkeypatch, width, dtype, x_kind):
         norm.matrix.indices = norm.matrix.indices.astype(index)
         norm.matrix.indptr = norm.matrix.indptr.astype(index)
         field = nn._receptive_field(norm, x_op, split)
-        assert field.a1[0].dtype == field.a21[1].dtype == index
+        assert field.a21[1].dtype == index
         assert field.n2.size < ds.num_nodes
         for count in (1, 2, 3, 8):
             monkeypatch.setattr(nn.workers, "count", lambda: count)
             logits, full = gcn_forward(params, soft, binary, ds, norm=norm,
                                        x_op=x_op)
-            _, part = gcn_forward(params, soft, binary, ds, norm=norm,
-                                  x_op=x_op, rows=split)
             a = full.a_eff
             xw0 = x_op @ w0
             h1 = np.maximum(a @ xw0, 0.0)
             assert full.xw0_rows(nodes).tobytes() == xw0.tobytes()
             assert full.h1.tobytes() == h1.tobytes()
             assert logits.tobytes() == (a @ (h1 @ w1)).tobytes()
-            xw0 = field.x_rows @ w0
-            h1 = np.zeros_like(h1)
-            h1[field.n1] = np.maximum(a[field.n1] @ xw0, 0.0)
-            assert part.xw0_rows(nodes).tobytes() == xw0.tobytes()
-            assert part.h1.tobytes() == h1.tobytes()
-            k, tw = nn._tiling(h, dtype)
-            for cache in (full, part):      # the last tile's padding is 0
-                assert not cache.xw0_tiles[-1, :, h - (k - 1) * tw:].any()
+            k, tw = nn._tiling(h, dtype)     # the last tile's padding is 0
+            assert not full.xw0_tiles[-1, :, h - (k - 1) * tw:].any()
 
             want = reference_gradients(full, ds.labels, split)
-            for cache in (full, part):
-                got = backward(cache, ds.labels, split)
-                for name in ("theta", "m_theta", "m_edges", "dense"):
-                    g, w = getattr(got, name), getattr(want, name)
-                    assert g.dtype == dtype
-                    assert g.tobytes() == w.tobytes(), name
-                runs.append([part.xw0_tiles, part.h1, got.dense,
-                             got.m_edges])
+            got = backward(full, ds.labels, split)
+            for name in ("theta", "m_theta", "m_edges", "dense"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.dtype == dtype
+                assert g.tobytes() == w.tobytes(), name
+            runs.append([full.xw0_tiles, full.h1, got.dense, got.m_edges])
     for run in runs[1:]:
         assert all(x.tobytes() == y.tobytes() for x, y in zip(run, runs[0]))
-
-
-@pytest.mark.parametrize("x_kind", ["csr", "dense"])
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("width", ["1", "T+1", "2T+3"])
-def test_backward_kept_entries_are_the_full_gradients(monkeypatch, width,
-                                                      dtype, x_kind):
-    """Asked for a mask's kept entries, an ungated backward hands over each
-    tile's kept entries of the W0 gradient, then layer 1's, in the order
-    of ``KeptOrder``: the full gradient's bits, at 1 and 3 workers, with no
-    dense gradient. A gated forward's backward refuses, and so does an
-    order built for other tiles (another precision's, where they differ)."""
-    t = tile_units(dtype)
-    h = {"1": 1, "T+1": t + 1, "2T+3": 2 * t + 3}[width]
-    rng = np.random.default_rng(h)
-    ds, params, _ = make_instance(rng, 40, f=30, h=h, edge_prob=0.08,
-                                  dtype=dtype)
-    x_op = stored_csr(rng, (40, 30), X_DENSITY[x_kind], dtype, np.int32)
-    mask = rng.random(params.weights.size) < 0.3
-    order = nn.KeptOrder.of(mask, params.shapes, dtype)
-    np.testing.assert_array_equal(np.sort(order.ids), np.flatnonzero(mask))
-    norm = nn.normalize_adjacency(ds, rng.random(ds.num_edges) < 0.8)
-    split = ds.train_idx[:3]
-    for count in (1, 3):
-        monkeypatch.setattr(nn.workers, "count", lambda: count)
-        _, cache = gcn_forward(params, SoftMasks(), None, ds, norm=norm,
-                               x_op=x_op, rows=split)
-        full = backward(cache, ds.labels, split)
-        got = backward(cache, ds.labels, split, kept=order)
-        assert got.dense is None and got.m_theta is None
-        assert got.theta.tobytes() == full.theta[order.ids].tobytes()
-    other = np.float32 if dtype == np.float64 else np.float64
-    if nn._tiling(h, other) != nn._tiling(h, dtype):
-        with pytest.raises(ValueError, match="other tiles"):
-            backward(cache, ds.labels, split,
-                     kept=nn.KeptOrder.of(mask, params.shapes, other))
-    binary = BinaryMasks.all_ones(ds.num_edges, *params.shapes)
-    _, gated = gcn_forward(params, SoftMasks(), binary, ds, norm=norm,
-                           x_op=x_op, rows=split)
-    with pytest.raises(ValueError, match="ungated"):
-        backward(gated, ds.labels, split, kept=order)
 
 
 def test_tiles_spread_evenly_over_workers(monkeypatch):
@@ -793,11 +686,10 @@ def test_tiles_spread_evenly_over_workers(monkeypatch):
 
 @pytest.mark.parametrize("trained", ["cotrain", "theta"])
 def test_split_forward_and_backward_match_one_worker(monkeypatch, trained):
-    """Three tiles over three workers: the full and the train-rows forward
-    and every gradient are the one-worker bits. The adjacency holds one
-    receptive-field record for the train rows, which the train-rows
-    forward builds and the backward reuses; a new mask's adjacency builds
-    its own."""
+    """Three tiles over three workers: the forward and every gradient are
+    the one-worker bits. The adjacency holds one receptive-field record
+    for the train rows, which the first backward builds and the next
+    reuses; a new mask's adjacency builds its own."""
     rng = np.random.default_rng(7)
     ds, params, soft = sparse_feature_instance(
         rng, h=2 * tile_units(np.float64) + 3)
@@ -812,10 +704,9 @@ def test_split_forward_and_backward_match_one_worker(monkeypatch, trained):
         monkeypatch.setattr(nn.workers, "count", lambda: count)
         norm._memo.clear()
         out, seen = [], []
-        for rows in (ds.train_idx, None):
-            logits, cache = gcn_forward(params, soft, binary, ds, norm=norm,
-                                        rows=rows)
-            seen.append(list(norm._memo.values()))
+        for _ in range(2):
+            logits, cache = gcn_forward(params, soft, binary, ds, norm=norm)
+            assert len(norm._memo) == len(seen)   # no forward builds one
             grads = backward(cache, ds.labels, ds.train_idx)
             seen.append(list(norm._memo.values()))
             # XW0 is kept only for the edge-mask gradient
@@ -832,8 +723,7 @@ def test_split_forward_and_backward_match_one_worker(monkeypatch, trained):
     remasked = BinaryMasks(edges=~binary.edges, theta0=binary.theta0,
                            theta1=binary.theta1)
     other = nn.normalize_adjacency(ds, remasked.edges)
-    _, cache = gcn_forward(params, soft, remasked, ds, norm=other,
-                           rows=ds.train_idx)
+    _, cache = gcn_forward(params, soft, remasked, ds, norm=other)
     backward(cache, ds.labels, ds.train_idx)
     (fresh,) = other._memo.values()
     assert fresh is not record and list(norm._memo.values()) == [record]
@@ -843,7 +733,7 @@ def test_split_forward_and_backward_match_one_worker(monkeypatch, trained):
 @pytest.mark.parametrize("x_kind", ["dense", "csr"])
 @pytest.mark.parametrize("seed", range(3))
 def test_receptive_field_record_matches_brute_force(seed, x_kind, isolated):
-    """The record's 1-hop and 2-hop sets, edge entries and X rows equal
+    """The record's 1-hop and 2-hop sets, edge entries and X[n2]^T equal
     their definitions read off the dense masked adjacency, on random
     graphs and masks, with bag-of-words or dense Gaussian features (X is
     a CSR either way); ``isolated`` trains on one node whose edges are all
@@ -890,10 +780,6 @@ def test_receptive_field_record_matches_brute_force(seed, x_kind, isolated):
                                                 axis=1))
 
     x = ds.features.astype(np.float64)
-    assert field.x_rows.shape == x.shape
-    assert not np.diff(field.x_rows.indptr)[~hop2].any()
-    np.testing.assert_array_equal(field.x_rows.toarray(),
-                                  np.where(hop2[:, None], x, 0.0))
     assert field.x_t.has_sorted_indices
     np.testing.assert_array_equal(field.x_t.toarray(), x[hop2].T)
     assert field.x_op is x_op
@@ -904,9 +790,9 @@ def test_receptive_field_record_matches_brute_force(seed, x_kind, isolated):
 @pytest.mark.parametrize("isolated", [False, True])
 @pytest.mark.parametrize("seed", range(3))
 def test_receptive_field_record_gathers_scipy_slices(seed, isolated):
-    """The record's A[n1] and A[n2][:, n1], gathered from an effective
-    adjacency's data, equal scipy's ``a[n1]`` and ``a[n2][:, n1]`` entry
-    for entry, stored order and index dtype included."""
+    """The record's A[n2][:, n1], gathered from an effective adjacency's
+    data, equals scipy's ``a[n2][:, n1]`` entry for entry, stored order
+    and index dtype included."""
     rng = np.random.default_rng(seed)
     ds, _, _ = sparse_feature_instance(rng)
     mask = rng.random(ds.num_edges) < 0.7
@@ -919,14 +805,13 @@ def test_receptive_field_record_gathers_scipy_slices(seed, isolated):
     a = norm.effective(soft)
     field = nn._receptive_field(norm, nn.feature_operator(ds), rows)
     n1, n2 = field.n1, field.n2
-    for got, want in ((field.a_n1(a), a[n1]),
-                      (field.a_n2_n1(a), a[n2][:, n1])):
-        indptr, indices, data, n_cols = got
-        assert n_cols == want.shape[1]
-        assert indptr.dtype == indices.dtype == want.indices.dtype
-        assert indptr.tolist() == want.indptr.tolist()
-        assert indices.tolist() == want.indices.tolist()
-        assert data.tobytes() == want.data.tobytes()
+    indptr, indices, data, n_cols = field.a_n2_n1(a)
+    want = a[n2][:, n1]
+    assert n_cols == want.shape[1]
+    assert indptr.dtype == indices.dtype == want.indices.dtype
+    assert indptr.tolist() == want.indptr.tolist()
+    assert indices.tolist() == want.indices.tolist()
+    assert data.tobytes() == want.data.tobytes()
     assert (field.a21[1].size > 0) and bool(isolated) == (n2.size == 1)
 
 

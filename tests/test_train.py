@@ -359,12 +359,8 @@ def test_fixed_mask_plan_matches_the_gated_loop(monkeypatch, dtype, x_kind,
         state = loop.opt["theta"]
         if mode == "kept":
             assert state.m.shape == state.v.shape == kept.shape
-            order = loop._plan.kept.ids         # the backward's tile order
-            assert np.array_equal(np.sort(order), kept)
-            moments = [np.zeros_like(params.weights) for _ in range(2)]
-            for pooled, held in zip(moments, (state.m, state.v)):
-                pooled[order] = held
-            moments = [pooled[kept] for pooled in moments]
+            np.testing.assert_array_equal(loop._plan.ids, kept)
+            moments = state.m, state.v          # in ascending kept order
         else:
             assert state.m.shape == params.weights.shape
             moments = state.m[kept], state.v[kept]
@@ -381,34 +377,56 @@ def test_fixed_mask_plan_matches_the_gated_loop(monkeypatch, dtype, x_kind,
     assert runs["kept"] == runs["gated"]
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_fixed_mask_plan_adds_the_gated_dense_gradient(monkeypatch, dtype):
+    """Given ``grad_acc``, a weight-only loop under binary masks adds the
+    gated loop's |dense gradient| bits with its plan too, pruned entries
+    included, over a sparse X whose hidden units span several tiles."""
+    monkeypatch.setattr(nn.workers, "count", lambda: 2)
+    ds = sparse_x_sbm()
+    params = glorot_params(ds.num_features, 300, ds.num_classes, seed=5,
+                           dtype=dtype)
+    rng = np.random.default_rng(8)
+    binary = BinaryMasks(edges=rng.random(ds.num_edges) < 0.8,
+                         theta0=rng.random(params.theta0.shape) < 0.4,
+                         theta1=rng.random(params.theta1.shape) < 0.4)
+    sums = {}
+    for mode in PLAN_MODES:
+        loop = plan_loop(monkeypatch, mode, ds, params.fresh_copy(), binary)
+        assert (loop._plan is None) == (mode == "gated")
+        sums[mode] = np.zeros(params.weights.size)
+        loop.train(3, sums[mode])
+    pruned = ~binary.weights
+    assert sums["gated"][pruned].any() and sums["gated"][~pruned].any()
+    assert sums["kept"].tobytes() == sums["gated"].tobytes()
+
+
 def test_fixed_mask_plan_is_reapplied_or_refused_at_rebuild(monkeypatch):
     """``rebuild_norm`` re-applies a weight-only loop's plan: a new edge
     mask is taken, pruned weights written from outside are zeroed again
     and kept ones are taken into the kept-only step, but a changed weight
     mask, new or edited in place, is refused rather than stepped with
-    stale kept ids. The plan's loop keeps no dense gradient to add up."""
+    stale kept ids."""
     ds, params, _ = build()
     rng = np.random.default_rng(3)
     binary = BinaryMasks(edges=rng.random(ds.num_edges) < 0.8,
                          theta0=rng.random(params.theta0.shape) < 0.3,
                          theta1=rng.random(params.theta1.shape) < 0.3)
     loop = plan_loop(monkeypatch, "kept", ds, params, binary)
-    pruned, order = ~binary.weights, loop._plan.kept
-    kept = order.ids
+    pruned, kept = ~binary.weights, loop._plan.ids
+    np.testing.assert_array_equal(kept, np.flatnonzero(binary.weights))
     loop.run_epoch()
 
     loop.binary = binary.with_edges(~binary.edges)
     params.weights[pruned] = 1.0
     params.weights[kept[:3]] = 0.5
     loop.rebuild_norm()
-    assert loop._plan.kept is order
+    assert loop._plan.ids is kept
     assert not params.weights[pruned].any()
     np.testing.assert_array_equal(loop._plan.stepped[:3], 0.5)
     loop.run_epoch()
     assert not params.weights[pruned].any()
 
-    with pytest.raises(ValueError, match="keeps no dense gradient"):
-        loop.train(1, grad_acc=np.zeros(params.weights.size))
     regrown = binary.weights.copy()
     regrown[np.flatnonzero(pruned)[0]] = True
     loop.binary = BinaryMasks.pooled(regrown, binary.shapes,
