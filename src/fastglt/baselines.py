@@ -77,8 +77,8 @@ def imp_search(dataset: Dataset, config: ExperimentConfig,
             break
 
         params.rewind()
-        soft = soft0.copy()
-        last_train = train_oneshot_phase(dataset, params, soft,
+        last_train = best = None    # the previous round's, freed first
+        last_train = train_oneshot_phase(dataset, params, soft0.copy(),
                                          epochs=epochs, lr=lr,
                                          binary=binary)
         best = last_train.best_soft

@@ -170,12 +170,6 @@ class SwapRecord:
     def n_net_weights(self) -> int:
         return self.weights_removed.size - self.weights_regrown.size
 
-    def as_dict(self) -> dict:
-        """Every field in declaration order, arrays as lists."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {k: v.tolist() if isinstance(v, np.ndarray) else v
-                for k, v in values.items()}
-
 
 # Powers 10^1 .. 10^18: an int64 id below 10^d has at most d digits.
 _DECADES = 10 ** np.arange(1, 19, dtype=np.int64)
@@ -219,7 +213,7 @@ def _json_ids(ids: np.ndarray) -> bytes:
 
 
 def _swap_line(rec: SwapRecord) -> bytes:
-    """``json.dumps(rec.as_dict()) + "\\n"``, the id lists by ``_json_ids``."""
+    """JSON of ``rec``'s fields in order, a newline; ids by ``_json_ids``."""
     items = []
     for f in fields(rec):
         value = getattr(rec, f.name)
@@ -230,8 +224,8 @@ def _swap_line(rec: SwapRecord) -> bytes:
 
 
 def export_swaps(swaps: list[SwapRecord], path: str | Path) -> None:
-    """One JSON object per line, one line per interval: the bytes of
-    ``json.dumps(rec.as_dict())``, each id list ascending."""
+    """One JSON object per line, one line per interval: ``json.dumps`` of
+    the record's fields in declaration order, arrays as ascending lists."""
     write_atomic(path, b"".join(_swap_line(rec) for rec in swaps))
 
 
@@ -310,6 +304,8 @@ def run_fastglt(dataset: Dataset, config: ExperimentConfig,
     # Denoising trains the weights and the graph soft mask; the weight soft
     # mask is absorbed into the binary mask and dropped.
     soft_dn = SoftMasks(edges=best.edges.copy())
+    history, oneshot_best_epoch = list(oneshot.history), oneshot.best_epoch
+    del soft, best, oneshot     # the one-shot soft masks and snapshot
     schedule = DenoiseSchedule.build(
         delta_t=interval, total_epochs=config.denoise_epochs, tau=config.tau,
         kappa=config.kappa, edge_universe=dataset.num_edges,
@@ -359,7 +355,6 @@ def run_fastglt(dataset: Dataset, config: ExperimentConfig,
         grad_acc[:] = 0.0
         swaps.append(record)
 
-    history = list(oneshot.history)
     for mu in range(1, schedule.mu_end + 1):
         epochs = min(interval, config.denoise_epochs - (mu - 1) * interval)
         try:
@@ -368,7 +363,7 @@ def run_fastglt(dataset: Dataset, config: ExperimentConfig,
             exc.context["interval"] = mu
             raise
         history += interval_run.history
-    del loop    # and with it the kept forward, before verification runs
+    del loop, grad_acc  # with the loop's kept forward, before verification
 
     assert int(binary.edges.sum()) == schedule.graph.kept_target
     assert binary.kept_weights == schedule.weights.kept_target
@@ -381,6 +376,6 @@ def run_fastglt(dataset: Dataset, config: ExperimentConfig,
         {"oneshot": t_oneshot, "denoise": t_denoise},
         acc_inplace=acc_inplace, search_epochs=config.budget,
         extra={"intervals": len(swaps),
-               "oneshot_best_epoch": oneshot.best_epoch},
+               "oneshot_best_epoch": oneshot_best_epoch},
         soft_edges=soft_dn.edges, swaps=swaps, history=history,
         initial_binary=initial_binary)

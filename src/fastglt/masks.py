@@ -3,8 +3,9 @@ sparsity, global magnitude thresholding, and mask (de)serialization.
 
 Every weight-shaped tensor is stored as one pooled buffer over both layers
 (``pool_weights``, ``PooledWeights``): layer 0's entries first, then layer
-1's, both row-major. All counting, thresholding and regrowth index it,
-matching the single global weight-sparsity number.
+1's, both row-major; a per-layer result (the weight gradient) is written
+through its ``PooledWeights.layers`` views. All counting, thresholding and
+regrowth index it, matching the single global weight-sparsity number.
 """
 
 from __future__ import annotations
@@ -26,16 +27,6 @@ def pool_weights(theta0: np.ndarray, theta1: np.ndarray) -> np.ndarray:
     """A new pooled buffer holding copies of the two layers: theta0 then
     theta1, each row-major, so theta1 starts at ``theta0.size``."""
     return np.concatenate((np.ravel(theta0), np.ravel(theta1)))
-
-
-def grow_pool(theta0: np.ndarray, theta1: np.ndarray) -> np.ndarray:
-    """``pool_weights`` without a second theta0-sized buffer: ``theta0``,
-    an array that owns its data and has no views, is grown in place (a
-    realloc) into the pool and returned as it."""
-    n0 = theta0.size
-    theta0.resize(n0 + theta1.size, refcheck=False)
-    theta0[n0:] = theta1.ravel()
-    return theta0
 
 
 def _layer(k: int) -> property:

@@ -49,8 +49,7 @@ from . import workers
 from .config import ExperimentConfig
 from .data import Dataset
 from .graph import NormAdj, normalize_adjacency
-from .masks import (BinaryMasks, PooledWeights, SoftMasks, grow_pool,
-                    pool_weights)
+from .masks import BinaryMasks, PooledWeights, SoftMasks, pool_weights
 
 # Edge entries per block of the edge-mask gradient (an SDDMM). The two
 # gathered (block, H) operands of a block, 1 MB in f64 at H=512, stay in L2
@@ -135,7 +134,8 @@ class Gradients:
     weight slot, defined on every entry including pruned ones; it is what
     the denoiser accumulates to rank regrowth candidates. ``theta`` is
     ``dense`` itself where the forward had no weight gate or weight soft
-    mask. ``m_*`` is None where the forward pass had no soft mask.
+    mask. ``m_*`` is None where the forward pass had no soft mask. Only
+    ``train.TrainLoop.run_epoch`` holds one, and only within its epoch.
     """
 
     theta: np.ndarray
@@ -403,7 +403,8 @@ def _sub_csr(a: sp.csr_matrix, rows: np.ndarray, at: np.ndarray,
 
 def backward(cache: ForwardCache, labels: np.ndarray,
              split: np.ndarray) -> Gradients:
-    """Exact gradients of masked_loss for the forward held in ``cache``.
+    """Exact gradients of masked_loss for the forward held in ``cache``,
+    the weight gradient allocated once, as one pooled buffer ``dense``.
 
     The edge-mask gradient of edge e sums the contributions of both of its
     directed adjacency entries across both layers. Normalization values are
@@ -429,26 +430,28 @@ def backward(cache: ForwardCache, labels: np.ndarray,
     # product contracts over nodes, as its sums would depend on the
     # contraction length and the BLAS pool size: einsum sums dW1 over n1
     # in row order. It writes dW1^T, so that its inner loop runs along the
-    # H hidden units and not the C classes.
+    # H hidden units and not the C classes, then is copied into ``dense``.
     a, norm = cache.a_eff, cache.norm     # a is symmetric by construction
     field = _receptive_field(norm, cache.x_op, split)
     n1, n2 = field.n1, field.n2
+    soft, params, binary = cache.soft, cache.params, cache.binary
+    dense = np.empty(params.weights.size, dtype=dtype)
+    dw0, dw1 = params.layers(dense)
     dh1w1 = a @ g2
-    dw1 = np.einsum("ni,nj->ji", cache.h1[n1], dh1w1[n1]).T
+    dw1[...] = np.einsum("ni,nj->ji", cache.h1[n1], dh1w1[n1]).T
     # A one-row product takes numpy's vector path, which rounds unlike a
     # row of the full product; so a lone n1 row is cut from the full one.
     ds1 = dh1w1[n1] @ cache.w1_eff.T if n1.size > 1 \
         else (dh1w1 @ cache.w1_eff.T)[n1]
     ds1 *= cache.h1[n1] > 0                                  # rows n1
     # Layer 1 runs in the forward's tiles: A[n2][:, n1]@dS1 (rows n2),
-    # then X[n2]^T@dXW0 into the tile's columns of the W0 gradient. The
+    # then X[n2]^T@dXW0 into the tile's columns of dense's W0 view. The
     # CSR X[n2]^T has sorted indices, so it sums each of its rows in the
     # column order of the CSC X[n2].T and matches X[n2].T @ dxw0 bit for
     # bit.
     a21, x_t = field.a_n2_n1(a), _csr_parts(field.x_t)
-    n_feat, h = cache.params.shapes[0]
+    n_feat, h = params.shapes[0]
     k, t = _tiling(h, dtype)
-    dw0 = np.empty((n_feat, h), dtype=dtype)
 
     def layer1(tiles):
         d_s1 = np.empty((n1.size, t), dtype=dtype)
@@ -465,9 +468,7 @@ def backward(cache: ForwardCache, labels: np.ndarray,
             dw0[:, lo:hi] = d_w0[:, :hi - lo]
 
     _each_tile(k, layer1)
-    dense = grow_pool(dw0, dw1)    # dw0 is fresh
 
-    soft, params, binary = cache.soft, cache.params, cache.binary
     d_m_edges = None
     if soft.edges is not None:
         # Gradient of each stored edge entry (i, j), self-loops skipped:

@@ -13,16 +13,17 @@ import numpy as np
 from .data import Dataset
 from .graph import normalize_adjacency
 from .masks import BinaryMasks, SoftMasks
-from .nn import (GcnParams, Gradients, backward, evaluate_accuracy,
-                 feature_operator, gcn_forward, masked_loss)
+from .nn import (GcnParams, backward, evaluate_accuracy, feature_operator,
+                 gcn_forward, masked_loss)
 from .optim import AdamState, NonFiniteGradient, adam_step
 
 @dataclass
 class EpochStats:
+    """One epoch's loss (before its update) and accuracies (after it)."""
+
     loss: float
     val_acc: float
     test_acc: float
-    grads: Gradients = field(repr=False, default=None)
 
 
 class _FixedWeights:
@@ -93,7 +94,8 @@ class TrainLoop:
     change: :meth:`rebuild_norm` refuses a new one.
 
     Each epoch runs one forward pass: the post-update evaluation forward of
-    one epoch is kept and serves as the training forward of the next.
+    one epoch is kept and serves as the training forward of the next; the
+    epoch's gradients are dropped inside :meth:`run_epoch`, before it.
     Call :meth:`rebuild_norm` after any change to ``params``, ``soft`` or
     ``binary`` made outside :meth:`run_epoch`: it renormalizes the
     adjacency and drops the kept forward, which would otherwise describe
@@ -151,11 +153,15 @@ class TrainLoop:
         return gcn_forward(self.params, self.soft, gate, self.dataset,
                            norm=self.norm, x_op=self.x_op)
 
-    def run_epoch(self, evaluate: bool = True) -> EpochStats:
+    def run_epoch(self, evaluate: bool = True,
+                  grad_acc: np.ndarray | None = None) -> EpochStats:
         """One backward/update sweep, then, if ``evaluate``, a post-update
         eval forward (:meth:`evaluate`), which is kept as the next epoch's
         training forward. Without it the accuracies read NaN until the
-        caller evaluates the stats."""
+        caller evaluates the stats. The epoch's gradients live only here:
+        after the Adam step, |dense weight gradient| is added into
+        ``grad_acc`` (float64, over the pooled weight universe) if given,
+        and they are dropped before the evaluation forward."""
         ds = self.dataset
         logits, cache = self._forward or self._run_forward()
         self._forward = None
@@ -170,9 +176,11 @@ class TrainLoop:
             for name, state in self.opt.items():
                 adam_step(state, tensors[name], getattr(grads, name),
                           name=name)
+        if grad_acc is not None:    # |g| in place: dense is dropped below
+            grad_acc += np.abs(grads.dense, out=grads.dense)
+        del grads
 
-        stats = EpochStats(loss=loss, val_acc=np.nan, test_acc=np.nan,
-                           grads=grads)
+        stats = EpochStats(loss=loss, val_acc=np.nan, test_acc=np.nan)
         if evaluate:
             self.evaluate(stats)
         self.epochs_run += 1
@@ -194,9 +202,9 @@ class TrainLoop:
               boundary=None) -> TrainResult:
         """Run ``epochs`` epochs; report the best-validation epoch (earliest
         on ties), the usual protocol for semi-supervised node classification.
-        ``grad_acc``, a float64 buffer over the pooled weight universe, gets
-        each epoch's |dense weight gradient| added in place. ``boundary``, a
-        callable taking no argument, runs after the last epoch's update and
+        ``grad_acc`` is handed to every :meth:`run_epoch`, which adds the
+        epoch's |dense weight gradient| into it. ``boundary``, a callable
+        taking no argument, runs after the last epoch's update and
         accumulation, with that epoch's gradients and activations freed; it
         may change the masks, calling :meth:`rebuild_norm`. The last
         epoch's accuracies are then taken under its result, by the forward
@@ -208,17 +216,11 @@ class TrainLoop:
         for epoch in range(1, epochs + 1):
             at_boundary = boundary is not None and epoch == epochs
             try:
-                stats = self.run_epoch(evaluate=not at_boundary)
+                stats = self.run_epoch(not at_boundary, grad_acc)
             except NonFiniteGradient as exc:
                 exc.context.update(phase=self.phase,
                                    epoch=self.epochs_run + 1)
                 raise
-            if grad_acc is not None:
-                # the dense gradient is dropped below: take |g| in place
-                dense = stats.grads.dense
-                grad_acc += np.abs(dense, out=dense)
-                del dense
-            stats.grads = None      # keep history light
             if at_boundary:
                 boundary()
                 self.evaluate(stats)
@@ -236,7 +238,7 @@ class TrainLoop:
 class TrainResult:
     """What :meth:`TrainLoop.train` saw: the best-validation epoch (1-based)
     with its accuracies and soft-mask snapshot, the last epoch's test
-    accuracy, and every epoch's stats (gradients dropped)."""
+    accuracy, and every epoch's stats."""
 
     best_soft: SoftMasks | None = None
     best_epoch: int = 0

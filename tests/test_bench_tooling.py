@@ -185,3 +185,22 @@ def test_per_layer_sees_every_denoise_boundary(tracer_module, monkeypatch):
     assert report.extra["intervals"] == 3
     assert values["denoise.boundaries"] == 3
     assert values["denoise.boundary_ms"] > 0
+
+
+def test_each_epoch_span_holds_its_evaluation_forward(tracer_module):
+    """``nn.forward_calls_per_epoch`` counts the ``nn.gcn_forward`` spans
+    directly under ``train.run_epoch`` spans, so each epoch's evaluation
+    forward must run inside its epoch's span. A theta-only
+    ``TrainLoop.train`` shows two in its first epoch (its training forward
+    and its evaluation forward) and one in each later epoch, which trains
+    on the forward the epoch before kept."""
+    ds = generate_sbm(2, 10, 0.5, 0.1, 4, seed=0)
+    params = glorot_params(ds.num_features, 4, ds.num_classes, seed=0)
+    tracer = tracer_module.Tracer()
+    with tracer:
+        TrainLoop(ds, params, SoftMasks()).train(4)
+    spans = tracer.dump()
+    epochs = [s["id"] for s in spans if s["name"] == "train.run_epoch.theta"]
+    assert [sum(s["parent"] == epoch and s["name"] == "nn.gcn_forward"
+                for s in spans) for epoch in epochs] == [2, 1, 1, 1]
+    assert sum(s["name"] == "nn.gcn_forward" for s in spans) == 5

@@ -62,13 +62,13 @@ def textbook_adam(binary, state, param, grad, *, name):
 SHIPPED_EPOCH = train.TrainLoop.run_epoch
 
 
-def gated_epoch(loop, evaluate=True):
+def gated_epoch(loop, evaluate=True, grad_acc=None):
     """The shipped epoch with every Adam step gated by the loop's binary
     masks as they stand during the epoch."""
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(train, "adam_step",
                         functools.partial(textbook_adam, loop.binary))
-        return SHIPPED_EPOCH(loop, evaluate)
+        return SHIPPED_EPOCH(loop, evaluate, grad_acc)
 
 
 def sorted_cut(scores, eligible, k, what, score=None):

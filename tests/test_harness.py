@@ -474,8 +474,7 @@ def test_fig2_one_shot_artifacts_replay_one_cotraining_run(tmp_path):
     grads = np.zeros(params0.theta0.size + params0.theta1.size)
     best_val, best_edges = -1.0, None
     for _ in range(cfg.epochs):
-        stats = loop.run_epoch()
-        grads += np.abs(stats.grads.dense_flat())
+        stats = loop.run_epoch(grad_acc=grads)
         if stats.val_acc > best_val:
             best_val, best_edges = stats.val_acc, soft.edges.copy()
 

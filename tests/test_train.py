@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -149,12 +150,20 @@ def test_each_phase_steps_exactly_its_tensors(phase, monkeypatch):
         steps.append(name)
         return adam_step(*args, name=name, **kwargs)
 
+    absent = []
+
+    def spying(*args):
+        grads = backward(*args)
+        absent.append({field for field in ("m_edges", "m_theta")
+                       if getattr(grads, field) is None})
+        return grads
+
     monkeypatch.setattr(train, "adam_step", counting)
+    monkeypatch.setattr(train, "backward", spying)
     for _ in range(2):
-        grads = loop.run_epoch().grads
+        loop.run_epoch()
     assert steps == trained * 2
-    for field in ("m_edges", "m_theta"):
-        assert (getattr(grads, field) is None) == (field not in trained)
+    assert absent == [{"m_edges", "m_theta"} - set(trained)] * 2
 
 
 @pytest.mark.parametrize("masked", [False, True])
@@ -269,13 +278,11 @@ def test_train_matches_a_run_epoch_replay(dtype):
     for res, n in zip(results, (4, 3)):
         stats, snapshots = [], []
         for _ in range(n):
-            s = twin.run_epoch()
-            want_acc += np.abs(s.grads.dense_flat())
-            stats.append(s)
+            stats.append(twin.run_epoch(grad_acc=want_acc))
             snapshots.append(twin_soft.copy())
         assert [(h.loss, h.val_acc, h.test_acc) for h in res.history] == \
             [(h.loss, h.val_acc, h.test_acc) for h in stats]
-        assert all(h.grads is None for h in res.history)
+        assert not any(hasattr(h, "grads") for h in res.history)
         vals = [h.val_acc for h in stats]
         best = vals.index(max(vals))
         assert (res.best_epoch, res.best_val_acc, res.test_at_best) == \
@@ -287,6 +294,66 @@ def test_train_matches_a_run_epoch_replay(dtype):
     np.testing.assert_array_equal(acc, want_acc)
     np.testing.assert_array_equal(params.theta0, twin_params.theta0)
 
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_no_gradient_outlives_its_epoch(dtype, monkeypatch):
+    """Every ``Gradients`` of a co-training loop, and its dense buffer, is
+    dead before the next forward starts (its own epoch's evaluation
+    forward included) and before a ``train`` boundary runs. Meanwhile
+    ``run_epoch(grad_acc=acc)`` adds to ``acc`` exactly the |dense| of an
+    independent ``nn.backward`` on a twin loop's forward, pruned entries
+    included."""
+    ds = generate_sbm(2, 25, 0.5, 0.05, 6, seed=9)
+    params = glorot_params(ds.num_features, 8, ds.num_classes, seed=5,
+                           dtype=dtype)
+    soft = init_soft_masks(ds, params.theta0.shape, params.theta1.shape,
+                           seed=5, dtype=dtype)
+    binary = pruned_binary(ds, params)
+    twin = TrainLoop(ds, params.fresh_copy(), soft.copy(), binary=binary,
+                     lr=0.01)
+    loop = TrainLoop(ds, params, soft, binary=binary, lr=0.01)
+
+    refs, dead_at = [], []
+    real_backward, real_forward = train.backward, train.gcn_forward
+
+    def all_dead():
+        return all(ref() is None for pair in refs for ref in pair)
+
+    def backward_spy(*args):
+        grads = real_backward(*args)
+        refs.append((weakref.ref(grads), weakref.ref(grads.dense)))
+        return grads
+
+    def forward_spy(*args, **kwargs):
+        dead_at.append(("forward", all_dead()))
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(train, "backward", backward_spy)
+    monkeypatch.setattr(train, "gcn_forward", forward_spy)
+    acc = np.zeros(params.weights.size)
+    want = np.zeros_like(acc)
+    for _ in range(3):
+        _, cache = nn.gcn_forward(twin.params, twin.soft, twin.binary, ds,
+                                  norm=twin.norm, x_op=twin.x_op)
+        want += np.abs(nn.backward(cache, ds.labels, ds.train_idx).dense)
+        del cache
+        twin.run_epoch()
+        loop.run_epoch(grad_acc=acc)
+        assert all_dead()
+    assert acc.tobytes() == want.tobytes()
+    assert (loop.params.weights.tobytes()
+            == twin.params.weights.tobytes())
+
+    loop.train(3, acc, boundary=lambda: dead_at.append(("boundary",
+                                                        all_dead())))
+    assert all_dead()
+    assert len(refs) == 3 + 3 + 3
+    # three epochs of both loops (4 + 2 * 2 forwards: each opens on one of
+    # its own), then train's three on the kept forward, the last one
+    # evaluating after its boundary
+    assert [kind for kind, _ in dead_at] == \
+        ["forward"] * (8 + 2) + ["boundary", "forward"]
+    assert all(dead for _, dead in dead_at)
 
 
 def test_train_loops_share_one_feature_operator_per_dtype():
